@@ -47,6 +47,15 @@ python3 benchmarks/serve_smoke.py || exit 1
 # Writes BENCH_SHARD.json at the repo root (see docs/SHARDING.md).
 python3 benchmarks/shard_smoke.py || exit 1
 
+# End-to-end correctness gate: one short untraced pipeline-metro run of
+# the e2e benchmark (500 regions: block-sparse OD, blocked-sharded fit,
+# checkpoint, 2-worker pool serving).  It exits non-zero when a pool
+# answer is not bit-identical to the in-process sharded predict, when a
+# shard exceeds the 64 MiB budget, or when a forecast cell is
+# non-finite or does not sum to 1 (see e2ebench/README.md and
+# docs/BENCHMARKS.md).  Its timings are not gated here.
+python3 e2ebench/run.py --workload pipeline-metro --seed 1 --seconds 2 --trace 0 || exit 1
+
 # Kernel microbenchmarks first: fused vs. reference autodiff ops and
 # one AF/BF training step.  Writes BENCH_AUTODIFF.json at the repo root.
 python3 benchmarks/microbench.py \

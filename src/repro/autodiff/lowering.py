@@ -38,12 +38,14 @@ nodes) has consumed and released its gradient.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from time import perf_counter as _perf_counter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .ops import _cheb_adjoint, _cheb_terms
 from .tensor import Tensor, _active_profiler, _op_label, _unbroadcast
 
 __all__ = [
@@ -148,15 +150,15 @@ class _Build:
 
 
 # ----------------------------------------------------------------------
-# buffered Chebyshev helpers (mirror ops._cheb_terms/_cheb_feats/_cheb_adjoint)
+# buffered Chebyshev features (mirror ops._cheb_feats(ops._cheb_terms(...)))
 # ----------------------------------------------------------------------
 class _ChebFeatsBuf:
     """Buffered ``_cheb_feats(_cheb_terms(lap, sig, order), order)``.
 
     The interleaved feature store ``sig_shape + (order,)`` is allocated
-    once; term ``s`` is computed directly into the strided slice
-    ``store[..., s]`` (eager fills the same slots from fresh term arrays
-    — identical values, zero allocation).  ``feats`` is the flattened
+    once; the eager ``_cheb_terms`` recursion runs and term ``s`` is
+    copied into the strided slice ``store[..., s]``, exactly as eager's
+    ``_cheb_feats`` fills a fresh array.  ``feats`` is the flattened
     ``(..., B·N, C·S)`` view eager's reshape would produce.
     """
 
@@ -171,62 +173,9 @@ class _ChebFeatsBuf:
         self.feats = self.store.reshape(rows + (c * order,))
 
     def run(self, sig: np.ndarray) -> None:
-        views = self.views
-        views[0][...] = sig
-        if self.order > 1:
-            np.matmul(self.lap, sig, out=views[1])
-        for s in range(2, self.order):
-            np.matmul(self.lap, views[s - 1], out=views[s])
-            views[s] *= 2.0
-            views[s] -= views[s - 2]
-
-
-class _ChebAdjointBuf:
-    """Buffered ``_cheb_adjoint`` against a staged stacked weight.
-
-    ``run(dmixed)`` returns the signal adjoint; the returned array is a
-    plan-owned buffer (or view) that is handed to ``_accumulate`` as a
-    borrowed gradient — it is rewritten only on the next step's backward,
-    after every borrower has released it.
-    """
-
-    def __init__(self, build: _Build, lap_t: np.ndarray,
-                 w_stack: np.ndarray, sig_shape: tuple, order: int,
-                 dtype) -> None:
-        self.lap_t = lap_t
-        self.w_stack = w_stack
-        self.order = order
-        cs = sig_shape[-1] * order
-        rows = sig_shape[:-3] + (sig_shape[-3] * sig_shape[-2],)
-        self.dfull = build.alloc(rows + (cs,), dtype)
-        self.dfull_v = self.dfull.reshape(sig_shape + (order,))
-        if order >= 2:
-            self.adj = [build.alloc(sig_shape, dtype) for _ in range(order)]
-            self.tmp = build.alloc(sig_shape, dtype)
-
-    def run(self, dmixed: np.ndarray) -> np.ndarray:
-        np.matmul(dmixed, np.swapaxes(self.w_stack, -1, -2), out=self.dfull)
-        v = self.dfull_v
-        order = self.order
-        if order == 1:
-            return v[..., 0]
-        if order == 2:
-            np.copyto(self.tmp, v[..., 1])
-            out = self.adj[0]
-            np.matmul(self.lap_t, self.tmp, out=out)
-            out += v[..., 0]
-            return out
-        adj = self.adj
-        for s in range(order):
-            np.copyto(adj[s], v[..., s])
-        for s in range(order - 1, 1, -1):
-            np.matmul(self.lap_t, adj[s], out=self.tmp)
-            self.tmp *= 2.0
-            adj[s - 1] += self.tmp
-            adj[s - 2] -= adj[s]
-        np.matmul(self.lap_t, adj[1], out=self.tmp)
-        adj[0] += self.tmp
-        return adj[0]
+        for view, term in zip(self.views,
+                              _cheb_terms(self.lap, sig, self.order)):
+            view[...] = term
 
 
 class _StableSigmoidBuf:
@@ -460,8 +409,9 @@ def _rule_twin_cheb_conv(build, out, run, spec):
         np.add(pre_v, b2_bc, out=buf)
 
     feats_t = np.swapaxes(feats.feats, -1, -2)
-    adjoint = _ChebAdjointBuf(build, lap_t, w2, (two, batch, n, channels),
-                              order, dtype)
+    adjoint = functools.partial(_cheb_adjoint, lap_t, weight=w2,
+                                shape=(two, batch, n, channels),
+                                order=order)
     dw = build.alloc((two, channels * order, q), dtype)
     db = build.alloc((two, q), dtype)
     wg = w_a.requires_grad or w_b.requires_grad
@@ -483,7 +433,7 @@ def _rule_twin_cheb_conv(build, out, run, spec):
             if b_b.requires_grad:
                 b_b._accumulate(db[1])
         if xg:
-            x._accumulate(adjoint.run(gm))
+            x._accumulate(adjoint(gm))
 
     return instr, bwd_body, False
 
@@ -570,8 +520,9 @@ def _rule_twin_gcnn_stage(build, out, run, spec):
         np.multiply(buf, scale, out=buf)
 
     feats_t = np.swapaxes(feats.feats, -1, -2)
-    adjoint = _ChebAdjointBuf(build, lap_t, w2, (two, batch, n, channels),
-                              order, dtype)
+    adjoint = functools.partial(_cheb_adjoint, lap_t, weight=w2,
+                                shape=(two, batch, n, channels),
+                                order=order)
     gscaled = build.alloc(out.shape, dtype)
     dact = build.alloc((two, batch, n, q), dtype)
     relu_mask = build.alloc((two, batch, n, q), bool)
@@ -600,7 +551,7 @@ def _rule_twin_gcnn_stage(build, out, run, spec):
             if b_b.requires_grad:
                 b_b._accumulate(db[1])
         if xg:
-            x._accumulate(adjoint.run(gm))
+            x._accumulate(adjoint(gm))
 
     return instr, bwd_body, False
 
@@ -693,8 +644,10 @@ def _rule_twin_cnrnn_cell(build, out, run, spec):
 
     feats_hx_t = np.swapaxes(feats_hx.feats, -1, -2)
     feats_rhx_t = np.swapaxes(feats_rhx.feats, -1, -2)
-    adj_cand = _ChebAdjointBuf(build, lap_t, w_cand, full, order, dtype)
-    adj_ru = _ChebAdjointBuf(build, lap_t, w_ru, full, order, dtype)
+    adj_cand = functools.partial(_cheb_adjoint, lap_t, weight=w_cand,
+                                 shape=full, order=order)
+    adj_ru = functools.partial(_cheb_adjoint, lap_t, weight=w_ru,
+                               shape=full, order=order)
     dh = build.alloc(gate1, dtype)
     t_h = build.alloc(gate1, dtype)
     dpre_c = build.alloc(gate1, dtype)
@@ -746,7 +699,7 @@ def _rule_twin_cnrnn_cell(build, out, run, spec):
                 b_cand_a._accumulate(db_cand[0])
             if b_cand_b.requires_grad:
                 b_cand_b._accumulate(db_cand[1])
-        drhx = adj_cand.run(dpre_c_flat)
+        drhx = adj_cand(dpre_c_flat)
         drh = drhx[..., :hidden]
         np.multiply(drh, h.data, out=dpre_r)
         np.multiply(dpre_r, dru_r, out=dpre_r)
@@ -774,7 +727,7 @@ def _rule_twin_cnrnn_cell(build, out, run, spec):
                 b_reset_b._accumulate(db_ru[1, :hidden])
             if b_update_b.requires_grad:
                 b_update_b._accumulate(db_ru[1, hidden:])
-        dhx = adj_ru.run(dpre_ru)
+        dhx = adj_ru(dpre_ru)
         if hg:
             np.add(dh, dhx[..., :hidden], out=dh_out)
             h._accumulate(dh_out)

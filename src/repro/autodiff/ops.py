@@ -584,24 +584,71 @@ def cheb_propagate_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
 # ----------------------------------------------------------------------
 # Whole Cheby-Net convolution (paper Eq. 5)
 # ----------------------------------------------------------------------
+# The Chebyshev recursion runs node-major: the signal is held as
+# (…, N, B·C) so each term is one (N, N) @ (N, B·C) GEMM for all slices,
+# not one GEMM per slice that re-reads the Laplacian each time.
+#
+# Node-major GEMMs pad their column count with zeros to a multiple of
+# this.  OpenBLAS sums a column in a partial micro-kernel tile (or in a
+# call small enough for its small-matrix kernel) in another order, so
+# without full tiles a slice's value would depend on which slices share
+# its GEMM, and exact-mode sharding would drift from dense.
+_COL_TILE = 32
+
+
+def _stack_lap(lap: np.ndarray) -> np.ndarray:
+    """Drop a stacked Laplacian's broadcast batch axis: ``(…, 1, N, N)``
+    → ``(…, N, N)``, one matrix per leading stack entry."""
+    if lap.ndim > 2:
+        return lap.reshape(lap.shape[:-3] + lap.shape[-2:])
+    return lap
+
+
+def _node_major(signal: np.ndarray) -> np.ndarray:
+    """``(…, B, N, C)`` signal → zero-padded node-major ``(…, N, P)``:
+    column ``b*C + c`` holds slice ``b``, channel ``c``, and ``P`` is
+    ``B·C`` rounded up to a multiple of :data:`_COL_TILE`."""
+    b, n, c = signal.shape[-3:]
+    cols = -(-(b * c) // _COL_TILE) * _COL_TILE
+    buf = np.empty(signal.shape[:-3] + (n, cols), dtype=signal.dtype)
+    buf[..., b * c:] = 0.0
+    _slice_major(buf, b, c)[...] = signal
+    return buf
+
+
+def _slice_major(buf: np.ndarray, b: int, c: int) -> np.ndarray:
+    """The ``(…, B, N, C)`` view of a padded node-major buffer."""
+    return np.swapaxes(
+        buf[..., :b * c].reshape(buf.shape[:-1] + (b, c)), -3, -2)
+
+
 def _cheb_terms(lap: np.ndarray, signal: np.ndarray,
                 order: int) -> list:
     """Chebyshev terms of a batched graph signal (raw numpy).
 
-    ``signal (B, N, C)`` → list of ``order`` arrays, each ``(B, N, C)``.
-    The batch layout is kept as-is: ``np.matmul`` broadcasts the
-    ``(N, N)`` Laplacian over the batch axis, so no transposes or
-    relayout copies are needed anywhere in the recursion.
+    ``signal (…, B, N, C)`` → list of ``order`` arrays, each
+    ``(…, B, N, C)``, from ``T_s = 2·L·T_{s-1} − T_{s-2}``.  The signal
+    is relaid once into a padded node-major ``(…, N, P)`` buffer; each
+    term is then one Laplacian GEMM against every slice's columns (one
+    per leading stack entry), and terms ``1..`` come back as slice-major
+    views of those buffers (term 0 is ``signal`` itself).
+
+    A slice's terms do not depend on which other slices are in the
+    batch, bit for bit, because every column sits in a full
+    :data:`_COL_TILE` tile; ``tests/test_cheb_layout.py`` pins this.
     """
-    terms = [signal]
-    if order > 1:
-        terms.append(np.matmul(lap, signal))
+    if order == 1:
+        return [signal]
+    b, _, c = signal.shape[-3:]
+    lap = _stack_lap(lap)
+    terms = [_node_major(signal)]
+    terms.append(np.matmul(lap, terms[0]))
     for _ in range(2, order):
         t = np.matmul(lap, terms[-1])
         t *= 2.0
         t -= terms[-2]
         terms.append(t)
-    return terms
+    return [signal] + [_slice_major(t, b, c) for t in terms[1:]]
 
 
 def _cheb_feats(terms: list, order: int) -> np.ndarray:
@@ -633,23 +680,28 @@ def _cheb_adjoint(lap_t: np.ndarray, dmixed: np.ndarray,
     Seeds every term's adjoint with one GEMM ``dmixed · Wᵀ`` (splitting
     the interleaved columns per term), then runs the Chebyshev
     recursion's adjoint (sweeping the term index down,
-    ``a_{s-1} += 2 Lᵀ a_s``, ``a_{s-2} -= a_s``).  Leading stack axes on
+    ``a_{s-1} += 2 Lᵀ a_s``, ``a_{s-2} -= a_s``) node-major, as
+    :func:`_cheb_terms` does.  Term 0 only takes elementwise updates, so
+    it stays slice-major.  Leading stack axes on
     ``dmixed``/``weight``/``lap_t``/``shape`` broadcast through.
     """
     dfull = np.matmul(dmixed, np.swapaxes(weight, -1, -2)).reshape(
         shape + (order,))
     if order == 1:
         return dfull[..., 0]
-    if order == 2:
-        out = np.matmul(lap_t, np.ascontiguousarray(dfull[..., 1]))
-        out += dfull[..., 0]
-        return out
-    adj = [np.ascontiguousarray(dfull[..., s]) for s in range(order)]
+    b, _, c = shape[-3:]
+    lap_t = _stack_lap(lap_t)
+    adj = [dfull[..., 0]]
+    adj += list(_node_major(np.moveaxis(dfull[..., 1:], -1, 0)))
     for s in range(order - 1, 1, -1):
         adj[s - 1] += 2.0 * np.matmul(lap_t, adj[s])
-        adj[s - 2] -= adj[s]
-    adj[0] += np.matmul(lap_t, adj[1])
-    return adj[0]
+        if s == 2:
+            adj[0] = adj[0] - _slice_major(adj[2], b, c)
+        else:
+            adj[s - 2] -= adj[s]
+    out = np.empty(shape, dtype=dfull.dtype)
+    np.add(_slice_major(np.matmul(lap_t, adj[1]), b, c), adj[0], out=out)
+    return out
 
 
 def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,

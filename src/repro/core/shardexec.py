@@ -12,10 +12,16 @@ time, with a strict per-shard memory budget measured by tracemalloc.
 
 Because the graph convolutions propagate along the *other* side's
 graph, slicing the shard axis never crosses a convolution: per-shard
-forwards are bit-identical rows of the dense forward (row-partitioned
-GEMMs and batch-partitioned ``np.matmul`` are exact on this BLAS).  The
-plan's halos therefore stay empty-handed here — they document what a
-graph-axis sharding *would* exchange — and the only parity hazard is
+forwards are bit-identical rows of the dense forward.  The channel-mix
+GEMMs are row-partitioned: a shard owns whole ``(slice, node)`` rows of
+the ``(B·N, C·S)`` feature matrix.  The Chebyshev recursion
+(``ops._cheb_terms``/``_cheb_adjoint``) runs node-major: a shard's
+slices are columns of one ``(N, N) @ (N, P)`` GEMM per term.  ``P`` is
+padded to full 32-column tiles, so a column's value does not depend on
+how many other slices share the call.  On OpenBLAS an unpadded count
+breaks this (``tests/test_cheb_layout.py``).
+The plan's halos therefore stay empty-handed here — they document what
+a graph-axis sharding *would* exchange — and the only parity hazard is
 the backward weight reduction, which motivates the two modes:
 
 ``exact``
@@ -199,8 +205,9 @@ def _side_stages(factorizer) -> Tuple[List[_Stage], _Head]:
 # Raw-array forward / backward over a chunk of slice rows.  The array
 # op sequences mirror ops.fused_gcnn_stage / ops.fused_latent_head
 # line for line: per-shard results are bit-identical rows of the dense
-# computation (row-partitioned GEMMs are exact), which is what makes
-# the exact mode's reassembled backward bit-identical overall.
+# computation (row-partitioned mix GEMMs, tile-padded Chebyshev
+# columns; see the module docstring), which is what makes the exact
+# mode's reassembled backward bit-identical overall.
 # ----------------------------------------------------------------------
 def _forward_chunk(x_rows: np.ndarray, stages: Sequence[_Stage],
                    head: _Head, need_caches: bool = True):

@@ -119,6 +119,19 @@ class TestBenchmarkHygiene:
         assert gate.exists()
         assert ast.get_docstring(ast.parse(gate.read_text()))
 
+    def test_e2e_correctness_gate_wired_into_sweep(self):
+        """One short pipeline-metro run of the end-to-end benchmark must
+        run in the sweep and be able to fail it (its output checks:
+        pool ≡ in-process predict, shard budget, finite normalized
+        forecasts)."""
+        script = (BENCH_DIR.parent / "run_benchmarks.sh").read_text()
+        gate = [line for line in script.splitlines()
+                if line.startswith("python3 e2ebench/run.py")]
+        assert gate, "e2ebench gate not wired into the sweep"
+        assert "--workload pipeline-metro" in gate[0]
+        assert gate[0].rstrip().endswith("|| exit 1")
+        assert (BENCH_DIR.parent / "e2ebench" / "run.py").exists()
+
     def test_shard_smoke_reports_required_sections(self):
         """BENCH_SHARD.json must keep its parity/metro sections and the
         fields the scaling claims rest on."""

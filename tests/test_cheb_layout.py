@@ -1,0 +1,227 @@
+"""Bit-exactness of the node-major Chebyshev recursion.
+
+The shared Cheby-Net helpers in :mod:`repro.autodiff.ops`
+(``_cheb_terms``, ``_cheb_feats``, ``_cheb_adjoint``) run the recursion
+node-major: one Laplacian GEMM per term against every slice's columns
+at once.
+
+Exact-mode sharding (dense ≡ sharded), the blocked forward and the
+metro inference twin run a shard's slices through the same helpers the
+dense path runs on all slices, and must agree **bit for bit**.  That
+needs a slice's result not to depend on which other slices share its
+GEMM.  On OpenBLAS this does not hold for an arbitrary column count: a
+column in a partial micro-kernel tile, or a call small enough for the
+small-matrix kernel, accumulates in another order.  The helpers
+therefore pad the column count to full tiles.  The tests below pin the
+invariance with ``np.array_equal`` on every shape; they fail loudly if a
+BLAS or numpy change breaks it.
+
+The per-slice broadcast ``np.matmul`` formulation the helpers replaced
+is kept here, written out, as the oracle.  Node-major agrees with it to
+round-off, not bitwise, because a one-channel slice goes through GEMV
+and narrow slices through partial tiles, which the padded GEMM never
+uses; order 1 and term 0, which involve no Laplacian GEMM, must match
+it exactly.
+"""
+
+import numpy as np
+import pytest
+
+from repro.autodiff.ops import _cheb_adjoint, _cheb_feats, _cheb_terms
+
+
+# ----------------------------------------------------------------------
+# Oracle: the per-slice broadcast np.matmul formulation
+# ----------------------------------------------------------------------
+def _oracle_terms(lap, signal, order):
+    terms = [signal]
+    if order > 1:
+        terms.append(np.matmul(lap, signal))
+    for _ in range(2, order):
+        t = np.matmul(lap, terms[-1])
+        t *= 2.0
+        t -= terms[-2]
+        terms.append(t)
+    return terms
+
+
+def _oracle_feats(terms, order):
+    shape = terms[0].shape
+    c = shape[-1]
+    rows = shape[:-3] + (shape[-3] * shape[-2],)
+    out = np.empty(shape + (order,), dtype=terms[0].dtype)
+    for s, term in enumerate(terms):
+        out[..., s] = term
+    return out.reshape(rows + (c * order,))
+
+
+def _oracle_adjoint(lap_t, dmixed, weight, shape, order):
+    dfull = np.matmul(dmixed, np.swapaxes(weight, -1, -2)).reshape(
+        shape + (order,))
+    if order == 1:
+        return dfull[..., 0]
+    adj = [np.ascontiguousarray(dfull[..., s]) for s in range(order)]
+    for s in range(order - 1, 1, -1):
+        adj[s - 1] += 2.0 * np.matmul(lap_t, adj[s])
+        adj[s - 2] -= adj[s]
+    adj[0] += np.matmul(lap_t, adj[1])
+    return adj[0]
+
+
+# ----------------------------------------------------------------------
+# Inputs shaped like the kernels' call sites
+# ----------------------------------------------------------------------
+Q = 3
+ORDERS = [1, 2, 3, 4]
+SHAPES = [            # (N, slices, channels)
+    (1, 1, 1), (1, 40, 3),
+    (67, 1, 1), (67, 1, 7), (67, 12, 1), (67, 23, 3), (67, 19, 7),
+    (300, 1, 2), (300, 9, 3), (300, 14, 32),
+]
+DTYPES = [np.float64, np.float32]
+
+
+def _case(stacked, n, batch, channels, order, dtype, seed=0):
+    """``(lap, lap_t, signal, weight, dmixed)`` as a call site builds
+    them: a plain ``(N, N)`` Laplacian, or the twin kernels'
+    ``(2, 1, N, N)`` stack, with ``lap_t`` a transposed view."""
+    rng = np.random.default_rng(seed)
+    lead = (2,) if stacked else ()
+    # Deliberately non-symmetric so the adjoint really uses Lᵀ.
+    lap = rng.uniform(-1.0, 1.0, size=lead + (n, n)).astype(dtype)
+    if stacked:
+        lap = lap[:, None]
+    lap_t = np.swapaxes(lap, -1, -2)
+    signal = rng.standard_normal(lead + (batch, n, channels)).astype(dtype)
+    # Small integers make the adjoint's seed GEMM dmixed·Wᵀ exact under
+    # any summation order.  That GEMM is row-partitioned like every mix
+    # GEMM and the same as the oracle's; with an exact seed the checks
+    # isolate the Laplacian recursion.
+    weight = rng.integers(-4, 5, size=lead + (channels * order, Q)) \
+        .astype(dtype)
+    dmixed = rng.integers(-4, 5, size=lead + (batch * n, Q)).astype(dtype)
+    return lap, lap_t, signal, weight, dmixed
+
+
+def _helpers(lap, lap_t, signal, weight, dmixed, order):
+    terms = _cheb_terms(lap, signal, order)
+    assert len(terms) == order
+    feats = _cheb_feats(terms, order)
+    adjoint = _cheb_adjoint(lap_t, dmixed, weight, signal.shape, order)
+    return terms, feats, adjoint
+
+
+def _oracle(lap, lap_t, signal, weight, dmixed, order):
+    terms = _oracle_terms(lap, signal, order)
+    return (terms, _oracle_feats(terms, order),
+            _oracle_adjoint(lap_t, dmixed, weight, signal.shape, order))
+
+
+def _subsets(batch, seed):
+    rng = np.random.default_rng(seed)
+    picks = [np.array([0]), np.array([batch - 1]),
+             np.arange(0, batch, 3), np.arange(batch // 3, batch)]
+    if batch > 2:
+        picks.append(np.sort(rng.choice(batch, size=batch // 2 + 1,
+                                        replace=False)))
+    return picks
+
+
+def _assert_bit_equal(got, want, what):
+    assert got.shape == want.shape, (what, got.shape, want.shape)
+    assert got.dtype == want.dtype, (what, got.dtype, want.dtype)
+    assert np.array_equal(got, want), (
+        f"{what}: not bit-identical (max abs diff "
+        f"{np.max(np.abs(got - want))}); exact-mode sharding, the blocked "
+        f"forward and the engine parity gates depend on this")
+
+
+def _check_partition(lap, lap_t, signal, weight, dmixed, order):
+    """Running any subset of slices gives the full run's rows exactly."""
+    n = signal.shape[-2]
+    batch = signal.shape[-3]
+    lead = signal.shape[:-3]
+    full_terms, full_feats, full_adj = _helpers(
+        lap, lap_t, signal, weight, dmixed, order)
+    full_feats = full_feats.reshape(lead + (batch, n, -1))
+    full_dm = dmixed.reshape(lead + (batch, n, Q))
+    for pick in _subsets(batch, seed=n + batch):
+        sub_dm = full_dm[..., pick, :, :].reshape(lead + (-1, Q))
+        terms, feats, adj = _helpers(
+            lap, lap_t, signal[..., pick, :, :], weight, sub_dm, order)
+        what = f"slices {pick.tolist()} of {batch}"
+        for s in range(order):
+            _assert_bit_equal(terms[s], full_terms[s][..., pick, :, :],
+                              f"term {s}, {what}")
+        _assert_bit_equal(feats.reshape(lead + (pick.size, n, -1)),
+                          full_feats[..., pick, :, :],
+                          f"feature rows, {what}")
+        _assert_bit_equal(adj, full_adj[..., pick, :, :],
+                          f"adjoint, {what}")
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+@pytest.mark.parametrize("stacked", [False, True],
+                         ids=["plain", "stacked"])
+@pytest.mark.parametrize("n,batch,channels", SHAPES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_slice_result_independent_of_batch_partners(
+        order, n, batch, channels, stacked, dtype):
+    _check_partition(*_case(stacked, n, batch, channels, order, dtype),
+                     order)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+@pytest.mark.parametrize("stacked", [False, True],
+                         ids=["plain", "stacked"])
+@pytest.mark.parametrize("n,batch,channels", SHAPES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_matches_per_slice_oracle(order, n, batch, channels, stacked,
+                                  dtype):
+    case = _case(stacked, n, batch, channels, order, dtype)
+    got = _helpers(*case, order)
+    want = _oracle(*case, order)
+    if order == 1:
+        for s in range(order):
+            _assert_bit_equal(got[0][s], want[0][s], f"term {s}")
+        _assert_bit_equal(got[1], want[1], "feature matrix")
+        _assert_bit_equal(got[2], want[2], "adjoint")
+        return
+    # Another summation order.  |T_s| grows like
+    # (2·max|L|·N)^s on these dense random Laplacians, so the tolerance
+    # is relative to each result's scale, set from the dtype.
+    rtol = 1e-12 if dtype == np.float64 else 2e-5
+    pairs = [(f"term {s}", got[0][s], want[0][s]) for s in range(order)]
+    pairs += [("feature matrix", got[1], want[1]),
+              ("adjoint", got[2], want[2])]
+    for what, g, w in pairs:
+        assert g.shape == w.shape and g.dtype == w.dtype, what
+        scale = max(float(np.max(np.abs(w))), 1.0)
+        np.testing.assert_allclose(g, w, rtol=0, atol=rtol * scale,
+                                   err_msg=what)
+    # Term 0 is the signal itself: always exact.
+    _assert_bit_equal(got[0][0], want[0][0], "term 0")
+
+
+@pytest.mark.parametrize("stacked", [False, True],
+                         ids=["plain", "stacked"])
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_non_contiguous_signal(order, stacked):
+    lap, lap_t, _, weight, dmixed = _case(
+        stacked, 67, 6, 4, order, np.float64, seed=1)
+    rng = np.random.default_rng(2)
+    lead = (2,) if stacked else ()
+    # A (…, B, N, C) view of a node-major buffer with a channel stride.
+    base = rng.standard_normal(lead + (67, 6, 8))
+    signal = np.swapaxes(base, -3, -2)[..., ::2]
+    assert not signal.flags.c_contiguous
+    before = base.copy()
+    got = _helpers(lap, lap_t, signal, weight, dmixed, order)
+    want = _helpers(lap, lap_t, np.ascontiguousarray(signal), weight,
+                    dmixed, order)
+    for s in range(order):
+        _assert_bit_equal(got[0][s], want[0][s], f"term {s}")
+    _assert_bit_equal(got[1], want[1], "feature matrix")
+    _assert_bit_equal(got[2], want[2], "adjoint")
+    assert np.array_equal(base, before)     # input never written
+    _check_partition(lap, lap_t, signal, weight, dmixed, order)

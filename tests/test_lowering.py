@@ -48,10 +48,10 @@ def _bf_parts(dropout=0.2):
     return model, bf_loss
 
 
-def _af_parts(dropout=0.2):
+def _af_parts(dropout=0.2, n=8, k=7):
     rng = np.random.default_rng(11)
-    w = _proximity(8, rng)
-    model = AdvancedFramework(w, w, 7, np.random.default_rng(7), rank=3,
+    w = _proximity(n, rng)
+    model = AdvancedFramework(w, w, k, np.random.default_rng(7), rank=3,
                               rnn_hidden=8, rnn_order=2, dropout=dropout)
 
     def loss_fn(prediction, truth, mask, r, c):
@@ -60,10 +60,10 @@ def _af_parts(dropout=0.2):
     return model, loss_fn
 
 
-def _train(parts_fn, engine_mode, steps=STEPS):
+def _train(parts_fn, engine_mode, steps=STEPS, n=8, k=7):
     """Losses, final grads, weights, model, and engine of a short run."""
     model, loss_fn = parts_fn()
-    history, truth, mask = _batch(np.random.default_rng(0))
+    history, truth, mask = _batch(np.random.default_rng(0), n=n, k=k)
     if engine_mode == "eager":
         optimizer = Adam(model.parameters())
         engine = None
@@ -126,6 +126,20 @@ class TestBitForBitParity:
             lowered = _train(parts_fn, "lowered")
         finally:
             autodiff.set_default_dtype(np.float64)
+        assert eager[0] == lowered[0]
+        for name in eager[2]:
+            assert np.array_equal(eager[2][name], lowered[2][name]), name
+
+    def test_af_parity_on_a_wider_graph(self):
+        """A 40-node, 3-bucket model: the toy graph's GEMMs are so small
+        that a lowering mirror running the Chebyshev recursion in
+        another GEMM layout (per slice instead of node-major) still
+        rounds alike there; here it does not."""
+        def parts():
+            return _af_parts(n=40, k=3)
+
+        eager = _train(parts, "eager", n=40, k=3)
+        lowered = _train(parts, "lowered", n=40, k=3)
         assert eager[0] == lowered[0]
         for name in eager[2]:
             assert np.array_equal(eager[2][name], lowered[2][name]), name

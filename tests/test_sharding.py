@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.autodiff import Adam
 from repro.autodiff.tensor import Tensor
 from repro.core import (AdvancedFramework, BasicFramework,
                         ShardedExecution, ShardMemoryBudgetError,
@@ -219,6 +220,83 @@ class TestBlockedMode:
     def test_invalid_mode_rejected(self, plan):
         with pytest.raises(ValueError, match="mode"):
             ShardedExecution(plan, mode="fast")
+
+
+class TestDenseUnquantizedFactors:
+    """Shard ≡ dense on dense, unquantized histograms.
+
+    The toy city's 12 regions and sparse counts leave every Laplacian
+    GEMM tiny and many products exact; there an unpadded node-major
+    Chebyshev GEMM still matched dense.  Random Dirichlet histograms at
+    30 regions do not; see tests/test_cheb_layout.py.
+    """
+
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    def test_factorization_bitwise_vs_dense(self, mode):
+        n, k = 30, 7
+        rng = np.random.default_rng(n)
+        proximity = rng.uniform(0.1, 1.0, (n, n))
+        proximity = (proximity + proximity.T) / 2.0
+        np.fill_diagonal(proximity, 0.0)
+        histograms = rng.dirichlet(np.ones(k), size=(2, n, n))
+        histograms[rng.random((2, n, n)) < 0.5] = 0.0
+        tensors = Tensor(histograms)
+        model = _model(proximity, k)
+        model.eval()
+        dense_r, dense_c = factorize_tensor_batch(
+            model.factor_r, model.factor_c, tensors)
+        execution = ShardedExecution(
+            plan_shards(proximity, n_shards=4, hops=HOPS), mode=mode)
+        sharded_r, sharded_c = execution.factorize(
+            model.factor_r, model.factor_c, tensors)
+        np.testing.assert_array_equal(sharded_r.numpy(), dense_r.numpy())
+        np.testing.assert_array_equal(sharded_c.numpy(), dense_c.numpy())
+
+
+class TestMetroSizeExactFit:
+    """Exact mode ≡ dense over Adam steps at a metro-like size.
+
+    At 280 regions every dense node-major Chebyshev GEMM is thousands of
+    columns wide, large enough for the BLAS to split it across threads
+    at its default threading, while each shard's calls are a fraction of
+    that width.  Shard ≡ dense holds only while a column's bits do not
+    depend on the call's width or thread split.  (The column padding
+    itself matters for small calls; TestDenseUnquantizedFactors and
+    tests/test_cheb_layout.py catch its loss.)
+    """
+
+    def test_train_steps_bit_identical_to_dense(self):
+        n, k, steps = 280, 7, 2
+        rng = np.random.default_rng(n)
+        proximity = rng.uniform(0.1, 1.0, (n, n))
+        proximity = (proximity + proximity.T) / 2.0
+        np.fill_diagonal(proximity, 0.0)
+        histories = rng.dirichlet(np.ones(k), size=(1, 2, n, n))
+        histories[rng.random((1, 2, n, n)) < 0.5] = 0.0
+        truth = rng.dirichlet(np.ones(k), size=(1, 1, n, n))
+        mask = (rng.random((1, 1, n, n)) < 0.5).astype(float)
+        plan = plan_shards(proximity, n_shards=N_SHARDS, hops=HOPS)
+        runs = []
+        for sharding in (None, ShardedExecution(plan, mode="exact")):
+            model = _model(proximity, k)
+            if sharding is not None:
+                model.set_sharding(sharding)
+            optimizer = Adam(model.parameters())
+            model.train()
+            losses = []
+            for _ in range(steps):
+                optimizer.zero_grad()
+                prediction, r, c = model(histories, 1)
+                loss = _loss(proximity)(prediction, truth, mask, r, c)
+                loss.backward()
+                optimizer.step()
+                losses.append(loss.item())
+            runs.append((losses, model.state_dict()))
+        (dense_losses, dense_state), (sharded_losses, sharded_state) = runs
+        assert sharded_losses == dense_losses
+        for name, value in dense_state.items():
+            np.testing.assert_array_equal(sharded_state[name], value,
+                                          err_msg=name)
 
 
 class TestMemoryBudget:
