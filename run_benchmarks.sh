@@ -56,6 +56,11 @@ python3 benchmarks/shard_smoke.py || exit 1
 # docs/BENCHMARKS.md).  Its timings are not gated here.
 python3 e2ebench/run.py --workload pipeline-metro --seed 1 --seconds 2 --trace 0 || exit 1
 
+# The same gate at paper scale, traced: served answers must equal
+# forecast_latest, and the stage buckets (factorize, forecast, recover,
+# loss, glue) must sum to the op profiler's total.
+python3 e2ebench/run.py --workload pipeline-paper --seed 1 --seconds 2 --trace 1 || exit 1
+
 # Kernel microbenchmarks first: fused vs. reference autodiff ops and
 # one AF/BF training step.  Writes BENCH_AUTODIFF.json at the repo root.
 python3 benchmarks/microbench.py \

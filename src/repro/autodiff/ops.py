@@ -595,6 +595,11 @@ def cheb_propagate_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
 # its GEMM, and exact-mode sharding would drift from dense.
 _COL_TILE = 32
 
+# The node-major factorizer's per-row GEMMs run one tile of this many
+# rows at a time (see _tile_matmul): the rows' bits then do not depend on
+# how many rows a call holds, and a tile's partial products stay in cache.
+_ROW_TILE = 1024
+
 
 def _stack_lap(lap: np.ndarray) -> np.ndarray:
     """Drop a stacked Laplacian's broadcast batch axis: ``(…, 1, N, N)``
@@ -604,16 +609,62 @@ def _stack_lap(lap: np.ndarray) -> np.ndarray:
     return lap
 
 
-def _node_major(signal: np.ndarray) -> np.ndarray:
+def _padded(cols: int) -> int:
+    """``cols`` rounded up to a multiple of :data:`_COL_TILE`."""
+    return -(-cols // _COL_TILE) * _COL_TILE
+
+
+def _scratch(ws: dict, key, shape: tuple, dtype,
+             pad_from: int = None) -> np.ndarray:
+    """A working array for the node-major kernels.
+
+    Fresh when ``ws`` is None (eager and replayed ops); otherwise kept
+    in ``ws`` under ``key`` and reused on every later call (a lowered
+    plan's persistent buffers, whose shapes are fixed).  Columns
+    ``pad_from:`` are zeroed once, when the array is made; callers
+    never write them.
+    """
+    buf = None if ws is None else ws.get(key)
+    if buf is None:
+        buf = np.empty(shape, dtype=dtype)
+        if pad_from is not None:
+            buf[..., pad_from:] = 0.0
+        if ws is not None:
+            ws[key] = buf
+    return buf
+
+
+def _node_major(signal: np.ndarray, ws: dict = None) -> np.ndarray:
     """``(…, B, N, C)`` signal → zero-padded node-major ``(…, N, P)``:
     column ``b*C + c`` holds slice ``b``, channel ``c``, and ``P`` is
-    ``B·C`` rounded up to a multiple of :data:`_COL_TILE`."""
+    ``B·C`` rounded up to a multiple of :data:`_COL_TILE`.
+
+    A signal that is already the slice-major view of such a buffer (what
+    the factorizer's stage ops return) is not copied: the buffer itself
+    is returned.  ``ws`` keeps the copy's buffer (see :func:`_scratch`).
+    """
     b, n, c = signal.shape[-3:]
-    cols = -(-(b * c) // _COL_TILE) * _COL_TILE
-    buf = np.empty(signal.shape[:-3] + (n, cols), dtype=signal.dtype)
-    buf[..., b * c:] = 0.0
+    base = signal.base
+    if isinstance(base, np.ndarray) and base.flags.c_contiguous \
+            and base.dtype == signal.dtype \
+            and base.shape == signal.shape[:-3] + (n, _padded(b * c)):
+        view = _slice_major(base, b, c)
+        if view.strides == signal.strides \
+                and view.ctypes.data == signal.ctypes.data:
+            return base
+    buf = _scratch(ws, "x", signal.shape[:-3] + (n, _padded(b * c)),
+                   signal.dtype, pad_from=b * c)
     _slice_major(buf, b, c)[...] = signal
     return buf
+
+
+def _rows(signal: np.ndarray) -> np.ndarray:
+    """``(…, B, N, C)`` signal → node-major rows ``(…, N, B·C)``: a view
+    when the signal is node-major in memory (padded or not), else a
+    copy."""
+    b, n, c = signal.shape[-3:]
+    return np.swapaxes(signal, -3, -2).reshape(
+        signal.shape[:-3] + (n, b * c))
 
 
 def _slice_major(buf: np.ndarray, b: int, c: int) -> np.ndarray:
@@ -802,8 +853,398 @@ def cheb_conv_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
 
 
 # ----------------------------------------------------------------------
-# Fused GCNN encoder stage (paper §V-A: ChebConv + ReLU + pooling)
+# Node-major GCNN factorizer (paper §V-A: ChebConv + ReLU + pooling,
+# then the latent head)
 # ----------------------------------------------------------------------
+# Activations stay node-major, zero-padded ``(…, N, P)`` buffers with an
+# optional leading pair axis, from the factorizer's input to its latent
+# head (docs/AUTODIFF.md, "The node-major factorizer").  The dense fused
+# ops, shardexec's chunks and the lowered plans all run these kernels,
+# so dense ≡ exact-sharded holds by construction.
+class _Pool:
+    """One stage's cluster pooling, as row operations on the node axis.
+
+    ``stride`` nodes pool into one cluster after the optional padded
+    permutation ``perm`` (the coarsening's; entries ``>= n`` are fake
+    nodes), scaled by ``inv_counts`` (1 / real nodes per cluster, 0 for
+    all-fake clusters).  ``stride=1`` and ``perm=None`` is the identity.
+
+    The stage keeps its activations in cluster order — ``rows`` rows,
+    row ``i`` holding node ``src[i]`` and fake rows held at zero — so
+    pooling sums ``stride`` adjacent rows and its adjoint repeats each
+    cluster's row.
+    """
+
+    def __init__(self, n: int, stride: int = 1, perm: np.ndarray = None,
+                 inv_counts: np.ndarray = None, dtype=np.float64):
+        self.stride = stride
+        self.src = self.position = self.fake = None
+        self.rows = n
+        if perm is not None:
+            real = perm < n
+            # Fake rows read a real node, then are zeroed.
+            self.src = np.where(real, perm, 0).astype(np.intp)
+            self.fake = np.flatnonzero(~real)
+            self.position = np.empty(n, dtype=np.intp)
+            self.position[perm[real]] = np.flatnonzero(real)
+            self.rows = perm.size
+        self.size = self.rows // stride
+        self.scale = inv_counts.astype(dtype, copy=False)[:, None] \
+            if stride > 1 else None
+
+
+def _call(fn, *args, **kwargs):
+    """The node-major kernels' ``call`` hook: run one array operation
+    (a lowered plan's hook also records it; ``lowering._Recorded``)."""
+    return fn(*args, **kwargs)
+
+
+def _row_buffer(ws: dict, key, lead: tuple, rows: int, cols: int,
+                dtype) -> np.ndarray:
+    """A ``(…, rows, cols)`` working array padded to whole
+    :data:`_ROW_TILE` row tiles; the pad rows are zero (see
+    :func:`_scratch`)."""
+    tiled = -(-rows // _ROW_TILE) * _ROW_TILE
+    buf = _scratch(ws, key, lead + (tiled * cols,), dtype,
+                   pad_from=rows * cols)
+    return _view(buf, lead + (-1, cols))
+
+
+def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` reshaped without a copy (raises if that is impossible)."""
+    view = a.view()
+    view.shape = shape
+    return view
+
+
+def _tile_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 call=_call) -> None:
+    """``out = a @ b`` for a row buffer ``a (…, R, K)`` of whole
+    :data:`_ROW_TILE` tiles: one GEMM per tile.
+
+    On OpenBLAS a row's result can depend on how many rows share the
+    call (the small-matrix kernel, the micro-kernel's row tail); with
+    every call exactly ``_ROW_TILE`` rows it depends on the row alone.
+    """
+    lead = a.shape[:-2]
+    tiles = a.shape[-2] // _ROW_TILE
+    call(np.matmul, _view(a, lead + (tiles, _ROW_TILE, a.shape[-1])),
+         b[..., None, :, :],
+         out=_view(out, lead + (tiles, _ROW_TILE, out.shape[-1])))
+
+
+def _assign(dest: np.ndarray, index, value) -> None:
+    """``dest[index] = value`` as a callable."""
+    dest[index] = value
+
+
+def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
+                        weight: np.ndarray, bias: np.ndarray, order: int,
+                        batch: int, pool: _Pool, ws: dict = None,
+                        call=_call):
+    """One factorizer stage on node-major signals (raw numpy).
+
+    ``x (…, N, P)`` is a padded node-major signal of ``batch`` slices,
+    ``lap (…, N, N)`` the scaled Laplacian, ``weight (…, C·order, Q)``
+    and ``bias (…, Q)`` the Cheby-Net parameters.  Returns ``(out,
+    cache)``: ``out (…, N', P')`` is the padded node-major pooled
+    activation of ``Q`` channels and ``cache`` is what
+    :func:`_gcnn_stage_backward` reads: each term's features ``(…, M,
+    B, C)`` and the activation ``(…, M, B, Q)``, in cluster order (see
+    :class:`_Pool`), with the slice axis second to last.  ``ws`` keeps
+    the working arrays between calls (see :func:`_scratch`); every
+    array operation goes through ``call`` (see :func:`_call`).
+    """
+    lead = x.shape[:-2]
+    c = weight.shape[-2] // order
+    q = weight.shape[-1]
+    m = pool.rows
+    rows = m * batch
+    bc, bq = batch * c, batch * q
+    dtype = x.dtype
+    feats = _row_buffer(ws, "feats", (order,) + lead, rows, c, dtype)
+    terms = _scratch(ws, "terms", (order - 1,) + x.shape, dtype)
+    prev2, prev = None, x
+    for s in range(order):
+        if s == 0:
+            term = x
+        else:
+            term = call(np.matmul, lap, prev, out=terms[s - 1])
+            if s > 1:
+                call(np.multiply, term, 2.0, out=term)
+                call(np.subtract, term, prev2, out=term)
+            prev2, prev = prev, term
+        # The term's real columns as (M·B, C) rows, in cluster order
+        # (gathered one pair entry at a time, into contiguous blocks).
+        dest = _view(feats[s][..., :rows, :], lead + (m, bc))
+        if pool.src is None:
+            call(np.copyto, dest, term[..., :bc])
+            continue
+        real = _view(term[..., :bc], (-1, term.shape[-2], bc))
+        for pair, block in enumerate(_view(dest, (-1, m, bc))):
+            call(np.take, real[pair], pool.src, axis=0, out=block,
+                 mode="clip")
+        call(_assign, dest, (Ellipsis, pool.fake, slice(None)), 0.0)
+    # act = Σ_s T_s @ W_s, bias, ReLU, one row tile at a time so the
+    # partial products stay in cache.
+    weights = [weight[..., s::order, :] for s in range(order)]
+    shift = bias[..., None, :]
+    act = _row_buffer(ws, "act", lead, rows, q, dtype)
+    part = _scratch(ws, "part", lead + (_ROW_TILE, q), dtype)
+    for r0 in range(0, act.shape[-2], _ROW_TILE):
+        tile = slice(r0, r0 + _ROW_TILE)
+        block = act[..., tile, :]
+        call(np.matmul, feats[0][..., tile, :], weights[0], out=block)
+        for s in range(1, order):
+            call(np.matmul, feats[s][..., tile, :], weights[s], out=part)
+            call(np.add, block, part, out=block)
+        call(np.add, block, shift, out=block)
+        call(np.maximum, block, 0.0, out=block)
+    act = _view(act[..., :rows, :], lead + (m, batch, q))
+    if pool.fake is not None:
+        call(_assign, act, (Ellipsis, pool.fake, slice(None), slice(None)),
+             0.0)
+    out = _scratch(ws, "out", lead + (pool.size, _padded(bq)), dtype,
+                   pad_from=bq)
+    pooled = out[..., :bq]
+    clusters = _view(act, lead + (pool.size, pool.stride, bq))
+    if pool.stride == 1:
+        call(np.copyto, pooled, clusters[..., 0, :])
+    else:
+        call(np.add, clusters[..., 0, :], clusters[..., 1, :], out=pooled)
+        for j in range(2, pool.stride):
+            call(np.add, pooled, clusters[..., j, :], out=pooled)
+        call(np.multiply, pooled, pool.scale, out=pooled)
+    return out, tuple(_view(f[..., :rows, :], lead + (m, batch, c))
+                      for f in feats) + (act,)
+
+
+def _gcnn_stage_backward(grad: np.ndarray, cache, lap_t: np.ndarray,
+                         weight: np.ndarray, pool: _Pool,
+                         need_dx: bool = True, ws: dict = None,
+                         call=_call):
+    """Adjoint of :func:`_gcnn_stage_forward`.
+
+    ``grad (…, N', ≥B·Q)`` holds node-major rows of the output gradient
+    (a padded buffer or a plain row block).  Returns ``(dweight, dbias,
+    dx)``; ``dx`` is the padded node-major ``(…, N, P)`` input gradient,
+    or ``None`` when ``need_dx`` is false.
+    """
+    *feats, act = cache
+    order = len(feats)
+    m, batch, q = act.shape[-3:]
+    lead = act.shape[:-3]
+    c = feats[0].shape[-1]
+    rows = m * batch
+    bc, bq = batch * c, batch * q
+    dtype = act.dtype
+    g = grad[..., :bq]
+    if pool.scale is not None:
+        g = call(np.multiply, g, pool.scale,
+                 out=_scratch(ws, "g", g.shape, dtype))
+    # Unpooling repeats each cluster's row over its ``stride`` rows;
+    # the ReLU mask (zero on fake rows) applies on the way.
+    live = call(np.greater, act, 0,
+                out=_scratch(ws, "live", act.shape, bool))
+    gm = _row_buffer(ws, "gm", lead, rows, q, dtype)
+    shape = lead + (pool.size, pool.stride, bq)
+    call(np.multiply, g[..., None, :], _view(live, shape),
+         out=_view(gm[..., :rows, :], shape))
+    dweight = _scratch(ws, "dweight", weight.shape, dtype)
+    for s in range(order):
+        part = _view(feats[s], lead + (rows, c))
+        call(np.matmul, np.swapaxes(part, -1, -2), gm[..., :rows, :],
+             out=dweight[..., s::order, :])
+    ones = _scratch(ws, "ones", (rows,), dtype)
+    ones.fill(1.0)
+    dbias = call(np.matmul, ones, gm[..., :rows, :],
+                 out=_scratch(ws, "dbias", lead + (q,), dtype))
+    if not need_dx:
+        return dweight, dbias, None
+    # Seed every term's adjoint (gm @ W_sᵀ, back in node order) in a
+    # padded node-major buffer, then run the recursion's adjoint
+    # (a_{s-1} += 2 Lᵀ a_s, a_{s-2} -= a_s).
+    n = lap_t.shape[-1]
+    adj = _scratch(ws, "adj", (order,) + lead + (n, _padded(bc)), dtype,
+                   pad_from=bc)
+    seed = _row_buffer(ws, "seed", lead, rows, c, dtype)
+    for s, a in enumerate(adj):
+        _tile_matmul(gm, np.swapaxes(weight[..., s::order, :], -1, -2),
+                     seed, call)
+        seed_rows = _view(seed[..., :rows, :], lead + (m, bc))
+        if pool.position is not None:
+            seed_rows = call(np.take, seed_rows, pool.position, axis=-2,
+                             mode="clip", out=_scratch(
+                                 ws, "unpermuted", lead + (n, bc), dtype))
+        call(np.copyto, a[..., :bc], seed_rows)
+    if order > 1:
+        prop = _scratch(ws, "prop", adj[0].shape, dtype)
+    for s in range(order - 1, 1, -1):
+        call(np.matmul, lap_t, adj[s], out=prop)
+        call(np.multiply, prop, 2.0, out=prop)
+        call(np.add, adj[s - 1], prop, out=adj[s - 1])
+        call(np.subtract, adj[s - 2], adj[s], out=adj[s - 2])
+    if order > 1:
+        call(np.matmul, lap_t, adj[1], out=prop)
+        call(np.add, adj[0], prop, out=adj[0])
+    return dweight, dbias, adj[0]
+
+
+def _latent_head_forward(x: np.ndarray, w_buckets: np.ndarray,
+                         b_buckets: np.ndarray, w_latent: np.ndarray,
+                         b_latent: np.ndarray, batch: int,
+                         ws: dict = None, call=_call):
+    """The factorizer's latent head on node-major rows (raw numpy).
+
+    ``x (…, P, ≥B·C)`` holds the last stage's node-major rows (``P``
+    pooled clusters).  The bucket projection ``(P·B, C) @ (C, K)`` and
+    the cluster→rank projection, one GEMM ``W_latᵀ (R, P) @ (P, B·K)``,
+    both run node-major; the result is relaid to slice-major only here,
+    at the factorizer's exit.  Returns ``(out (…, B, R, K), cache)``
+    with ``cache = (xs (…, P, B, C), t (…, P, B, K))``.
+    """
+    lead, p = x.shape[:-2], x.shape[-2]
+    c, k = w_buckets.shape[-2:]
+    rank = w_latent.shape[-1]
+    rows = p * batch
+    bk = batch * k
+    dtype = x.dtype
+    xs = _row_buffer(ws, "xs", lead, rows, c, dtype)
+    call(np.copyto, _view(xs[..., :rows, :], lead + (p, batch * c)),
+         x[..., :batch * c])
+    t = _row_buffer(ws, "t", lead, rows, k, dtype)
+    _tile_matmul(xs, w_buckets, t, call)
+    t = t[..., :rows, :]
+    call(np.add, t, b_buckets[..., None, :], out=t)
+    t_pad = _scratch(ws, "t_pad", lead + (p, _padded(bk)), dtype,
+                     pad_from=bk)
+    call(np.copyto, t_pad[..., :bk], _view(t, lead + (p, bk)))
+    z = call(np.matmul, np.swapaxes(w_latent, -1, -2), t_pad,
+             out=_scratch(ws, "z", lead + (rank, t_pad.shape[-1]), dtype))
+    out = _scratch(ws, "out", lead + (batch, rank, k), dtype)
+    call(np.add, np.swapaxes(_view(z[..., :bk], lead + (rank, batch, k)),
+                             -3, -2),
+         b_latent[..., None, :, None], out=out)
+    return out, (_view(xs[..., :rows, :], lead + (p, batch, c)),
+                 _view(t, lead + (p, batch, k)))
+
+
+def _latent_head_backward(grad: np.ndarray, cache, w_buckets: np.ndarray,
+                          w_latent: np.ndarray, need_dx: bool = True,
+                          ws: dict = None, call=_call):
+    """Adjoint of :func:`_latent_head_forward`: ``grad (…, B, R, K)`` →
+    ``(dw_buckets, db_buckets, dw_latent, db_latent, dx)`` with ``dx``
+    the node-major ``(…, P, B·C)`` input gradient (``None`` unless
+    ``need_dx``)."""
+    xs, t = cache
+    p, batch, c = xs.shape[-3:]
+    lead = xs.shape[:-3]
+    k = t.shape[-1]
+    rank = w_latent.shape[-1]
+    rows = p * batch
+    bk = batch * k
+    dtype = t.dtype
+    gz = _scratch(ws, "gz", lead + (rank, _padded(bk)), dtype, pad_from=bk)
+    gz_rows = gz[..., :bk]
+    call(np.copyto, _view(gz_rows, lead + (rank, batch, k)),
+         np.swapaxes(grad, -3, -2))
+    dw_latent = call(np.matmul, _view(t, lead + (p, bk)),
+                     np.swapaxes(gz_rows, -1, -2),
+                     out=_scratch(ws, "dw_latent", lead + (p, rank), dtype))
+    db_latent = call(np.add.reduce, gz_rows, axis=-1,
+                     out=_scratch(ws, "db_latent", lead + (rank,), dtype))
+    dt_pad = call(np.matmul, w_latent, gz, out=_scratch(
+        ws, "dt_pad", lead + (p, gz.shape[-1]), dtype))
+    dt = _row_buffer(ws, "dt", lead, rows, k, dtype)
+    call(np.copyto, _view(dt[..., :rows, :], lead + (p, bk)),
+         dt_pad[..., :bk])
+    x_rows = _view(xs, lead + (rows, c))
+    dw_buckets = call(np.matmul, np.swapaxes(x_rows, -1, -2),
+                      dt[..., :rows, :],
+                      out=_scratch(ws, "dw_buckets", lead + (c, k), dtype))
+    ones = _scratch(ws, "ones", (rows,), dtype)
+    ones.fill(1.0)
+    db_buckets = call(np.matmul, ones, dt[..., :rows, :],
+                      out=_scratch(ws, "db_buckets", lead + (k,), dtype))
+    dx = None
+    if need_dx:
+        dx = _row_buffer(ws, "dx", lead, rows, c, dtype)
+        _tile_matmul(dt, np.swapaxes(w_buckets, -1, -2), dx, call)
+        dx = _view(dx[..., :rows, :], lead + (p, batch * c))
+    return dw_buckets, db_buckets, dw_latent, db_latent, dx
+
+
+def _factorizer_node(label: str, x: Tensor, sides, forward, backward,
+                     stage: bool) -> Tensor:
+    """One node-major factorizer kernel as a single graph node.
+
+    ``sides`` holds one side's parameters, or both AF sides' (on a
+    leading pair axis).  ``forward(x_in, params)`` and ``backward(grad,
+    cache, params, need_dx)`` are the kernels with the op's constants
+    bound.  A ``stage`` returns the slice-major view of its node-major
+    output, which the next stage takes back without a copy; the latent
+    head returns slice-major data.  The closures carry ``label``, the
+    public op's name, which the op profiler and the lowering pass see.
+    """
+    batch, channels = x.shape[-3], x.shape[-1]
+    params = cache = None
+
+    def run() -> np.ndarray:
+        nonlocal params, cache
+        params = [p.data for p in sides[0]] if len(sides) == 1 else \
+            [np.stack([a.data, b.data]) for a, b in zip(*sides)]
+        out, cache = forward(_node_major(x.data) if stage else _rows(x.data),
+                             params)
+        return _slice_major(out, batch, sides[0][0].shape[-1]) if stage \
+            else out
+
+    def backward_(grad: np.ndarray) -> None:
+        *grads, dx = backward(_rows(grad) if stage else grad, cache, params,
+                              x.requires_grad)
+        for index, side in enumerate(sides):
+            for param, value in zip(side, grads):
+                if param.requires_grad:
+                    param._accumulate(value if len(sides) == 1
+                                      else value[index])
+        if dx is not None:
+            x._accumulate(_slice_major(dx, batch, channels))
+
+    run.__qualname__ = f"{label}.<locals>.run"
+    backward_.__qualname__ = f"{label}.<locals>.backward"
+    out = Tensor._make(_run_forward(run),
+                       (x,) + tuple(p for side in sides for p in side),
+                       backward_)
+    _record(out, run, (label, {"x": x, "sides": sides, "forward": forward,
+                               "backward": backward, "stage": stage}))
+    return out
+
+
+def _gcnn_stage_node(label: str, lap, x: Tensor, sides, order: int,
+                     stride: int, perm, inv_counts) -> Tensor:
+    lap = _constant_array(lap)
+    lap_t = np.swapaxes(lap, -1, -2)
+    batch, n = x.shape[-3:-1]
+    pool = _Pool(n, stride, perm, inv_counts, x.data.dtype)
+    return _factorizer_node(
+        label, x, sides,
+        lambda x_in, params, **kw: _gcnn_stage_forward(
+            lap, x_in, *params, order, batch, pool, **kw),
+        lambda grad, cache, params, need_dx, **kw: _gcnn_stage_backward(
+            grad, cache, lap_t, params[0], pool, need_dx, **kw),
+        stage=True)
+
+
+def _latent_head_node(label: str, x: Tensor, sides) -> Tensor:
+    batch = x.shape[-3]
+    return _factorizer_node(
+        label, x, sides,
+        lambda x_in, params, **kw: _latent_head_forward(
+            x_in, *params, batch, **kw),
+        lambda grad, cache, params, need_dx, **kw: _latent_head_backward(
+            grad, cache, params[0], params[2], need_dx, **kw),
+        stage=False)
+
+
 def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
                      weight: Tensor, bias: Tensor, order: int,
                      stride: int = 1, perm: np.ndarray = None,
@@ -816,8 +1257,8 @@ def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
     non-overlapping windows of ``stride`` nodes scaled by ``inv_counts``
     (1 / real nodes per cluster, 0 for all-fake clusters).  ``stride=1``
     skips pooling.  This is :class:`repro.core.spatial.SpatialFactorizer`'s
-    hot path; the ~10-node primitive composition is kept in
-    :func:`fused_gcnn_stage_reference`.
+    hot path, run node-major (:func:`_gcnn_stage_forward`); the ~10-node
+    primitive composition is kept in :func:`fused_gcnn_stage_reference`.
     """
     if not fused_enabled():
         return fused_gcnn_stage_reference(lap, x, weight, bias, order,
@@ -827,73 +1268,26 @@ def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
     if x.ndim != 3:
         raise ValueError(f"fused_gcnn_stage expects (batch, N, C) input, "
                          f"got shape {x.shape}")
-    lap_data = _constant_array(lap)
-    batch, n, channels = x.shape
-    q = weight.shape[-1]
-    dtype = x.data.dtype
-    if perm is not None:
-        real = perm < n
-        perm_real = perm[real]
-        # Undo the pad-and-permute: original node j sits at the padded
-        # position holding value perm[...] == j; dividing by the pool
-        # stride maps it straight to its cluster.
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[perm_real] = np.nonzero(real)[0]
-        cluster_of_node = inverse // stride
-    else:
-        real = perm_real = None
-        cluster_of_node = np.arange(n, dtype=np.intp) // stride
-    scale = inv_counts.astype(dtype, copy=False)[:, None] \
-        if stride > 1 else None
-    lap_t = lap_data.T
-    feats = None
-    act = None
+    return _gcnn_stage_node("fused_gcnn_stage", lap, x, [(weight, bias)],
+                            order, stride, perm, inv_counts)
 
-    def run() -> np.ndarray:
-        nonlocal feats, act
-        terms = _cheb_terms(lap_data, x.data, order)
-        feats = _cheb_feats(terms, order)               # (B*N, C*S)
-        act = (feats @ weight.data).reshape(batch, n, q)
-        act += bias.data
-        np.maximum(act, 0.0, out=act)
-        if perm is not None:
-            pooled_src = np.zeros((batch, perm.size, q), dtype=act.dtype)
-            pooled_src[:, real] = act[:, perm_real]
-        else:
-            pooled_src = act
-        if stride > 1:
-            m = pooled_src.shape[1]
-            out_data = pooled_src.reshape(batch, m // stride, stride,
-                                          q).sum(axis=2)
-            out_data *= scale
-        else:
-            out_data = pooled_src
-        return out_data
 
-    def backward(grad: np.ndarray) -> None:
-        # Each original node's grad is its cluster's (scaled) grad: one
-        # fancy gather instead of materializing the broadcast + un-permute.
-        if stride > 1:
-            scaled = grad * scale
-            dact = scaled[:, cluster_of_node]
-            dact *= act > 0                         # ReLU mask, in place
-        elif perm is not None:
-            dact = grad[:, cluster_of_node]
-            dact *= act > 0
-        else:
-            dact = grad * (act > 0)
-        gm = dact.reshape(batch * n, q)
-        if weight.requires_grad:
-            weight._accumulate(feats.T @ gm)
-        if bias.requires_grad:
-            bias._accumulate(gm.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(_cheb_adjoint(
-                lap_t, gm, weight.data, (batch, n, channels), order))
+def fused_twin_gcnn_stage(lap2: np.ndarray, x: Tensor,
+                          w_a: Tensor, b_a: Tensor,
+                          w_b: Tensor, b_b: Tensor, order: int,
+                          stride: int = 1, perm: np.ndarray = None,
+                          inv_counts: np.ndarray = None) -> Tensor:
+    """Two same-shaped factorizer stages as one stacked node.
 
-    out = Tensor._make(_run_forward(run), (x, weight, bias), backward)
-    _record(out, run)
-    return out
+    The pair-axis analog of :func:`fused_gcnn_stage`: ``x (2, B, N, C)``
+    holds both sides' slice batches, ``lap2 (2, N, N)`` their scaled
+    Laplacians, and the conv weights run as batched GEMMs.  The pooling
+    layout (``stride``/``perm``/``inv_counts``) must be shared by both
+    sides — the caller verifies the coarsenings agree.
+    """
+    return _gcnn_stage_node("fused_twin_gcnn_stage", lap2,
+                            _ensure_tensor(x), [(w_a, b_a), (w_b, b_b)],
+                            order, stride, perm, inv_counts)
 
 
 def fused_gcnn_stage_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
@@ -919,48 +1313,28 @@ def fused_latent_head(x: Tensor, w_buckets: Tensor, b_buckets: Tensor,
     (``w_buckets (C, K)``), transpose, latent projection on the cluster
     axis (``w_latent (P, R)``), transpose back → ``(B, R, K)`` — the
     linear → transpose → linear → transpose tail of
-    :class:`repro.core.spatial.SpatialFactorizer`.
+    :class:`repro.core.spatial.SpatialFactorizer`, run node-major by
+    :func:`_latent_head_forward`.
     """
     if not fused_enabled():
         return fused_latent_head_reference(x, w_buckets, b_buckets,
                                            w_latent, b_latent)
-    x = _ensure_tensor(x)
-    k = w_buckets.shape[-1]
-    rank = w_latent.shape[-1]
-    tt = None
+    return _latent_head_node(
+        "fused_latent_head", _ensure_tensor(x),
+        [(w_buckets, b_buckets, w_latent, b_latent)])
 
-    def run() -> np.ndarray:
-        nonlocal tt
-        t = x.data @ w_buckets.data + b_buckets.data    # (B, P, K)
-        tt = t.transpose(0, 2, 1)                       # (B, K, P)
-        z = tt @ w_latent.data + b_latent.data          # (B, K, R)
-        return np.ascontiguousarray(z.transpose(0, 2, 1))
 
-    def backward(grad: np.ndarray) -> None:
-        gz = grad.transpose(0, 2, 1)                    # (B, K, R)
-        if w_latent.requires_grad or b_latent.requires_grad:
-            gz2 = gz.reshape(-1, rank)
-            if w_latent.requires_grad:
-                w_latent._accumulate(
-                    tt.reshape(-1, tt.shape[-1]).T @ gz2)
-            if b_latent.requires_grad:
-                b_latent._accumulate(gz2.sum(axis=0))
-        dt = np.matmul(gz, w_latent.data.T).transpose(0, 2, 1)  # (B, P, K)
-        if w_buckets.requires_grad or b_buckets.requires_grad:
-            dt2 = dt.reshape(-1, k)
-            if w_buckets.requires_grad:
-                w_buckets._accumulate(
-                    x.data.reshape(-1, x.shape[-1]).T @ dt2)
-            if b_buckets.requires_grad:
-                b_buckets._accumulate(dt2.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(np.matmul(dt, w_buckets.data.T))
+def fused_twin_latent_head(x: Tensor,
+                           head_a: Sequence[Tensor],
+                           head_b: Sequence[Tensor]) -> Tensor:
+    """Both factorizers' two-GEMM latent heads as one stacked node.
 
-    out = Tensor._make(_run_forward(run),
-                       (x, w_buckets, b_buckets, w_latent, b_latent),
-                       backward)
-    _record(out, run)
-    return out
+    The pair-axis analog of :func:`fused_latent_head`: ``x (2, B, P, C)``
+    → ``(2, B, R, K)``.  ``head_a``/``head_b`` are each
+    ``(w_buckets, b_buckets, w_latent, b_latent)``.
+    """
+    return _latent_head_node("fused_twin_latent_head", _ensure_tensor(x),
+                             [tuple(head_a), tuple(head_b)])
 
 
 def fused_latent_head_reference(x: Tensor, w_buckets: Tensor,
@@ -1345,173 +1719,6 @@ def fused_twin_cnrnn_cell(lap2: np.ndarray, x: Tensor, h: Tensor,
                         "params_b": (w_reset_b, b_reset_b, w_update_b,
                                      b_update_b, w_cand_b, b_cand_b),
                         "order": order, "lap_b": lap_b, "lap_t": lap_t}))
-    return out
-
-
-def fused_twin_gcnn_stage(lap2: np.ndarray, x: Tensor,
-                          w_a: Tensor, b_a: Tensor,
-                          w_b: Tensor, b_b: Tensor, order: int,
-                          stride: int = 1, perm: np.ndarray = None,
-                          inv_counts: np.ndarray = None) -> Tensor:
-    """Two same-shaped factorizer stages as one stacked node.
-
-    The pair-axis analog of :func:`fused_gcnn_stage`: ``x (2, B, N, C)``
-    holds both sides' slice batches, ``lap2 (2, N, N)`` their scaled
-    Laplacians, and the conv weights run as batched GEMMs.  The pooling
-    layout (``stride``/``perm``/``inv_counts``) must be shared by both
-    sides — the caller verifies the coarsenings agree.
-    """
-    x = _ensure_tensor(x)
-    lap_b = _constant_array(lap2)[:, None]              # (2, 1, N, N)
-    two, batch, n, channels = x.shape
-    q = w_a.shape[-1]
-    dtype = x.data.dtype
-    if perm is not None:
-        real = perm < n
-        perm_real = perm[real]
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[perm_real] = np.nonzero(real)[0]
-        cluster_of_node = inverse // stride
-    else:
-        real = perm_real = None
-        cluster_of_node = np.arange(n, dtype=np.intp) // stride
-    scale = inv_counts.astype(dtype, copy=False)[:, None] \
-        if stride > 1 else None
-    lap_t = np.swapaxes(lap_b, -1, -2)
-    feats = w2 = act = None
-
-    def run() -> np.ndarray:
-        nonlocal feats, w2, act
-        feats = _cheb_feats(_cheb_terms(lap_b, x.data, order), order)
-        w2 = np.stack([w_a.data, w_b.data])             # (2, C·S, Q)
-        b2 = np.stack([b_a.data, b_b.data])
-        act = np.matmul(feats, w2).reshape(two, batch, n, q)
-        act += b2[:, None, None]
-        np.maximum(act, 0.0, out=act)
-        if perm is not None:
-            pooled_src = np.zeros((two, batch, perm.size, q),
-                                  dtype=act.dtype)
-            pooled_src[:, :, real] = act[:, :, perm_real]
-        else:
-            pooled_src = act
-        if stride > 1:
-            m = pooled_src.shape[2]
-            out_data = pooled_src.reshape(two, batch, m // stride, stride,
-                                          q).sum(axis=3)
-            out_data *= scale
-        else:
-            out_data = pooled_src
-        return out_data
-
-    def backward(grad: np.ndarray) -> None:
-        if stride > 1:
-            scaled = grad * scale
-            dact = scaled[:, :, cluster_of_node]
-            dact *= act > 0                             # ReLU mask, in place
-        elif perm is not None:
-            dact = grad[:, :, cluster_of_node]
-            dact *= act > 0
-        else:
-            dact = grad * (act > 0)
-        gm = dact.reshape(two, batch * n, q)
-        if w_a.requires_grad or w_b.requires_grad:
-            dw = np.matmul(np.swapaxes(feats, -1, -2), gm)
-            if w_a.requires_grad:
-                w_a._accumulate(dw[0])
-            if w_b.requires_grad:
-                w_b._accumulate(dw[1])
-        if b_a.requires_grad or b_b.requires_grad:
-            db = gm.sum(axis=1)
-            if b_a.requires_grad:
-                b_a._accumulate(db[0])
-            if b_b.requires_grad:
-                b_b._accumulate(db[1])
-        if x.requires_grad:
-            x._accumulate(_cheb_adjoint(
-                lap_t, gm, w2, (two, batch, n, channels), order))
-
-    out = Tensor._make(_run_forward(run), (x, w_a, b_a, w_b, b_b),
-                       backward)
-    _record(out, run, ("fused_twin_gcnn_stage",
-                       {"x": x, "w_a": w_a, "b_a": b_a, "w_b": w_b,
-                        "b_b": b_b, "order": order, "stride": stride,
-                        "lap_b": lap_b, "lap_t": lap_t, "real": real,
-                        "perm_real": perm_real,
-                        "cluster_of_node": cluster_of_node,
-                        "scale": scale,
-                        "perm_size": None if perm is None
-                        else int(perm.size)}))
-    return out
-
-
-def fused_twin_latent_head(x: Tensor,
-                           head_a: Sequence[Tensor],
-                           head_b: Sequence[Tensor]) -> Tensor:
-    """Both factorizers' two-GEMM latent heads as one stacked node.
-
-    The pair-axis analog of :func:`fused_latent_head`: ``x (2, B, P, C)``
-    → ``(2, B, R, K)``.  ``head_a``/``head_b`` are each
-    ``(w_buckets, b_buckets, w_latent, b_latent)``.
-    """
-    x = _ensure_tensor(x)
-    wb_a, bb_a, wl_a, bl_a = head_a
-    wb_b, bb_b, wl_b, bl_b = head_b
-    k = wb_a.shape[-1]
-    rank = wl_a.shape[-1]
-    w_buckets = w_latent = tt = None
-
-    def run() -> np.ndarray:
-        nonlocal w_buckets, w_latent, tt
-        w_buckets = np.stack([wb_a.data, wb_b.data])[:, None]  # (2,1,C,K)
-        b_buckets = np.stack([bb_a.data, bb_b.data])
-        w_latent = np.stack([wl_a.data, wl_b.data])[:, None]   # (2,1,P,R)
-        b_latent = np.stack([bl_a.data, bl_b.data])
-        t = np.matmul(x.data, w_buckets) + b_buckets[:, None, None]
-        tt = np.swapaxes(t, -1, -2)                            # (2,B,K,P)
-        z = np.matmul(tt, w_latent) + b_latent[:, None, None]
-        return np.ascontiguousarray(np.swapaxes(z, -1, -2))
-
-    def backward(grad: np.ndarray) -> None:
-        gz = np.swapaxes(grad, -1, -2)                      # (2, B, K, R)
-        gz2 = gz.reshape(2, -1, rank)
-        if wl_a.requires_grad or wl_b.requires_grad:
-            dwl = np.matmul(
-                np.swapaxes(tt.reshape(2, -1, tt.shape[-1]), -1, -2), gz2)
-            if wl_a.requires_grad:
-                wl_a._accumulate(dwl[0])
-            if wl_b.requires_grad:
-                wl_b._accumulate(dwl[1])
-        if bl_a.requires_grad or bl_b.requires_grad:
-            dbl = gz2.sum(axis=1)
-            if bl_a.requires_grad:
-                bl_a._accumulate(dbl[0])
-            if bl_b.requires_grad:
-                bl_b._accumulate(dbl[1])
-        dt = np.swapaxes(
-            np.matmul(gz, np.swapaxes(w_latent, -1, -2)), -1, -2)
-        dt2 = dt.reshape(2, -1, k)
-        if wb_a.requires_grad or wb_b.requires_grad:
-            dwb = np.matmul(
-                np.swapaxes(x.data.reshape(2, -1, x.shape[-1]), -1, -2),
-                dt2)
-            if wb_a.requires_grad:
-                wb_a._accumulate(dwb[0])
-            if wb_b.requires_grad:
-                wb_b._accumulate(dwb[1])
-        if bb_a.requires_grad or bb_b.requires_grad:
-            dbb = dt2.sum(axis=1)
-            if bb_a.requires_grad:
-                bb_a._accumulate(dbb[0])
-            if bb_b.requires_grad:
-                bb_b._accumulate(dbb[1])
-        if x.requires_grad:
-            x._accumulate(np.matmul(dt, np.swapaxes(w_buckets, -1, -2)))
-
-    out = Tensor._make(_run_forward(run),
-                       (x,) + tuple(head_a) + tuple(head_b), backward)
-    _record(out, run, ("fused_twin_latent_head",
-                       {"x": x, "head_a": (wb_a, bb_a, wl_a, bl_a),
-                        "head_b": (wb_b, bb_b, wl_b, bl_b)}))
     return out
 
 

@@ -11,15 +11,19 @@ destination clusters, and this module runs one shard's slices at a
 time, with a strict per-shard memory budget measured by tracemalloc.
 
 Because the graph convolutions propagate along the *other* side's
-graph, slicing the shard axis never crosses a convolution: per-shard
-forwards are bit-identical rows of the dense forward.  The channel-mix
-GEMMs are row-partitioned: a shard owns whole ``(slice, node)`` rows of
-the ``(B·N, C·S)`` feature matrix.  The Chebyshev recursion
-(``ops._cheb_terms``/``_cheb_adjoint``) runs node-major: a shard's
-slices are columns of one ``(N, N) @ (N, P)`` GEMM per term.  ``P`` is
-padded to full 32-column tiles, so a column's value does not depend on
-how many other slices share the call.  On OpenBLAS an unpadded count
-breaks this (``tests/test_cheb_layout.py``).
+graph, slicing the shard axis never crosses a convolution.  A shard
+runs the same node-major stage and head kernels as the dense fused ops
+(``ops._gcnn_stage_forward``/``_backward``,
+``ops._latent_head_forward``/``_backward``) on its own slices: each
+slice is relaid once, into its chunk's zero-padded node-major
+``(N, P)`` signal; the activations stay node-major through every stage
+and come back slice-major only at the head's exit.  Per-shard forwards
+are bit-identical slices of the dense forward, because every per-slice
+result comes from a GEMM that cannot see the other slices' positions:
+the Laplacian terms are ``(N, N) @ (N, P)`` with ``P`` padded to full
+32-column tiles, and the channel mixes and head projections run over
+rows in full fixed-size row tiles (``ops._ROW_TILE``).  On OpenBLAS a
+partial tile in either direction breaks this (``tests/test_cheb_layout.py``).
 The plan's halos therefore stay empty-handed here — they document what
 a graph-axis sharding *would* exchange — and the only parity hazard is
 the backward weight reduction, which motivates the two modes:
@@ -51,16 +55,18 @@ shards for multi-core hosts).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import tracemalloc
-import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff.ops import _cheb_adjoint, _cheb_feats, _cheb_terms
+from ..autodiff.ops import (_Pool, _gcnn_stage_backward, _gcnn_stage_forward,
+                            _latent_head_backward, _latent_head_forward,
+                            _node_major, _padded)
 from ..autodiff.tensor import Tensor, _record, _run_forward
 from ..graph.sharding import Shard, ShardPlan
 
@@ -108,9 +114,8 @@ class DataParallelUnit:
     def slice_rows(self, batch: int) -> np.ndarray:
         """Rows of this unit in the flattened ``(B·N, nodes, K)`` slice
         batch (slice ``b·N + region`` for each owned region)."""
-        n = self.slices_per_sample_total
-        return (np.arange(batch)[:, None] * n
-                + self.shard.owned[None, :]).ravel()
+        return _shard_slices(self.shard, batch,
+                             self.slices_per_sample_total)
 
     # Total slices per sample on this side (the shard axis length);
     # set post-construction by the execution that builds the unit.
@@ -118,7 +123,7 @@ class DataParallelUnit:
 
 
 # ----------------------------------------------------------------------
-# Per-stage execution constants (mirrors ops.fused_gcnn_stage exactly)
+# Per-stage execution constants (the fused ops' arguments, per side)
 # ----------------------------------------------------------------------
 @dataclass
 class _Stage:
@@ -127,43 +132,17 @@ class _Stage:
     weight: Tensor
     bias: Tensor
     order: int
-    n_nodes: int
-    channels: int
-    q: int
-    stride: int
-    perm: Optional[np.ndarray]
-    real: Optional[np.ndarray]
-    perm_real: Optional[np.ndarray]
-    cluster_of_node: np.ndarray
-    scale: Optional[np.ndarray]
+    pool: _Pool
 
 
-@dataclass
-class _Head:
-    w_buckets: Tensor
-    b_buckets: Tensor
-    w_latent: Tensor
-    b_latent: Tensor
-    k: int
-    rank: int
-
-    @property
-    def params(self) -> Tuple[Tensor, ...]:
-        return (self.w_buckets, self.b_buckets, self.w_latent,
-                self.b_latent)
-
-
-def _lap_array(scaled_lap) -> np.ndarray:
-    return scaled_lap.data if isinstance(scaled_lap, Tensor) \
-        else np.asarray(scaled_lap)
-
-
-def _side_stages(factorizer) -> Tuple[List[_Stage], _Head]:
+def _side_stages(factorizer) -> Tuple[List[_Stage], Tuple[Tensor, ...]]:
     """Derive the per-stage constants from a SpatialFactorizer.
 
-    Requires mean pooling (``factorizer._fused_specs`` is the same
-    per-stage constant set the fused kernels use); max pooling has no
-    sharded path — callers check :meth:`ShardedExecution.supports`.
+    Returns the stages and the latent head's parameters ``(w_buckets,
+    b_buckets, w_latent, b_latent)``.  Requires mean pooling
+    (``factorizer._fused_specs`` is the same per-stage constant set the
+    fused kernels use); max pooling has no sharded path — callers check
+    :meth:`ShardedExecution.supports`.
     """
     if factorizer._fused_specs is None:
         raise ValueError(
@@ -171,114 +150,97 @@ def _side_stages(factorizer) -> Tuple[List[_Stage], _Head]:
             "has no fused stage constants)")
     stages: List[_Stage] = []
     for conv, spec in zip(factorizer.convs, factorizer._fused_specs):
-        lap = _lap_array(conv._scaled_lap)
-        n = lap.shape[0]
-        order = conv.order
-        stride = spec["stride"]
-        perm = spec["perm"]
-        if perm is not None:
-            real = perm < n
-            perm_real = perm[real]
-            inverse = np.empty(n, dtype=np.intp)
-            inverse[perm_real] = np.nonzero(real)[0]
-            cluster_of_node = inverse // stride
-        else:
-            real = perm_real = None
-            cluster_of_node = np.arange(n, dtype=np.intp) // stride
-        scale = spec["inv_counts"][:, None] if stride > 1 else None
+        lap = conv._scaled_lap.data
         stages.append(_Stage(
             lap=lap, lap_t=lap.T, weight=conv.weight, bias=conv.bias,
-            order=order, n_nodes=n,
-            channels=conv.weight.shape[0] // order,
-            q=conv.weight.shape[-1], stride=stride, perm=perm, real=real,
-            perm_real=perm_real, cluster_of_node=cluster_of_node,
-            scale=scale))
-    head = _Head(w_buckets=factorizer.to_buckets.weight,
-                 b_buckets=factorizer.to_buckets.bias,
-                 w_latent=factorizer.latent_proj.weight,
-                 b_latent=factorizer.latent_proj.bias,
-                 k=factorizer.n_buckets, rank=factorizer.rank)
-    return stages, head
+            order=conv.order,
+            pool=_Pool(lap.shape[0], dtype=conv.weight.data.dtype,
+                       **spec)))
+    return stages, (factorizer.to_buckets.weight,
+                    factorizer.to_buckets.bias,
+                    factorizer.latent_proj.weight,
+                    factorizer.latent_proj.bias)
 
 
 # ----------------------------------------------------------------------
-# Raw-array forward / backward over a chunk of slice rows.  The array
-# op sequences mirror ops.fused_gcnn_stage / ops.fused_latent_head
-# line for line: per-shard results are bit-identical rows of the dense
-# computation (row-partitioned mix GEMMs, tile-padded Chebyshev
-# columns; see the module docstring), which is what makes the exact
+# One side's slices of the OD batch
+# ----------------------------------------------------------------------
+# Slice ``b·n_side + region`` of the R side is origin ``region``'s row
+# ``tensors[b, region]`` (a signal over the destination graph); of the C
+# side, destination ``region``'s column ``tensors[b, :, region]``.
+def _shard_slices(shard: Shard, batch: int, n_side: int) -> np.ndarray:
+    """The slices of a shard's regions, over a batch of ``batch``."""
+    return (np.arange(batch)[:, None] * n_side
+            + shard.owned[None, :]).ravel()
+
+
+def _occupied(tensors: np.ndarray, side: str) -> np.ndarray:
+    """Which of one side's slices hold any trips, in slice order."""
+    return tensors.any(axis=(2, 3) if side == "r" else (1, 3)).ravel()
+
+
+def _chunk_input(tensors: np.ndarray, side: str, slices: np.ndarray,
+                 n_side: int) -> np.ndarray:
+    """The padded node-major signal of ``slices``: each slice is relaid
+    once, into the chunk that runs it."""
+    b, region = np.divmod(slices, n_side)
+    chunk = tensors[b, region] if side == "r" else tensors[b, :, region]
+    return _node_major(chunk)
+
+
+def _side_grad(dx: np.ndarray, shape: tuple, side: str) -> np.ndarray:
+    """A side's padded node-major input gradient ``(nodes, P)`` over all
+    its slices, in the ``(B, N, N', K)`` layout of the batch."""
+    batch, n_origins, n_dests, k = shape
+    if side == "r":
+        rows = dx[:, :batch * n_origins * k].reshape(
+            n_dests, batch, n_origins, k)
+        return rows.transpose(1, 2, 0, 3)
+    rows = dx[:, :batch * n_dests * k].reshape(n_origins, batch, n_dests, k)
+    return rows.transpose(1, 0, 2, 3)
+
+
+# ----------------------------------------------------------------------
+# Raw-array forward / backward over a chunk of slices: the fused ops'
+# node-major stage and head helpers, run on the chunk's columns.  A
+# slice's outputs and caches are bit-identical to its part of the dense
+# computation (see the module docstring), which is what makes the exact
 # mode's reassembled backward bit-identical overall.
 # ----------------------------------------------------------------------
-def _forward_chunk(x_rows: np.ndarray, stages: Sequence[_Stage],
-                   head: _Head, need_caches: bool = True):
-    m = x_rows.shape[0]
-    cur = x_rows
-    stage_caches = [] if need_caches else None
+def _forward_chunk(x: np.ndarray, batch: int, stages: Sequence[_Stage],
+                   head: Sequence[Tensor], need_caches: bool = True):
+    """``batch`` slices as a padded node-major ``x (N, P)`` →
+    ``((batch, R, K) output, caches)``.  Every cache array has the slice
+    axis second to last."""
+    caches = []
     for st in stages:
-        terms = _cheb_terms(st.lap, cur, st.order)
-        feats = _cheb_feats(terms, st.order)
-        act = (feats @ st.weight.data).reshape(m, st.n_nodes, st.q)
-        act += st.bias.data
-        np.maximum(act, 0.0, out=act)
-        if st.perm is not None:
-            pooled_src = np.zeros((m, st.perm.size, st.q),
-                                  dtype=act.dtype)
-            pooled_src[:, st.real] = act[:, st.perm_real]
-        else:
-            pooled_src = act
-        if st.stride > 1:
-            width = pooled_src.shape[1]
-            out = pooled_src.reshape(m, width // st.stride, st.stride,
-                                     st.q).sum(axis=2)
-            out *= st.scale
-        else:
-            out = pooled_src
-        if need_caches:
-            stage_caches.append((feats, act))
-        cur = out
-    x_head = cur                                        # (m, P, C)
-    t = x_head @ head.w_buckets.data + head.b_buckets.data
-    tt = t.transpose(0, 2, 1)                           # (m, K, P)
-    z = tt @ head.w_latent.data + head.b_latent.data    # (m, K, R)
-    out = np.ascontiguousarray(z.transpose(0, 2, 1))    # (m, R, K)
-    caches = (stage_caches, x_head, tt) if need_caches else None
-    return out, caches
+        x, cache = _gcnn_stage_forward(st.lap, x, st.weight.data,
+                                       st.bias.data, st.order, batch,
+                                       st.pool)
+        caches.append(cache)
+    out, cache = _latent_head_forward(x, *(p.data for p in head), batch)
+    caches.append(cache)
+    return out, (caches if need_caches else None)
 
 
 def _backward_chunk(grad: np.ndarray, caches, stages: Sequence[_Stage],
-                    head: _Head, sink: "_GradSink",
+                    head: Sequence[Tensor], sink: "_GradSink",
                     need_input_grad: bool) -> Optional[np.ndarray]:
-    stage_caches, x_head, tt = caches
-    gz = grad.transpose(0, 2, 1)                        # (m, K, R)
-    gz2 = gz.reshape(-1, head.rank)
-    sink.add(head.w_latent, tt.reshape(-1, tt.shape[-1]).T @ gz2)
-    sink.add(head.b_latent, gz2.sum(axis=0))
-    dt = np.matmul(gz, head.w_latent.data.T).transpose(0, 2, 1)
-    dt2 = dt.reshape(-1, head.k)
-    sink.add(head.w_buckets,
-             x_head.reshape(-1, x_head.shape[-1]).T @ dt2)
-    sink.add(head.b_buckets, dt2.sum(axis=0))
-    g = np.matmul(dt, head.w_buckets.data.T)            # (m, P, C)
+    """Adjoint of :func:`_forward_chunk`; returns the padded node-major
+    input gradient when ``need_input_grad``."""
+    grads = _latent_head_backward(grad, caches[-1], head[0].data,
+                                  head[2].data)
+    for param, value in zip(head, grads):
+        sink.add(param, value)
+    g = grads[4]
     for index in range(len(stages) - 1, -1, -1):
         st = stages[index]
-        feats, act = stage_caches[index]
-        m = act.shape[0]
-        if st.stride > 1:
-            scaled = g * st.scale
-            dact = scaled[:, st.cluster_of_node]
-            dact *= act > 0
-        elif st.perm is not None:
-            dact = g[:, st.cluster_of_node]
-            dact *= act > 0
-        else:
-            dact = g * (act > 0)
-        gm = dact.reshape(m * st.n_nodes, st.q)
-        sink.add(st.weight, feats.T @ gm)
-        sink.add(st.bias, gm.sum(axis=0))
-        if index > 0 or need_input_grad:
-            g = _cheb_adjoint(st.lap_t, gm, st.weight.data,
-                              (m, st.n_nodes, st.channels), st.order)
-    return g if need_input_grad else None
+        dweight, dbias, g = _gcnn_stage_backward(
+            g, caches[index], st.lap_t, st.weight.data, st.pool,
+            need_dx=index > 0 or need_input_grad)
+        sink.add(st.weight, dweight)
+        sink.add(st.bias, dbias)
+    return g
 
 
 class _GradSink:
@@ -466,9 +428,6 @@ class ShardedExecution:
                 f"tensor batch is {n_origins}x{n_dests} regions but the "
                 f"plan covers {self.plan.n_origins}x"
                 f"{self.plan.n_destinations}")
-        r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-        c_slices = tensors.transpose((0, 2, 1, 3)).reshape(
-            batch * n_dests, n_origins, k)
         profiled = self._profile_pending
         if profiled:
             self._profile_pending = False
@@ -478,10 +437,10 @@ class ShardedExecution:
             if self._started_tracing:
                 tracemalloc.start()
         try:
-            r = self._side_node(r_slices, factorizer_r, "r", batch,
-                                self.plan.origin_shards)
-            c = self._side_node(c_slices, factorizer_c, "c", batch,
-                                self.plan.dest_shards)
+            r = self._side_node(tensors, factorizer_r, "r",
+                                self.plan.origin_shards, n_origins)
+            c = self._side_node(tensors, factorizer_c, "c",
+                                self.plan.dest_shards, n_dests)
         finally:
             if profiled:
                 self._profiling = False
@@ -493,11 +452,6 @@ class ShardedExecution:
         return r, c.transpose((0, 2, 1, 3))
 
     # ------------------------------------------------------------------
-    def _shard_rows(self, shard: Shard, batch: int,
-                    n_side: int) -> np.ndarray:
-        return (np.arange(batch)[:, None] * n_side
-                + shard.owned[None, :]).ravel()
-
     def _measure(self, side: str, shard_index: int, fn):
         """Run ``fn`` under a per-shard tracemalloc measurement."""
         if not self._profiling:
@@ -513,134 +467,144 @@ class ShardedExecution:
             raise ShardMemoryBudgetError(side, shard_index, used, budget)
         return result
 
-    def _side_node(self, x: Tensor, factorizer, side: str, batch: int,
-                   shards: Tuple[Shard, ...]) -> Tensor:
+    def _side_node(self, tensors: Tensor, factorizer, side: str,
+                   shards: Tuple[Shard, ...], n_side: int) -> Tensor:
+        """One side's stage 1 over ``tensors (B, N, N', K)`` as one graph
+        node: ``(B·n_side, R, K)``."""
         stages, head = _side_stages(factorizer)
-        if self.mode == "blocked" and x.requires_grad:
+        if self.mode == "blocked" and tensors.requires_grad:
             raise NotImplementedError(
                 "blocked mode does not propagate gradients into the "
                 "history input (zero-slice collapse shares forward "
                 "state); use mode='exact' or detach the input")
-        params: List[Tensor] = []
-        for st in stages:
-            params.extend((st.weight, st.bias))
-        params.extend(head.params)
-        n_side = self.plan.n_origins if side == "r" \
-            else self.plan.n_destinations
+        params = [p for st in stages for p in (st.weight, st.bias)]
+        params.extend(head)
         state: dict = {}
+        args = (tensors, stages, head, side, shards, n_side, state)
         if self.mode == "exact":
-            run = self._exact_run(x, stages, head, side, batch, shards,
-                                  n_side, state)
-            backward = self._exact_backward(x, stages, head, state)
+            run = self._exact_run(*args)
+            backward = self._exact_backward(*args)
         else:
-            run = self._blocked_run(x, stages, head, side, batch,
-                                    shards, n_side, state)
-            backward = self._blocked_backward(x, stages, head, state)
-        out = Tensor._make(_run_forward(run), (x,) + tuple(params),
+            run = self._blocked_run(*args)
+            backward = self._blocked_backward(*args)
+        out = Tensor._make(_run_forward(run), (tensors,) + tuple(params),
                            backward)
         _record(out, run)
         return out
 
+    def _forward_shards(self, od, side, stages, head, shards, n_side,
+                        consume, occupied=None, need_caches=True,
+                        n_jobs=1) -> None:
+        """Forward each shard's slices (only the ``occupied`` ones when
+        given) and hand ``consume(slices, out, caches)`` the results in
+        shard order."""
+        runs = []
+        for shard in shards:
+            slices = _shard_slices(shard, od.shape[0], n_side)
+            if occupied is not None:
+                slices = slices[occupied[slices]]
+                if slices.size == 0:
+                    if self._profiling:
+                        self.shard_peaks[side].append(0)
+                    continue
+            runs.append((shard.index, slices))
+
+        def one_shard(index, slices):
+            return self._measure(side, index, lambda: _forward_chunk(
+                _chunk_input(od, side, slices, n_side), slices.size,
+                stages, head, need_caches))
+
+        if n_jobs > 1:
+            results = _run_thunks([functools.partial(one_shard, *run)
+                                   for run in runs], n_jobs)
+        else:
+            results = (one_shard(*run) for run in runs)
+        for (_, slices), (out, caches) in zip(runs, results):
+            consume(slices, out, caches)
+
+    def _collapsed_forward(self, od, side, stages, head, shards, n_side,
+                           need_caches=True, n_jobs=1):
+        """Forward with zero-slice collapse: ``(out, [(slices, caches)],
+        empty mask, the empty slices' shared caches)``."""
+        occupied = _occupied(od, side)
+        zero = np.zeros((stages[0].lap.shape[0], _padded(od.shape[-1])),
+                        dtype=od.dtype)
+        out_zero, caches_zero = _forward_chunk(zero, 1, stages, head,
+                                               need_caches)
+        out = np.empty((occupied.size,) + out_zero.shape[1:], dtype=od.dtype)
+        out[~occupied] = out_zero
+        chunks = []
+
+        def consume(slices, chunk_out, caches):
+            out[slices] = chunk_out
+            chunks.append((slices, caches))
+
+        self._forward_shards(od, side, stages, head, shards, n_side,
+                             consume, occupied, need_caches, n_jobs)
+        return out, chunks, ~occupied, caches_zero
+
     # ------------------------------------------------------------------
     # exact mode: per-shard forward, dense-order caches, dense backward
     # ------------------------------------------------------------------
-    def _exact_run(self, x, stages, head, side, batch, shards, n_side,
+    def _exact_run(self, tensors, stages, head, side, shards, n_side,
                    state):
         def run() -> np.ndarray:
-            x3 = x.data
-            total = x3.shape[0]
-            dtype = x3.dtype
-            feats_full = [np.empty((total, st.n_nodes,
-                                    st.channels * st.order), dtype=dtype)
-                          for st in stages]
-            act_full = [np.empty((total, st.n_nodes, st.q), dtype=dtype)
-                        for st in stages]
-            head_in = None
-            tt_full = None
-            out_full = np.empty((total, head.rank, head.k), dtype=dtype)
-            for shard in shards:
-                rows = self._shard_rows(shard, batch, n_side)
+            od = tensors.data
+            total = od.shape[0] * n_side
+            full = {}
 
-                def one_shard(rows=rows):
-                    return _forward_chunk(x3[rows], stages, head)
+            def consume(slices, chunk_out, caches):
+                if not full:
+                    full["out"] = np.empty((total,) + chunk_out.shape[1:],
+                                           dtype=od.dtype)
+                    full["caches"] = [
+                        tuple(np.empty(a.shape[:-2] + (total, a.shape[-1]),
+                                       dtype=a.dtype) for a in cache)
+                        for cache in caches]
+                full["out"][slices] = chunk_out
+                for dense, part in zip(full["caches"], caches):
+                    for array, chunk in zip(dense, part):
+                        array[..., slices, :] = chunk
 
-                out, (stage_caches, x_head, tt) = self._measure(
-                    side, shard.index, one_shard)
-                if head_in is None:
-                    head_in = np.empty((total,) + x_head.shape[1:],
-                                       dtype=dtype)
-                    tt_full = np.empty((total,) + tt.shape[1:],
-                                       dtype=dtype)
-                for i, (feats, act) in enumerate(stage_caches):
-                    feats_full[i][rows] = feats.reshape(
-                        rows.size, stages[i].n_nodes, -1)
-                    act_full[i][rows] = act
-                head_in[rows] = x_head
-                tt_full[rows] = tt
-                out_full[rows] = out
-            stage_caches_full = [
-                (feats_full[i].reshape(total * stages[i].n_nodes, -1),
-                 act_full[i]) for i in range(len(stages))]
-            state["caches"] = (stage_caches_full, head_in, tt_full)
-            return out_full
+            self._forward_shards(od, side, stages, head, shards, n_side,
+                                 consume)
+            state["caches"] = full["caches"]
+            return full["out"]
         return run
 
-    def _exact_backward(self, x, stages, head, state):
+    def _exact_backward(self, tensors, stages, head, side, shards, n_side,
+                        state):
         def backward(grad: np.ndarray) -> None:
             sink = _GradSink(direct=True)
             g = _backward_chunk(grad, state.pop("caches"), stages, head,
-                                sink, need_input_grad=x.requires_grad)
-            if x.requires_grad:
-                x._accumulate(g)
+                                sink, need_input_grad=tensors.requires_grad)
+            if tensors.requires_grad:
+                tensors._accumulate(_side_grad(g, tensors.shape, side))
         return backward
 
     # ------------------------------------------------------------------
     # blocked mode: zero-slice collapse + per-shard backward reduction
     # ------------------------------------------------------------------
-    def _blocked_run(self, x, stages, head, side, batch, shards, n_side,
+    def _blocked_run(self, tensors, stages, head, side, shards, n_side,
                      state):
         def run() -> np.ndarray:
-            x3 = x.data
-            total = x3.shape[0]
-            occupied = x3.reshape(total, -1).any(axis=1)
-            # All-empty slices share one forward state: the network's
-            # bias response.  Compute it once from a single zero slice.
-            zero = np.zeros((1,) + x3.shape[1:], dtype=x3.dtype)
-            out_zero, caches_zero = _forward_chunk(zero, stages, head)
-            out_full = np.empty((total, head.rank, head.k),
-                                dtype=x3.dtype)
-            empty = ~occupied
-            out_full[empty] = out_zero
-            shard_caches = []
-            for shard in shards:
-                rows = self._shard_rows(shard, batch, n_side)
-                rows = rows[occupied[rows]]
-                if rows.size == 0:
-                    if self._profiling:
-                        self.shard_peaks[side].append(0)
-                    continue
-
-                def one_shard(rows=rows):
-                    return _forward_chunk(x3[rows], stages, head)
-
-                out, caches = self._measure(side, shard.index, one_shard)
-                out_full[rows] = out
-                shard_caches.append((rows, caches))
-            state["shards"] = shard_caches
-            state["empty"] = empty
-            state["caches_zero"] = caches_zero
+            out, state["chunks"], state["empty"], state["caches_zero"] = \
+                self._collapsed_forward(tensors.data, side, stages, head,
+                                        shards, n_side)
+            empty = state["empty"]
             self.last_occupancy[side] = {
-                "slices": int(total),
-                "occupied": int(occupied.sum()),
-                "occupancy": float(occupied.mean())}
-            return out_full
+                "slices": int(empty.size),
+                "occupied": int(empty.size - empty.sum()),
+                "occupancy": float(1.0 - empty.mean())}
+            return out
         return run
 
-    def _blocked_backward(self, x, stages, head, state):
+    def _blocked_backward(self, tensors, stages, head, side, shards, n_side,
+                          state):
         def backward(grad: np.ndarray) -> None:
             sink = _GradSink(direct=False)
-            for rows, caches in state.pop("shards"):
-                _backward_chunk(grad[rows], caches, stages, head, sink,
+            for slices, caches in state.pop("chunks"):
+                _backward_chunk(grad[slices], caches, stages, head, sink,
                                 need_input_grad=False)
             empty = state.pop("empty")
             caches_zero = state.pop("caches_zero")
@@ -674,38 +638,14 @@ class ShardedExecution:
         tensors = np.asarray(tensors)
         batch, n_origins, n_dests, k = tensors.shape
         n_jobs = self.n_jobs if n_jobs is None else int(n_jobs)
-        r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-        c_slices = np.ascontiguousarray(
-            tensors.transpose(0, 2, 1, 3)).reshape(
-                batch * n_dests, n_origins, k)
-        r = self._side_arrays(r_slices, factorizer_r, batch,
-                              self.plan.origin_shards, n_origins, n_jobs)
-        c = self._side_arrays(c_slices, factorizer_c, batch,
-                              self.plan.dest_shards, n_dests, n_jobs)
-        r = r.reshape(batch, n_origins, factorizer_r.rank, k)
-        c = c.reshape(batch, n_dests, factorizer_c.rank, k)
+        sides = []
+        for factorizer, side, shards, n_side in (
+                (factorizer_r, "r", self.plan.origin_shards, n_origins),
+                (factorizer_c, "c", self.plan.dest_shards, n_dests)):
+            stages, head = _side_stages(factorizer)
+            out = self._collapsed_forward(tensors, side, stages, head,
+                                          shards, n_side, need_caches=False,
+                                          n_jobs=n_jobs)[0]
+            sides.append(out.reshape(batch, n_side, factorizer.rank, k))
+        r, c = sides
         return r, c.transpose(0, 2, 1, 3)
-
-    def _side_arrays(self, x3, factorizer, batch, shards, n_side,
-                     n_jobs):
-        stages, head = _side_stages(factorizer)
-        total = x3.shape[0]
-        occupied = x3.reshape(total, -1).any(axis=1)
-        zero = np.zeros((1,) + x3.shape[1:], dtype=x3.dtype)
-        out_zero, _ = _forward_chunk(zero, stages, head,
-                                     need_caches=False)
-        out_full = np.empty((total, head.rank, head.k), dtype=x3.dtype)
-        out_full[~occupied] = out_zero
-        row_sets = []
-        thunks = []
-        for shard in shards:
-            rows = self._shard_rows(shard, batch, n_side)
-            rows = rows[occupied[rows]]
-            if rows.size == 0:
-                continue
-            row_sets.append(rows)
-            thunks.append(lambda rows=rows: _forward_chunk(
-                x3[rows], stages, head, need_caches=False)[0])
-        for rows, out in zip(row_sets, _run_thunks(thunks, n_jobs)):
-            out_full[rows] = out
-        return out_full

@@ -196,15 +196,15 @@ def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
     computation per stage (``ops.fused_twin_gcnn_stage``).
     """
     batch, n_origins, n_dests, k = tensors.shape
-    # Origin slices: (B*N, N', K) over the destination graph.
-    r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-    # Destination slices: (B*N', N, K) over the origin graph.
-    c_slices = tensors.transpose((0, 2, 1, 3)).reshape(
-        batch * n_dests, n_origins, k)
-    if ops.fused_enabled() and r_slices.shape == c_slices.shape:
+    if ops.fused_enabled() and n_origins == n_dests:
         shared = _twin_stage_specs(factorizer_r, factorizer_c)
         if shared is not None:
-            x = ops.stack([r_slices, c_slices], axis=0)
+            # Both sides relaid node-major in one copy: (2, nodes, B,
+            # slices, K), then viewed slice-major for the stage op.
+            x = ops.stack([tensors.transpose((2, 0, 1, 3)),
+                           tensors.transpose((1, 0, 2, 3))], axis=0)
+            x = x.reshape((2, n_dests, batch * n_origins, k)) \
+                .transpose((0, 2, 1, 3))
             for conv_r, conv_c, spec in zip(factorizer_r.convs,
                                             factorizer_c.convs, shared):
                 lap2 = np.stack([conv_r._scaled_lap.data,
@@ -225,6 +225,13 @@ def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
             r = out2[0].reshape(batch, n_origins, factorizer_r.rank, k)
             c = out2[1].reshape(batch, n_dests, factorizer_c.rank, k)
             return r, c.transpose((0, 2, 1, 3))     # (B, β, N', K)
+    # Origin slices: (B*N, N', K) over the destination graph, a view of
+    # the batch that the first stage relays node-major.  Destination
+    # slices: (B*N', N, K) over the origin graph, relaid node-major here
+    # and viewed slice-major.
+    r_slices = tensors.reshape(batch * n_origins, n_dests, k)
+    c_slices = tensors.transpose((1, 0, 2, 3)) \
+        .reshape((n_origins, batch * n_dests, k)).transpose((1, 0, 2))
     r = factorizer_r(r_slices).reshape(batch, n_origins,
                                        factorizer_r.rank, k)
     c = factorizer_c(c_slices).reshape(batch, n_dests,

@@ -90,7 +90,7 @@ def _atomic_savez(path: Path, arrays: Dict[str, np.ndarray]) -> None:
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -468,6 +468,9 @@ class ForecastResponse:
     batch: int = 1                 # coalesced batch size for this forward
     degraded: bool = False
     error: Optional[str] = None
+    #: The forward also loaded its model or captured an inference tape,
+    #: so ``seconds`` is not a steady-state forward time.
+    cold: bool = False
 
     @property
     def ok(self) -> bool:
@@ -571,6 +574,7 @@ class ForecastService:
 
     def _serve_group(self, key: ModelKey, s: int, horizon: int,
                      members, requests, responses) -> None:
+        loads = self.registry.loads
         try:
             loaded = self.registry.get(key)
         except ModelUnavailableError as exc:
@@ -594,14 +598,18 @@ class ForecastService:
                     seconds=time.perf_counter() - start))
             else:
                 misses.append((i, start, history, signature))
+        cold = self.registry.loads > loads
         for chunk_start in range(0, len(misses), self.config.max_batch):
             chunk = misses[chunk_start:chunk_start + self.config.max_batch]
             self._forward_chunk(loaded, key, horizon, chunk, requests,
-                                responses)
+                                responses, cold)
+            cold = False
 
     def _forward_chunk(self, loaded: LoadedModel, key: ModelKey,
-                       horizon: int, chunk, requests, responses) -> None:
+                       horizon: int, chunk, requests, responses,
+                       cold: bool = False) -> None:
         histories = np.concatenate([history for _, _, history, _ in chunk])
+        captures = 0 if loaded.engine is None else loaded.engine.captures
         try:
             batch = loaded.predict(histories, horizon)
             for row, (i, _, _, _) in enumerate(chunk):
@@ -613,13 +621,16 @@ class ForecastService:
                     requests[i], signature, start,
                     f"{type(exc).__name__}: {exc}")
             return
+        if loaded.engine is not None and loaded.engine.captures > captures:
+            cold = True
         for row, (i, start, history, signature) in enumerate(chunk):
             prediction = np.array(batch[row], copy=True)
             self.cache.put((key, signature, horizon), prediction)
             self._last[(key, horizon)] = prediction
             responses[i] = self._done(requests[i], ForecastResponse(
                 key, horizon, prediction, cache="miss",
-                seconds=time.perf_counter() - start, batch=len(chunk)))
+                seconds=time.perf_counter() - start, batch=len(chunk),
+                cold=cold))
 
     def _degrade(self, request: ForecastRequest, signature: str,
                  start: float, error: str) -> ForecastResponse:
@@ -1039,7 +1050,11 @@ class ForecastWorkerPool:
                     last_error = error
                     continue
                 if response.ok and not response.degraded:
-                    if response.cache == "miss":
+                    # A cold forward (model load, tape capture) is not
+                    # what later requests will wait for: folding it in
+                    # could shed every short-deadline request, and a
+                    # shed request never forwards to correct it.
+                    if response.cache == "miss" and not response.cold:
                         forward_seconds = time.monotonic() - start
                     self._last[(request.key, request.horizon)] = \
                         response.prediction

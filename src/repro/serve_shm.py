@@ -338,9 +338,11 @@ class AdmissionController:
     * ``now + (depth + 1) * EWMA > deadline`` — the forward cannot
       finish in time even if nothing else goes wrong.
 
-    The EWMA tracks *forward* latency only (cache hits are excluded by
-    the caller): it is the honest per-request cost of an overloaded
-    worker, which is what deadline feasibility must be judged against.
+    The EWMA tracks steady-state *forward* latency only (the caller
+    excludes cache hits and cold forwards that loaded a model or
+    captured a tape): it is the honest per-request cost of an
+    overloaded worker, which is what deadline feasibility must be
+    judged against.
     """
 
     def __init__(self, n_slots: int, max_inflight: int = 8,

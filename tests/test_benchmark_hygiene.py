@@ -4,6 +4,7 @@ import ast
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
@@ -174,3 +175,76 @@ class TestBenchmarkHygiene:
                       "plan_fused_ops", "lowered_alloc_peak_bytes"):
             assert field in source, (
                 f"lowered_step section lost its '{field}' field")
+
+
+def _load_spans():
+    """``e2ebench/spans.py`` as a module, imported from its file."""
+    import importlib.util
+    path = BENCH_DIR.parent / "e2ebench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("e2ebench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _proximity(n, rng):
+    w = rng.uniform(0.1, 1.0, size=(n, n))
+    w = (w + w.T) / 2.0
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _af_step_labels(n_origins, n_dests, mode):
+    """Op labels one AF training step reports to the op profiler."""
+    from repro.autodiff import profile
+    from repro.core import AdvancedFramework, ShardedExecution, af_loss
+    from repro.graph import chebyshev_hops, plan_shards
+
+    rng = np.random.default_rng(3)
+    w_o = _proximity(n_origins, rng)
+    w_d = w_o if n_dests == n_origins else _proximity(n_dests, rng)
+    model = AdvancedFramework(w_o, w_d, 5, np.random.default_rng(7),
+                              rank=3, rnn_hidden=6, rnn_order=2)
+    if mode is not None:
+        plan = plan_shards(w_o, n_shards=2, hops=chebyshev_hops([3, 3]))
+        model.set_sharding(ShardedExecution(plan, mode=mode))
+    histories = rng.uniform(size=(2, 3, n_origins, n_dests, 5))
+    histories[:, :, :2] = 0.0                 # empty slices to collapse
+    targets = rng.uniform(size=(2, 1, n_origins, n_dests, 5))
+    masks = (rng.uniform(size=(2, 1, n_origins, n_dests)) < 0.5) * 1.0
+    with profile() as profiler:
+        prediction, r, c = model(histories, 1)
+        af_loss(prediction, targets, masks, r, c, w_o, w_d).backward()
+    return set(profiler.as_dict())
+
+
+@pytest.mark.parametrize("n_origins,n_dests,mode,stage_op", [
+    (10, 10, None, "fused_twin_gcnn_stage"),
+    (10, 12, None, "fused_gcnn_stage"),
+    (10, 10, "exact", "_exact_run"),
+    (10, 10, "blocked", "_blocked_run")],
+    ids=["dense-twin", "single-side", "exact", "blocked"])
+def test_af_step_op_labels_are_booked(n_origins, n_dests, mode, stage_op):
+    """Every op an AF training step runs is booked to a stage or to
+    glue in the benchmark's span tables, so a kernel refactor cannot
+    move time into the unmapped bucket unnoticed."""
+    spans = _load_spans()
+    booked = {op for ops in spans.STAGE_OPS.values() for op in ops}
+    booked |= set(spans.GLUE_OPS)
+    labels = _af_step_labels(n_origins, n_dests, mode)
+    assert stage_op in labels
+    assert stage_op in spans.STAGE_OPS["core.factorize"]
+    assert labels <= booked, f"unbooked op labels: {labels - booked}"
+
+
+def test_paper_scale_e2e_gate_wired_into_sweep():
+    """A short traced pipeline-paper run (served ≡ forecast_latest, the
+    stage buckets summing to the profiler total) must be able to fail
+    the sweep."""
+    script = (BENCH_DIR.parent / "run_benchmarks.sh").read_text()
+    gate = [line for line in script.splitlines()
+            if line.startswith("python3 e2ebench/run.py")
+            and "--workload pipeline-paper" in line]
+    assert gate, "pipeline-paper e2ebench gate not wired into the sweep"
+    assert "--trace 1" in gate[0]
+    assert gate[0].rstrip().endswith("|| exit 1")

@@ -27,7 +27,12 @@ it exactly.
 import numpy as np
 import pytest
 
-from repro.autodiff.ops import _cheb_adjoint, _cheb_feats, _cheb_terms
+from repro.autodiff import Tensor, ops, set_default_dtype
+from repro.autodiff.ops import (_Pool, _cheb_adjoint, _cheb_feats,
+                                _cheb_terms, _gcnn_stage_backward,
+                                _gcnn_stage_forward, _latent_head_backward,
+                                _latent_head_forward, _node_major,
+                                _slice_major)
 
 
 # ----------------------------------------------------------------------
@@ -225,3 +230,196 @@ def test_non_contiguous_signal(order, stacked):
     _assert_bit_equal(got[2], want[2], "adjoint")
     assert np.array_equal(base, before)     # input never written
     _check_partition(lap, lap_t, signal, weight, dmixed, order)
+
+
+# ----------------------------------------------------------------------
+# The node-major factorizer kernels: stage forward/backward and the
+# latent head (ops._gcnn_stage_forward/_backward, _latent_head_*)
+# ----------------------------------------------------------------------
+# Every per-slice result of the factorizer — a stage's pooled output,
+# its feature and activation caches, the input gradient, the latent
+# head's output — must be bit-identical whether the slice runs with all
+# others (dense) or with any subset (a shard).  The channel mixes and
+# head projections run in full _ROW_TILE-row GEMMs and the Laplacian
+# GEMMs over full column tiles; these tests pin both on shapes that
+# straddle the tiles.
+STAGE_SHAPES = [      # (N, slices, channels, filters): B·C on/off 32
+    (1, 8, 4, 3), (1, 5, 3, 2),
+    (67, 8, 4, 16), (67, 9, 7, 16), (67, 2, 16, 8), (67, 5, 16, 3),
+    (300, 9, 7, 5), (300, 4, 8, 3),
+]
+# Plain pair pooling needs an even node count.
+STAGE_CASES = [shape + (kind,) for shape in STAGE_SHAPES
+               for kind in ("none", "stride", "perm")
+               if kind != "stride" or shape[0] % 2 == 0]
+
+
+def _pooling(kind, n, rng):
+    """``(stride, perm, inv_counts)`` of a pooling layout on ``n``
+    nodes: none, plain pairs (n even), or a padded permutation with fake
+    nodes, as a coarsening builds."""
+    if kind == "none":
+        return 1, None, None
+    if kind == "stride":
+        return 2, None, np.full(n // 2, 0.5)
+    fake = 3 if n % 2 else 2
+    perm = rng.permutation(n + fake).astype(np.intp)
+    real = (perm < n).reshape(-1, 2).sum(axis=1)
+    inv = np.where(real > 0, 1.0 / np.maximum(real, 1), 0.0)
+    return 2, perm, inv
+
+
+def _stage_case(n, batch, c, q, order, kind, stacked, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    stride, perm, inv = _pooling(kind, n, rng)
+    lead = (2,) if stacked else ()
+    lap = (rng.uniform(-1.0, 1.0, size=lead + (n, n))
+           / np.sqrt(n)).astype(dtype)
+    signal = rng.standard_normal(lead + (batch, n, c)).astype(dtype)
+    weight = (rng.standard_normal(lead + (c * order, q)) / c).astype(dtype)
+    bias = (rng.standard_normal(lead + (q,)) * 0.1).astype(dtype)
+    pool = _Pool(n, stride, perm, inv, dtype)
+    grad = rng.standard_normal(lead + (batch, pool.size, q)).astype(dtype)
+    return dict(lap=lap, signal=signal, weight=weight, bias=bias,
+                pool=pool, grad=grad, order=order,
+                spec=dict(stride=stride, perm=perm, inv_counts=inv))
+
+
+def _run_stage(case, pick=None):
+    """Output (slice-major), caches and input gradient of the slices in
+    ``pick`` (all by default)."""
+    signal, grad = case["signal"], case["grad"]
+    if pick is not None:
+        signal = signal[..., pick, :, :]
+        grad = grad[..., pick, :, :]
+    batch, q = signal.shape[-3], case["weight"].shape[-1]
+    out, cache = _gcnn_stage_forward(
+        case["lap"], _node_major(signal), case["weight"], case["bias"],
+        case["order"], batch, case["pool"])
+    lap_t = np.swapaxes(case["lap"], -1, -2)
+    dweight, dbias, dx = _gcnn_stage_backward(
+        _node_major(grad), cache, lap_t, case["weight"], case["pool"])
+    c = signal.shape[-1]
+    return (np.array(_slice_major(out, batch, q)), cache,
+            np.array(_slice_major(dx, batch, c)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+@pytest.mark.parametrize("stacked", [False, True],
+                         ids=["plain", "stacked"])
+@pytest.mark.parametrize("n,batch,c,q,kind", STAGE_CASES)
+def test_stage_slices_independent_of_batch_partners(n, batch, c, q, kind,
+                                                    stacked, dtype):
+    case = _stage_case(n, batch, c, q, 3, kind, stacked, dtype)
+    out, cache, dx = _run_stage(case)
+    for pick in _subsets(batch, seed=n + batch):
+        sub_out, sub_cache, sub_dx = _run_stage(case, pick)
+        what = f"slices {pick.tolist()} of {batch}"
+        _assert_bit_equal(sub_out, out[..., pick, :, :], f"output, {what}")
+        for index, (got, full) in enumerate(zip(sub_cache, cache)):
+            _assert_bit_equal(got, full[..., pick, :],
+                              f"cache {index}, {what}")
+        _assert_bit_equal(sub_dx, dx[..., pick, :, :],
+                          f"input gradient, {what}")
+
+
+def _tolerance(dtype):
+    return 1e-12 if dtype == np.float64 else 2e-5
+
+
+def _assert_close(got, want, dtype, what):
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=_tolerance(dtype) * scale, err_msg=what)
+
+
+def _op_grads(op, arrays, grad, dtype):
+    previous = set_default_dtype(dtype)
+    try:
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*tensors)
+        out.backward(grad=grad)
+        return out.data, [t.grad for t in tensors]
+    finally:
+        set_default_dtype(previous)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+@pytest.mark.parametrize("n,batch,c,q,kind", STAGE_CASES)
+def test_stage_matches_reference(n, batch, c, q, kind, dtype):
+    case = _stage_case(n, batch, c, q, 3, kind, False, dtype, seed=1)
+    arrays = [case["signal"], case["weight"], case["bias"]]
+    results = [
+        _op_grads(lambda x, w, b, op=op: op(case["lap"], x, w, b, 3,
+                                            **case["spec"]),
+                  arrays, case["grad"], dtype)
+        for op in (ops.fused_gcnn_stage, ops.fused_gcnn_stage_reference)]
+    (out, grads), (ref_out, ref_grads) = results
+    _assert_close(out, ref_out, dtype, "output")
+    for name, got, want in zip(("x", "weight", "bias"), grads, ref_grads):
+        _assert_close(got, want, dtype, f"{name} gradient")
+
+
+HEAD_SHAPES = [       # (P, slices, channels, buckets, rank)
+    (1, 8, 4, 4, 3), (17, 9, 8, 7, 12), (17, 4, 8, 8, 5),
+    (75, 40, 7, 3, 4),
+]
+
+
+def _head_case(p, batch, c, k, rank, stacked, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    lead = (2,) if stacked else ()
+
+    def draw(*shape):
+        return rng.standard_normal(lead + shape).astype(dtype)
+
+    return dict(x=draw(batch, p, c), w_buckets=draw(c, k),
+                b_buckets=draw(k), w_latent=draw(p, rank),
+                b_latent=draw(rank), grad=draw(batch, rank, k))
+
+
+def _run_head(case, pick=None):
+    x, grad = case["x"], case["grad"]
+    if pick is not None:
+        x, grad = x[..., pick, :, :], grad[..., pick, :, :]
+    batch, c = x.shape[-3], x.shape[-1]
+    out, cache = _latent_head_forward(
+        _node_major(x), case["w_buckets"], case["b_buckets"],
+        case["w_latent"], case["b_latent"], batch)
+    dx = _latent_head_backward(grad, cache, case["w_buckets"],
+                               case["w_latent"])[4]
+    return out, cache, np.array(_slice_major(dx, batch, c))
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+@pytest.mark.parametrize("stacked", [False, True],
+                         ids=["plain", "stacked"])
+@pytest.mark.parametrize("p,batch,c,k,rank", HEAD_SHAPES)
+def test_head_slices_independent_of_batch_partners(p, batch, c, k, rank,
+                                                   stacked, dtype):
+    case = _head_case(p, batch, c, k, rank, stacked, dtype)
+    out, cache, dx = _run_head(case)
+    for pick in _subsets(batch, seed=p + batch):
+        sub_out, sub_cache, sub_dx = _run_head(case, pick)
+        what = f"slices {pick.tolist()} of {batch}"
+        _assert_bit_equal(sub_out, out[..., pick, :, :], f"output, {what}")
+        for index, (got, full) in enumerate(zip(sub_cache, cache)):
+            _assert_bit_equal(got, full[..., pick, :],
+                              f"cache {index}, {what}")
+        _assert_bit_equal(sub_dx, dx[..., pick, :, :],
+                          f"input gradient, {what}")
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
+@pytest.mark.parametrize("p,batch,c,k,rank", HEAD_SHAPES)
+def test_head_matches_reference(p, batch, c, k, rank, dtype):
+    case = _head_case(p, batch, c, k, rank, False, dtype, seed=2)
+    arrays = [case[name] for name in ("x", "w_buckets", "b_buckets",
+                                      "w_latent", "b_latent")]
+    (out, grads), (ref_out, ref_grads) = [
+        _op_grads(op, arrays, case["grad"], dtype)
+        for op in (ops.fused_latent_head, ops.fused_latent_head_reference)]
+    _assert_close(out, ref_out, dtype, "output")
+    for index, (got, want) in enumerate(zip(grads, ref_grads)):
+        _assert_close(got, want, dtype, f"gradient {index}")

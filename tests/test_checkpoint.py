@@ -1,5 +1,7 @@
 """Tests for optimizer/scheduler serialization and checkpoint/resume."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,38 @@ class TestCheckpointFile:
         np.savez(path, w=np.zeros(3))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_saved_uncompressed(self, tmp_path):
+        """Checkpoints are stored, not deflated: zlib cost most of a save
+        and shrank a float64 model by only a few percent."""
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, _make_model(), epoch=0)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_STORED}
+
+    def test_reads_compressed_archive(self, tmp_path):
+        """Earlier versions wrote checkpoints with np.savez_compressed;
+        those files must still load, checksum and all."""
+        model = _make_model()
+        adam = Adam(model.parameters(), lr=0.1)
+        _step(model.parameters()[0], adam)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, optimizer=adam, epoch=3)
+        with np.load(path) as archive:
+            entries = {name: archive[name] for name in archive.files}
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **entries)
+        with zipfile.ZipFile(old) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        clone = _make_model(seed=99)
+        opt = Adam(clone.parameters(), lr=0.5)
+        checkpoint = load_checkpoint(old, model=clone, optimizer=opt)
+        assert checkpoint.epoch == 3
+        for name, value in model.state_dict().items():
+            assert np.array_equal(clone.state_dict()[name], value)
+        assert opt._t == adam._t
 
     def test_no_temp_files_left_behind(self, tmp_path):
         model = _make_model()

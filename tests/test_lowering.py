@@ -228,6 +228,54 @@ class TestPlanLifecycle:
         assert stats["plans"] == 1
 
 
+class TestRecordedKernel:
+    """The factorizer rule records a kernel's array operations once and
+    replays them while its inputs are the same buffers."""
+
+    def _stage(self, seed=0):
+        from repro.autodiff import ops
+        rng = np.random.default_rng(seed)
+        n, batch, c, q, order = 6, 5, 3, 4, 3
+        lap = rng.uniform(-1.0, 1.0, size=(n, n)) / n
+        weight = rng.standard_normal((c * order, q))
+        bias = rng.standard_normal(q)
+        pool = ops._Pool(n, 2, None, np.full(n // 2, 0.5))
+
+        def kernel(x, ws=None, call=ops._call):
+            return ops._gcnn_stage_forward(lap, x, weight, bias, order,
+                                           batch, pool, ws=ws, call=call)
+
+        def signal():
+            return ops._node_major(rng.standard_normal((batch, n, c)))
+
+        return kernel, signal
+
+    def test_replay_tracks_new_values_in_the_same_buffer(self):
+        kernel, signal = self._stage()
+        ws = {}
+        recorded = lowering._Recorded(
+            lambda x, call: kernel(x, ws=ws, call=call))
+        x = signal()
+        first = recorded(x)[0].copy()
+        np.copyto(x, signal())              # new values, same buffer
+        replayed = recorded(x)[0]
+        assert len(recorded.ops) > 0
+        assert np.array_equal(replayed, kernel(x)[0])
+        assert not np.array_equal(replayed, first)
+
+    def test_new_input_buffer_records_again(self):
+        kernel, signal = self._stage()
+        ws = {}
+        recorded = lowering._Recorded(
+            lambda x, call: kernel(x, ws=ws, call=call))
+        recorded(signal())
+        ops_before = recorded.ops
+        other = signal()
+        out = recorded(other)[0]
+        assert recorded.ops is not ops_before
+        assert np.array_equal(out, kernel(other)[0])
+
+
 class TestFallback:
     def test_unknown_op_falls_back_to_replay(self, monkeypatch):
         """A tape with an op the lowerer cannot prove safe must warn

@@ -819,8 +819,12 @@ class TestBackpressure:
     def test_unmeetable_deadline_sheds_via_ewma(self, served):
         key = ModelKey("toy")
         with self._pool(served, key) as pool:
-            request = ForecastRequest(key, served.data.sequence, S, H)
-            assert pool.forecast(request).ok     # prime the EWMA
+            sequence = served.data.sequence
+            request = ForecastRequest(key, sequence, S, H)
+            assert pool.forecast(request).ok     # cold: load + capture
+            assert pool.forecast(ForecastRequest(
+                key, sequence.slice(0, sequence.n_intervals - 1), S,
+                H)).ok                           # a warm miss primes it
             assert pool._admission.ewma_seconds is not None
             pool._admission.ewma_seconds = 10.0   # pin: 10s per forward
             tight = ForecastRequest(
@@ -828,6 +832,37 @@ class TestBackpressure:
                 deadline=time.monotonic() + 1.0)  # < one projected forward
             with pytest.raises(ShedError, match="unmeetable"):
                 pool.forecast(tight)
+
+    def test_cold_forward_does_not_shed_short_deadlines(self, served):
+        """The first forward loads the model and captures a tape, far
+        slower than a warm one.  Folded into the EWMA it would shed
+        every short-deadline request after it, and a shed request never
+        forwards to correct the estimate."""
+        key = ModelKey("toy")
+        path, builder = served.path, served.builder
+
+        def slow_builder():
+            time.sleep(0.3)                      # a slow model load
+            return builder()
+
+        def service_factory():
+            service = ForecastService(ServeConfig())
+            service.register(key, path, slow_builder)
+            return service
+
+        with ForecastWorkerPool(service_factory, n_workers=1) as pool:
+            sequence = served.data.sequence
+            cold = pool.forecast(ForecastRequest(key, sequence, S, H))
+            assert cold.ok and cold.cold
+            assert pool._admission.ewma_seconds is None
+            for end in range(sequence.n_intervals - 5, sequence.n_intervals):
+                response = pool.forecast(ForecastRequest(
+                    key, sequence.slice(0, end), S, H,
+                    deadline=time.monotonic() + 0.150))
+                assert response.ok and not response.degraded
+                assert response.cache == "miss" and not response.cold
+            assert pool.stats()["sheds"] == 0
+            assert pool._admission.ewma_seconds < 0.150
 
     def test_generous_deadline_is_served(self, served):
         key = ModelKey("toy")
