@@ -3,12 +3,12 @@
 Times forward+backward of every fused kernel in ``repro.autodiff.ops``
 against the retained primitive-op reference implementation, plus one
 full AF and BF training step (forward, loss, backward, Adam update) with
-the fused kernels globally on vs. off.  Also compares the three
-execution engines (eager vs tape replay vs lowered plan, see
-docs/EXECUTION.md) on the same train steps — wall time, allocation
-high-water mark, live arena size, and plan shape counters — a 3-epoch
-end-to-end smoke fit per engine, and a per-op-kind time profile (via
-:func:`repro.autodiff.profile`) of the AF step under each engine.
+the fused kernels globally on vs. off.  Also compares the two
+execution engines (eager vs tape replay, see docs/EXECUTION.md) on the
+same train steps — wall time, allocation high-water mark and live arena
+size — a 3-epoch end-to-end smoke fit per engine, and a per-op-kind
+time profile (via :func:`repro.autodiff.profile`) of the AF step under
+each engine.
 Results are written as JSON (default: ``BENCH_AUTODIFF.json`` at the
 repo root) so the perf trajectory of the autodiff substrate has
 recorded data.
@@ -216,11 +216,11 @@ def _eager_step(parts):
     return step
 
 
-def _replay_step(parts, lower: bool = False):
+def _replay_step(parts):
     """A replay-engine train step closure; also returns the engine."""
     model, loss_fn, (history, truth, mask), horizon = parts
     optimizer = Adam(model.parameters(), flat=True)
-    engine = ReplayEngine(model, loss_fn, lower=lower)
+    engine = ReplayEngine(model, loss_fn)
 
     def step():
         loss = engine.forward(history, truth, mask, horizon)
@@ -229,11 +229,6 @@ def _replay_step(parts, lower: bool = False):
         optimizer.step()
 
     return step, engine
-
-
-def _lowered_step(parts):
-    """A lowered-plan train step closure; also returns the engine."""
-    return _replay_step(parts, lower=True)
 
 
 def make_af_step(sizes, seed: int = 0):
@@ -343,62 +338,11 @@ def bench_engine_step(make_parts, sizes) -> dict:
     }
 
 
-def bench_lowered_step(make_parts, sizes) -> dict:
-    """Lowered plan vs replay vs eager on the same training step.
-
-    All three run the full step (forward, loss, backward, Adam) and are
-    timed in interleaved rounds so host noise hits each path equally.
-    The lowered side warms up three times: capture, compile-and-run,
-    then steady state.  Also reports the allocation high-water mark of
-    the lowered step (a flat plan should allocate almost nothing) and
-    the plan shape counters from :meth:`ReplayEngine.plan_stats`.
-    """
-    repeats = sizes["repeats"]
-    step_eager = _eager_step(make_parts(sizes))
-    step_replay, _ = _replay_step(make_parts(sizes))
-    step_lowered, engine = _lowered_step(make_parts(sizes))
-    step_eager()                                    # warmup
-    step_replay()                                   # warmup = capture
-    step_replay()                                   # first true replay
-    step_lowered()                                  # capture
-    step_lowered()                                  # lower + first plan run
-    step_lowered()                                  # steady state
-    best = {"eager": float("inf"), "replay": float("inf"),
-            "lowered": float("inf")}
-    for _ in range(repeats):
-        for key, step in (("eager", step_eager), ("replay", step_replay),
-                          ("lowered", step_lowered)):
-            start = time.perf_counter()
-            step()
-            best[key] = min(best[key], time.perf_counter() - start)
-    lowered_fresh, engine_fresh = _lowered_step(make_parts(sizes))
-    lowered_fresh()                                 # capture outside trace
-    lowered_fresh()                                 # compile outside trace
-    lowered_peak = _alloc_peak_bytes(lowered_fresh)
-    plan = engine.plan_stats()
-    return {
-        "lowered_ms": round(best["lowered"] * 1e3, 2),
-        "replay_ms": round(best["replay"] * 1e3, 2),
-        "eager_ms": round(best["eager"] * 1e3, 2),
-        "speedup_vs_replay": round(best["replay"] / best["lowered"], 2),
-        "speedup_vs_eager": round(best["eager"] / best["lowered"], 2),
-        "lowered_alloc_peak_bytes": int(lowered_peak),
-        "lowered_arena_bytes": int(engine_fresh.arena_nbytes()),
-        "plan_instructions": plan["plan_instructions"],
-        "plan_fused_chains": plan["plan_fused_chains"],
-        "plan_fused_ops": plan["plan_fused_ops"],
-        "plan_elided": plan["plan_elided"],
-        "plan_scratch_nbytes": plan["plan_scratch_nbytes"],
-        "engine_stats": engine.stats(),
-    }
-
-
 def bench_smoke_epochs(epochs: int = 3) -> dict:
     """End-to-end ``Trainer.fit`` wall time per engine, 3-epoch smoke.
 
     Same toy city and model seed for every engine, so besides timing it
-    re-checks that replay and the lowered plan reproduce the eager loss
-    curve exactly.
+    re-checks that replay reproduces the eager loss curve exactly.
     """
     from repro.core import TrainConfig, Trainer
     from repro.histograms import (WindowDataset, build_od_tensors,
@@ -412,7 +356,7 @@ def bench_smoke_epochs(epochs: int = 3) -> dict:
     split = chronological_split(windows)
     report = {}
     curves = {}
-    for engine in ("eager", "replay", "lowered"):
+    for engine in ("eager", "replay"):
         model = BasicFramework(12, 12, 7, np.random.default_rng(7),
                                rank=3, encoder_dim=8, hidden_dim=12,
                                dropout=0.2)
@@ -425,29 +369,20 @@ def bench_smoke_epochs(epochs: int = 3) -> dict:
         curves[engine] = result.train_losses
     report["epochs"] = epochs
     report["speedup"] = round(report["eager_s"] / report["replay_s"], 2)
-    report["lowered_speedup"] = round(report["eager_s"]
-                                      / report["lowered_s"], 2)
-    report["curves_identical"] = (curves["eager"] == curves["replay"]
-                                  == curves["lowered"])
+    report["curves_identical"] = curves["eager"] == curves["replay"]
     return report
 
 
 def profile_engine_step(make_parts, sizes, top: int = 8) -> dict:
-    """Top per-op-kind costs of one step under each engine.
-
-    The lowered engine reports per-*instruction* timings: specialized
-    instructions keep their op label, fused chains show up as
-    ``fused_elementwise``, and elided views vanish from the table.
-    """
+    """Top per-op-kind costs of one step under each engine."""
     report = {}
-    for engine_name in ("eager", "replay", "lowered"):
+    for engine_name in ("eager", "replay"):
         if engine_name == "eager":
             step = _eager_step(make_parts(sizes))
         else:
-            step, _ = _replay_step(make_parts(sizes),
-                                   lower=(engine_name == "lowered"))
+            step, _ = _replay_step(make_parts(sizes))
         step()                                      # warmup / capture
-        step()                                      # replay / lower+run
+        step()                                      # first replay
         with profile() as profiler:
             step()
         report[engine_name] = {
@@ -479,10 +414,6 @@ def run_microbench(scale: str = "full", dtype: str = "float32") -> dict:
             "af": bench_engine_step(_af_parts, sizes),
             "bf": bench_engine_step(_bf_parts, sizes),
         }
-        lowered_step = {
-            "af": bench_lowered_step(_af_parts, sizes),
-            "bf": bench_lowered_step(_bf_parts, sizes),
-        }
         smoke_epochs = bench_smoke_epochs()
         op_profile = profile_engine_step(_af_parts, sizes)
     finally:
@@ -495,7 +426,6 @@ def run_microbench(scale: str = "full", dtype: str = "float32") -> dict:
         "kernels": kernels,
         "train_step": train_step,
         "engine_step": engine_step,
-        "lowered_step": lowered_step,
         "smoke_epochs": smoke_epochs,
         "af_step_op_profile": op_profile,
     }
@@ -524,21 +454,10 @@ def main(argv=None) -> int:
               f"(alloc peak {row['replay_alloc_peak_bytes'] / 1e6:.1f} vs "
               f"{row['eager_alloc_peak_bytes'] / 1e6:.1f} MB, arena "
               f"{row['replay_arena_bytes'] / 1e6:.1f} MB)")
-    for name, row in report["lowered_step"].items():
-        print(f"  {name + ' lowered':24s} lowered {row['lowered_ms']:7.3f} ms"
-              f"  replay {row['replay_ms']:8.3f} ms   "
-              f"{row['speedup_vs_replay']:.2f}x vs replay, "
-              f"{row['speedup_vs_eager']:.2f}x vs eager  "
-              f"({row['plan_instructions']} instrs, "
-              f"{row['plan_fused_ops']} ops in "
-              f"{row['plan_fused_chains']} fused chains, alloc peak "
-              f"{row['lowered_alloc_peak_bytes'] / 1e6:.1f} MB)")
     smoke = report["smoke_epochs"]
     print(f"  {'3-epoch smoke fit':24s} replay {smoke['replay_s']:8.3f} s   "
           f"eager {smoke['eager_s']:9.3f} s   {smoke['speedup']:.2f}x  "
-          f"(lowered {smoke['lowered_s']:.3f} s, "
-          f"{smoke['lowered_speedup']:.2f}x; curves identical: "
-          f"{smoke['curves_identical']})")
+          f"(curves identical: {smoke['curves_identical']})")
     return 0
 
 

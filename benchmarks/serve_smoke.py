@@ -7,8 +7,8 @@ Five checks at smoke scale (see docs/SERVING.md), results recorded in
 1. **Parity** — a forecast served through the full stack (registry ->
    checksummed checkpoint -> inference tape -> response cache) must be
    bit-identical to calling ``forecast_latest`` on the fitted
-   forecaster directly, for both the replay and the lowered inference
-   engines, cold and warm.  Any divergence means the serving path no
+   forecaster directly, through the replay inference engine, cold and
+   warm.  Any divergence means the serving path no
    longer computes what the paper's model computes.
 2. **Cache speedup** — a response-cache hit must be at least
    ``MIN_CACHE_SPEEDUP``x faster than a cold (cache-cleared, warm-tape)
@@ -90,28 +90,22 @@ def _service(engine, data, budget, path, key):
 
 
 def check_parity(data, budget, forecaster, path, key):
-    """Served == forecast_latest, bitwise, per engine, cold and warm."""
+    """Served == forecast_latest, bitwise, cold and warm."""
     failures = []
-    parity = {}
     t = data.sequence.n_intervals
     tails = [data.sequence.slice(0, t - i) for i in range(3)]
-    for engine in ("replay", "lowered"):
-        service = _service(engine, data, budget, path, key)
-        exact = True
-        for repeat in range(2):              # cold pass, then warm pass
-            for tail in tails:
-                direct = forecast_latest(forecaster, tail, S, H)
-                served = service.forecast(key, tail, S, H)
-                if not np.array_equal(served, direct):
-                    exact = False
-                    failures.append(
-                        f"{engine} serving diverged from forecast_latest "
-                        f"(repeat {repeat}, max abs diff "
-                        f"{np.abs(served - direct).max():.3e})")
-        parity[engine] = exact
-        service.close()
-    parity["windows"] = len(tails)
-    return parity, failures
+    service = _service("replay", data, budget, path, key)
+    for repeat in range(2):                  # cold pass, then warm pass
+        for tail in tails:
+            direct = forecast_latest(forecaster, tail, S, H)
+            served = service.forecast(key, tail, S, H)
+            if not np.array_equal(served, direct):
+                failures.append(
+                    f"replay serving diverged from forecast_latest "
+                    f"(repeat {repeat}, max abs diff "
+                    f"{np.abs(served - direct).max():.3e})")
+    service.close()
+    return {"replay": not failures, "windows": len(tails)}, failures
 
 
 def check_cache_speedup(data, budget, path, key):
@@ -404,7 +398,7 @@ def main() -> int:
     if failures:
         print(f"serve smoke: FAIL ({'; '.join(failures)})")
         return 1
-    print(f"serve smoke: OK (replay+lowered bit-identical to "
+    print(f"serve smoke: OK (replay bit-identical to "
           f"forecast_latest, cache hit {cache['speedup']:.0f}x vs cold, "
           f"{throughput['forecasts_per_sec']:,.0f} forecasts/s, "
           f"p50 {throughput['p50_ms']:.2f}ms / "

@@ -24,11 +24,6 @@ python3 benchmarks/chaos_smoke.py || exit 1
 # step must hold its >= 1.2x speedup (see docs/EXECUTION.md).
 python3 benchmarks/replay_smoke.py || exit 1
 
-# Tape-lowering gate: the compiled instruction plan must stay
-# bit-for-bit identical to eager, compile both tapes without fallback,
-# and beat plain replay on the AF step (see docs/EXECUTION.md).
-python3 benchmarks/lowered_smoke.py || exit 1
-
 # Serving gate: forecasts served through the registry/cache/inference
 # tapes must stay bit-identical to forecast_latest, the response cache
 # must stay >= 5x faster than a cold forward, and the request stream

@@ -21,7 +21,6 @@ from .layers import (MLP, Activation, Dropout, Embedding, LayerNorm,
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
-from .lowering import (LoweredPlan, LoweringFallbackWarning, lower_tape)
 from .replay import CaptureMismatchWarning, InferenceEngine, ReplayEngine
 from .rnn import GRU, GRUCell, LSTMCell, Seq2Seq
 from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
@@ -40,7 +39,6 @@ __all__ = [
     "GRUCell", "GRU", "LSTMCell", "Seq2Seq",
     "Optimizer", "SGD", "Adam", "StepDecay", "clip_grad_norm",
     "ReplayEngine", "InferenceEngine", "CaptureMismatchWarning",
-    "LoweredPlan", "LoweringFallbackWarning", "lower_tape",
     "profile", "OpProfiler",
     "check_gradients", "numerical_gradient",
 ]

@@ -209,7 +209,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 tensor_i._accumulate(grad[tuple(index)])
 
     out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run, ("concat", {"tensors": tuple(tensors), "axis": axis}))
+    _record(out, run)
     return out
 
 
@@ -227,7 +227,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 tensor_i._accumulate(slab)
 
     out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run, ("stack", {"tensors": tuple(tensors), "axis": axis}))
+    _record(out, run)
     return out
 
 
@@ -320,7 +320,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             x._accumulate(grad * mask)
 
     out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run, ("dropout", {"x": x, "keep": keep, "rng": rng}))
+    _record(out, run)
     return out
 
 
@@ -614,34 +614,22 @@ def _padded(cols: int) -> int:
     return -(-cols // _COL_TILE) * _COL_TILE
 
 
-def _scratch(ws: dict, key, shape: tuple, dtype,
-             pad_from: int = None) -> np.ndarray:
-    """A working array for the node-major kernels.
-
-    Fresh when ``ws`` is None (eager and replayed ops); otherwise kept
-    in ``ws`` under ``key`` and reused on every later call (a lowered
-    plan's persistent buffers, whose shapes are fixed).  Columns
-    ``pad_from:`` are zeroed once, when the array is made; callers
-    never write them.
-    """
-    buf = None if ws is None else ws.get(key)
-    if buf is None:
-        buf = np.empty(shape, dtype=dtype)
-        if pad_from is not None:
-            buf[..., pad_from:] = 0.0
-        if ws is not None:
-            ws[key] = buf
+def _scratch(shape: tuple, dtype, pad_from: int) -> np.ndarray:
+    """A fresh working array for the node-major kernels whose columns
+    ``pad_from:`` are zero; callers never write them."""
+    buf = np.empty(shape, dtype=dtype)
+    buf[..., pad_from:] = 0.0
     return buf
 
 
-def _node_major(signal: np.ndarray, ws: dict = None) -> np.ndarray:
+def _node_major(signal: np.ndarray) -> np.ndarray:
     """``(…, B, N, C)`` signal → zero-padded node-major ``(…, N, P)``:
     column ``b*C + c`` holds slice ``b``, channel ``c``, and ``P`` is
     ``B·C`` rounded up to a multiple of :data:`_COL_TILE`.
 
     A signal that is already the slice-major view of such a buffer (what
     the factorizer's stage ops return) is not copied: the buffer itself
-    is returned.  ``ws`` keeps the copy's buffer (see :func:`_scratch`).
+    is returned.
     """
     b, n, c = signal.shape[-3:]
     base = signal.base
@@ -652,8 +640,8 @@ def _node_major(signal: np.ndarray, ws: dict = None) -> np.ndarray:
         if view.strides == signal.strides \
                 and view.ctypes.data == signal.ctypes.data:
             return base
-    buf = _scratch(ws, "x", signal.shape[:-3] + (n, _padded(b * c)),
-                   signal.dtype, pad_from=b * c)
+    buf = _scratch(signal.shape[:-3] + (n, _padded(b * c)), signal.dtype,
+                   pad_from=b * c)
     _slice_major(buf, b, c)[...] = signal
     return buf
 
@@ -859,8 +847,8 @@ def cheb_conv_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
 # Activations stay node-major, zero-padded ``(…, N, P)`` buffers with an
 # optional leading pair axis, from the factorizer's input to its latent
 # head (docs/AUTODIFF.md, "The node-major factorizer").  The dense fused
-# ops, shardexec's chunks and the lowered plans all run these kernels,
-# so dense ≡ exact-sharded holds by construction.
+# ops and shardexec's chunks both run these kernels, so dense ≡
+# exact-sharded holds by construction.
 class _Pool:
     """One stage's cluster pooling, as row operations on the node axis.
 
@@ -893,20 +881,11 @@ class _Pool:
             if stride > 1 else None
 
 
-def _call(fn, *args, **kwargs):
-    """The node-major kernels' ``call`` hook: run one array operation
-    (a lowered plan's hook also records it; ``lowering._Recorded``)."""
-    return fn(*args, **kwargs)
-
-
-def _row_buffer(ws: dict, key, lead: tuple, rows: int, cols: int,
-                dtype) -> np.ndarray:
+def _row_buffer(lead: tuple, rows: int, cols: int, dtype) -> np.ndarray:
     """A ``(…, rows, cols)`` working array padded to whole
-    :data:`_ROW_TILE` row tiles; the pad rows are zero (see
-    :func:`_scratch`)."""
+    :data:`_ROW_TILE` row tiles; the pad rows are zero."""
     tiled = -(-rows // _ROW_TILE) * _ROW_TILE
-    buf = _scratch(ws, key, lead + (tiled * cols,), dtype,
-                   pad_from=rows * cols)
+    buf = _scratch(lead + (tiled * cols,), dtype, pad_from=rows * cols)
     return _view(buf, lead + (-1, cols))
 
 
@@ -917,8 +896,7 @@ def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
     return view
 
 
-def _tile_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                 call=_call) -> None:
+def _tile_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """``out = a @ b`` for a row buffer ``a (…, R, K)`` of whole
     :data:`_ROW_TILE` tiles: one GEMM per tile.
 
@@ -928,20 +906,14 @@ def _tile_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     """
     lead = a.shape[:-2]
     tiles = a.shape[-2] // _ROW_TILE
-    call(np.matmul, _view(a, lead + (tiles, _ROW_TILE, a.shape[-1])),
-         b[..., None, :, :],
-         out=_view(out, lead + (tiles, _ROW_TILE, out.shape[-1])))
-
-
-def _assign(dest: np.ndarray, index, value) -> None:
-    """``dest[index] = value`` as a callable."""
-    dest[index] = value
+    np.matmul(_view(a, lead + (tiles, _ROW_TILE, a.shape[-1])),
+              b[..., None, :, :],
+              out=_view(out, lead + (tiles, _ROW_TILE, out.shape[-1])))
 
 
 def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
                         weight: np.ndarray, bias: np.ndarray, order: int,
-                        batch: int, pool: _Pool, ws: dict = None,
-                        call=_call):
+                        batch: int, pool: _Pool):
     """One factorizer stage on node-major signals (raw numpy).
 
     ``x (…, N, P)`` is a padded node-major signal of ``batch`` slices,
@@ -951,9 +923,7 @@ def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
     activation of ``Q`` channels and ``cache`` is what
     :func:`_gcnn_stage_backward` reads: each term's features ``(…, M,
     B, C)`` and the activation ``(…, M, B, Q)``, in cluster order (see
-    :class:`_Pool`), with the slice axis second to last.  ``ws`` keeps
-    the working arrays between calls (see :func:`_scratch`); every
-    array operation goes through ``call`` (see :func:`_call`).
+    :class:`_Pool`), with the slice axis second to last.
     """
     lead = x.shape[:-2]
     c = weight.shape[-2] // order
@@ -962,67 +932,63 @@ def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
     rows = m * batch
     bc, bq = batch * c, batch * q
     dtype = x.dtype
-    feats = _row_buffer(ws, "feats", (order,) + lead, rows, c, dtype)
-    terms = _scratch(ws, "terms", (order - 1,) + x.shape, dtype)
+    feats = _row_buffer((order,) + lead, rows, c, dtype)
+    terms = np.empty((order - 1,) + x.shape, dtype=dtype)
     prev2, prev = None, x
     for s in range(order):
         if s == 0:
             term = x
         else:
-            term = call(np.matmul, lap, prev, out=terms[s - 1])
+            term = np.matmul(lap, prev, out=terms[s - 1])
             if s > 1:
-                call(np.multiply, term, 2.0, out=term)
-                call(np.subtract, term, prev2, out=term)
+                np.multiply(term, 2.0, out=term)
+                np.subtract(term, prev2, out=term)
             prev2, prev = prev, term
         # The term's real columns as (M·B, C) rows, in cluster order
         # (gathered one pair entry at a time, into contiguous blocks).
         dest = _view(feats[s][..., :rows, :], lead + (m, bc))
         if pool.src is None:
-            call(np.copyto, dest, term[..., :bc])
+            np.copyto(dest, term[..., :bc])
             continue
         real = _view(term[..., :bc], (-1, term.shape[-2], bc))
         for pair, block in enumerate(_view(dest, (-1, m, bc))):
-            call(np.take, real[pair], pool.src, axis=0, out=block,
-                 mode="clip")
-        call(_assign, dest, (Ellipsis, pool.fake, slice(None)), 0.0)
+            np.take(real[pair], pool.src, axis=0, out=block, mode="clip")
+        dest[..., pool.fake, :] = 0.0
     # act = Σ_s T_s @ W_s, bias, ReLU, one row tile at a time so the
     # partial products stay in cache.
     weights = [weight[..., s::order, :] for s in range(order)]
     shift = bias[..., None, :]
-    act = _row_buffer(ws, "act", lead, rows, q, dtype)
-    part = _scratch(ws, "part", lead + (_ROW_TILE, q), dtype)
+    act = _row_buffer(lead, rows, q, dtype)
+    part = np.empty(lead + (_ROW_TILE, q), dtype=dtype)
     for r0 in range(0, act.shape[-2], _ROW_TILE):
         tile = slice(r0, r0 + _ROW_TILE)
         block = act[..., tile, :]
-        call(np.matmul, feats[0][..., tile, :], weights[0], out=block)
+        np.matmul(feats[0][..., tile, :], weights[0], out=block)
         for s in range(1, order):
-            call(np.matmul, feats[s][..., tile, :], weights[s], out=part)
-            call(np.add, block, part, out=block)
-        call(np.add, block, shift, out=block)
-        call(np.maximum, block, 0.0, out=block)
+            np.matmul(feats[s][..., tile, :], weights[s], out=part)
+            np.add(block, part, out=block)
+        np.add(block, shift, out=block)
+        np.maximum(block, 0.0, out=block)
     act = _view(act[..., :rows, :], lead + (m, batch, q))
     if pool.fake is not None:
-        call(_assign, act, (Ellipsis, pool.fake, slice(None), slice(None)),
-             0.0)
-    out = _scratch(ws, "out", lead + (pool.size, _padded(bq)), dtype,
-                   pad_from=bq)
+        act[..., pool.fake, :, :] = 0.0
+    out = _scratch(lead + (pool.size, _padded(bq)), dtype, pad_from=bq)
     pooled = out[..., :bq]
     clusters = _view(act, lead + (pool.size, pool.stride, bq))
     if pool.stride == 1:
-        call(np.copyto, pooled, clusters[..., 0, :])
+        np.copyto(pooled, clusters[..., 0, :])
     else:
-        call(np.add, clusters[..., 0, :], clusters[..., 1, :], out=pooled)
+        np.add(clusters[..., 0, :], clusters[..., 1, :], out=pooled)
         for j in range(2, pool.stride):
-            call(np.add, pooled, clusters[..., j, :], out=pooled)
-        call(np.multiply, pooled, pool.scale, out=pooled)
+            np.add(pooled, clusters[..., j, :], out=pooled)
+        np.multiply(pooled, pool.scale, out=pooled)
     return out, tuple(_view(f[..., :rows, :], lead + (m, batch, c))
                       for f in feats) + (act,)
 
 
 def _gcnn_stage_backward(grad: np.ndarray, cache, lap_t: np.ndarray,
                          weight: np.ndarray, pool: _Pool,
-                         need_dx: bool = True, ws: dict = None,
-                         call=_call):
+                         need_dx: bool = True):
     """Adjoint of :func:`_gcnn_stage_forward`.
 
     ``grad (…, N', ≥B·Q)`` holds node-major rows of the output gradient
@@ -1040,60 +1006,52 @@ def _gcnn_stage_backward(grad: np.ndarray, cache, lap_t: np.ndarray,
     dtype = act.dtype
     g = grad[..., :bq]
     if pool.scale is not None:
-        g = call(np.multiply, g, pool.scale,
-                 out=_scratch(ws, "g", g.shape, dtype))
+        g = np.multiply(g, pool.scale, out=np.empty(g.shape, dtype=dtype))
     # Unpooling repeats each cluster's row over its ``stride`` rows;
     # the ReLU mask (zero on fake rows) applies on the way.
-    live = call(np.greater, act, 0,
-                out=_scratch(ws, "live", act.shape, bool))
-    gm = _row_buffer(ws, "gm", lead, rows, q, dtype)
+    live = np.greater(act, 0)
+    gm = _row_buffer(lead, rows, q, dtype)
     shape = lead + (pool.size, pool.stride, bq)
-    call(np.multiply, g[..., None, :], _view(live, shape),
-         out=_view(gm[..., :rows, :], shape))
-    dweight = _scratch(ws, "dweight", weight.shape, dtype)
+    np.multiply(g[..., None, :], _view(live, shape),
+                out=_view(gm[..., :rows, :], shape))
+    dweight = np.empty(weight.shape, dtype=dtype)
     for s in range(order):
         part = _view(feats[s], lead + (rows, c))
-        call(np.matmul, np.swapaxes(part, -1, -2), gm[..., :rows, :],
-             out=dweight[..., s::order, :])
-    ones = _scratch(ws, "ones", (rows,), dtype)
-    ones.fill(1.0)
-    dbias = call(np.matmul, ones, gm[..., :rows, :],
-                 out=_scratch(ws, "dbias", lead + (q,), dtype))
+        np.matmul(np.swapaxes(part, -1, -2), gm[..., :rows, :],
+                  out=dweight[..., s::order, :])
+    dbias = np.matmul(np.ones(rows, dtype=dtype), gm[..., :rows, :])
     if not need_dx:
         return dweight, dbias, None
     # Seed every term's adjoint (gm @ W_sᵀ, back in node order) in a
     # padded node-major buffer, then run the recursion's adjoint
     # (a_{s-1} += 2 Lᵀ a_s, a_{s-2} -= a_s).
     n = lap_t.shape[-1]
-    adj = _scratch(ws, "adj", (order,) + lead + (n, _padded(bc)), dtype,
-                   pad_from=bc)
-    seed = _row_buffer(ws, "seed", lead, rows, c, dtype)
+    adj = _scratch((order,) + lead + (n, _padded(bc)), dtype, pad_from=bc)
+    seed = _row_buffer(lead, rows, c, dtype)
     for s, a in enumerate(adj):
         _tile_matmul(gm, np.swapaxes(weight[..., s::order, :], -1, -2),
-                     seed, call)
+                     seed)
         seed_rows = _view(seed[..., :rows, :], lead + (m, bc))
         if pool.position is not None:
-            seed_rows = call(np.take, seed_rows, pool.position, axis=-2,
-                             mode="clip", out=_scratch(
-                                 ws, "unpermuted", lead + (n, bc), dtype))
-        call(np.copyto, a[..., :bc], seed_rows)
+            seed_rows = np.take(seed_rows, pool.position, axis=-2,
+                                mode="clip")
+        np.copyto(a[..., :bc], seed_rows)
     if order > 1:
-        prop = _scratch(ws, "prop", adj[0].shape, dtype)
+        prop = np.empty(adj[0].shape, dtype=dtype)
     for s in range(order - 1, 1, -1):
-        call(np.matmul, lap_t, adj[s], out=prop)
-        call(np.multiply, prop, 2.0, out=prop)
-        call(np.add, adj[s - 1], prop, out=adj[s - 1])
-        call(np.subtract, adj[s - 2], adj[s], out=adj[s - 2])
+        np.matmul(lap_t, adj[s], out=prop)
+        np.multiply(prop, 2.0, out=prop)
+        np.add(adj[s - 1], prop, out=adj[s - 1])
+        np.subtract(adj[s - 2], adj[s], out=adj[s - 2])
     if order > 1:
-        call(np.matmul, lap_t, adj[1], out=prop)
-        call(np.add, adj[0], prop, out=adj[0])
+        np.matmul(lap_t, adj[1], out=prop)
+        np.add(adj[0], prop, out=adj[0])
     return dweight, dbias, adj[0]
 
 
 def _latent_head_forward(x: np.ndarray, w_buckets: np.ndarray,
                          b_buckets: np.ndarray, w_latent: np.ndarray,
-                         b_latent: np.ndarray, batch: int,
-                         ws: dict = None, call=_call):
+                         b_latent: np.ndarray, batch: int):
     """The factorizer's latent head on node-major rows (raw numpy).
 
     ``x (…, P, ≥B·C)`` holds the last stage's node-major rows (``P``
@@ -1109,29 +1067,25 @@ def _latent_head_forward(x: np.ndarray, w_buckets: np.ndarray,
     rows = p * batch
     bk = batch * k
     dtype = x.dtype
-    xs = _row_buffer(ws, "xs", lead, rows, c, dtype)
-    call(np.copyto, _view(xs[..., :rows, :], lead + (p, batch * c)),
-         x[..., :batch * c])
-    t = _row_buffer(ws, "t", lead, rows, k, dtype)
-    _tile_matmul(xs, w_buckets, t, call)
+    xs = _row_buffer(lead, rows, c, dtype)
+    np.copyto(_view(xs[..., :rows, :], lead + (p, batch * c)),
+              x[..., :batch * c])
+    t = _row_buffer(lead, rows, k, dtype)
+    _tile_matmul(xs, w_buckets, t)
     t = t[..., :rows, :]
-    call(np.add, t, b_buckets[..., None, :], out=t)
-    t_pad = _scratch(ws, "t_pad", lead + (p, _padded(bk)), dtype,
-                     pad_from=bk)
-    call(np.copyto, t_pad[..., :bk], _view(t, lead + (p, bk)))
-    z = call(np.matmul, np.swapaxes(w_latent, -1, -2), t_pad,
-             out=_scratch(ws, "z", lead + (rank, t_pad.shape[-1]), dtype))
-    out = _scratch(ws, "out", lead + (batch, rank, k), dtype)
-    call(np.add, np.swapaxes(_view(z[..., :bk], lead + (rank, batch, k)),
-                             -3, -2),
-         b_latent[..., None, :, None], out=out)
+    np.add(t, b_buckets[..., None, :], out=t)
+    t_pad = _scratch(lead + (p, _padded(bk)), dtype, pad_from=bk)
+    np.copyto(t_pad[..., :bk], _view(t, lead + (p, bk)))
+    z = np.matmul(np.swapaxes(w_latent, -1, -2), t_pad)
+    out = np.empty(lead + (batch, rank, k), dtype=dtype)
+    np.add(np.swapaxes(_view(z[..., :bk], lead + (rank, batch, k)), -3, -2),
+           b_latent[..., None, :, None], out=out)
     return out, (_view(xs[..., :rows, :], lead + (p, batch, c)),
                  _view(t, lead + (p, batch, k)))
 
 
 def _latent_head_backward(grad: np.ndarray, cache, w_buckets: np.ndarray,
-                          w_latent: np.ndarray, need_dx: bool = True,
-                          ws: dict = None, call=_call):
+                          w_latent: np.ndarray, need_dx: bool = True):
     """Adjoint of :func:`_latent_head_forward`: ``grad (…, B, R, K)`` →
     ``(dw_buckets, db_buckets, dw_latent, db_latent, dx)`` with ``dx``
     the node-major ``(…, P, B·C)`` input gradient (``None`` unless
@@ -1144,32 +1098,23 @@ def _latent_head_backward(grad: np.ndarray, cache, w_buckets: np.ndarray,
     rows = p * batch
     bk = batch * k
     dtype = t.dtype
-    gz = _scratch(ws, "gz", lead + (rank, _padded(bk)), dtype, pad_from=bk)
+    gz = _scratch(lead + (rank, _padded(bk)), dtype, pad_from=bk)
     gz_rows = gz[..., :bk]
-    call(np.copyto, _view(gz_rows, lead + (rank, batch, k)),
-         np.swapaxes(grad, -3, -2))
-    dw_latent = call(np.matmul, _view(t, lead + (p, bk)),
-                     np.swapaxes(gz_rows, -1, -2),
-                     out=_scratch(ws, "dw_latent", lead + (p, rank), dtype))
-    db_latent = call(np.add.reduce, gz_rows, axis=-1,
-                     out=_scratch(ws, "db_latent", lead + (rank,), dtype))
-    dt_pad = call(np.matmul, w_latent, gz, out=_scratch(
-        ws, "dt_pad", lead + (p, gz.shape[-1]), dtype))
-    dt = _row_buffer(ws, "dt", lead, rows, k, dtype)
-    call(np.copyto, _view(dt[..., :rows, :], lead + (p, bk)),
-         dt_pad[..., :bk])
+    np.copyto(_view(gz_rows, lead + (rank, batch, k)),
+              np.swapaxes(grad, -3, -2))
+    dw_latent = np.matmul(_view(t, lead + (p, bk)),
+                          np.swapaxes(gz_rows, -1, -2))
+    db_latent = np.add.reduce(gz_rows, axis=-1)
+    dt_pad = np.matmul(w_latent, gz)
+    dt = _row_buffer(lead, rows, k, dtype)
+    np.copyto(_view(dt[..., :rows, :], lead + (p, bk)), dt_pad[..., :bk])
     x_rows = _view(xs, lead + (rows, c))
-    dw_buckets = call(np.matmul, np.swapaxes(x_rows, -1, -2),
-                      dt[..., :rows, :],
-                      out=_scratch(ws, "dw_buckets", lead + (c, k), dtype))
-    ones = _scratch(ws, "ones", (rows,), dtype)
-    ones.fill(1.0)
-    db_buckets = call(np.matmul, ones, dt[..., :rows, :],
-                      out=_scratch(ws, "db_buckets", lead + (k,), dtype))
+    dw_buckets = np.matmul(np.swapaxes(x_rows, -1, -2), dt[..., :rows, :])
+    db_buckets = np.matmul(np.ones(rows, dtype=dtype), dt[..., :rows, :])
     dx = None
     if need_dx:
-        dx = _row_buffer(ws, "dx", lead, rows, c, dtype)
-        _tile_matmul(dt, np.swapaxes(w_buckets, -1, -2), dx, call)
+        dx = _row_buffer(lead, rows, c, dtype)
+        _tile_matmul(dt, np.swapaxes(w_buckets, -1, -2), dx)
         dx = _view(dx[..., :rows, :], lead + (p, batch * c))
     return dw_buckets, db_buckets, dw_latent, db_latent, dx
 
@@ -1184,7 +1129,7 @@ def _factorizer_node(label: str, x: Tensor, sides, forward, backward,
     bound.  A ``stage`` returns the slice-major view of its node-major
     output, which the next stage takes back without a copy; the latent
     head returns slice-major data.  The closures carry ``label``, the
-    public op's name, which the op profiler and the lowering pass see.
+    public op's name, which the op profiler sees.
     """
     batch, channels = x.shape[-3], x.shape[-1]
     params = cache = None
@@ -1214,8 +1159,7 @@ def _factorizer_node(label: str, x: Tensor, sides, forward, backward,
     out = Tensor._make(_run_forward(run),
                        (x,) + tuple(p for side in sides for p in side),
                        backward_)
-    _record(out, run, (label, {"x": x, "sides": sides, "forward": forward,
-                               "backward": backward, "stage": stage}))
+    _record(out, run)
     return out
 
 
@@ -1227,10 +1171,10 @@ def _gcnn_stage_node(label: str, lap, x: Tensor, sides, order: int,
     pool = _Pool(n, stride, perm, inv_counts, x.data.dtype)
     return _factorizer_node(
         label, x, sides,
-        lambda x_in, params, **kw: _gcnn_stage_forward(
-            lap, x_in, *params, order, batch, pool, **kw),
-        lambda grad, cache, params, need_dx, **kw: _gcnn_stage_backward(
-            grad, cache, lap_t, params[0], pool, need_dx, **kw),
+        lambda x_in, params: _gcnn_stage_forward(
+            lap, x_in, *params, order, batch, pool),
+        lambda grad, cache, params, need_dx: _gcnn_stage_backward(
+            grad, cache, lap_t, params[0], pool, need_dx),
         stage=True)
 
 
@@ -1238,10 +1182,9 @@ def _latent_head_node(label: str, x: Tensor, sides) -> Tensor:
     batch = x.shape[-3]
     return _factorizer_node(
         label, x, sides,
-        lambda x_in, params, **kw: _latent_head_forward(
-            x_in, *params, batch, **kw),
-        lambda grad, cache, params, need_dx, **kw: _latent_head_backward(
-            grad, cache, params[0], params[2], need_dx, **kw),
+        lambda x_in, params: _latent_head_forward(x_in, *params, batch),
+        lambda grad, cache, params, need_dx: _latent_head_backward(
+            grad, cache, params[0], params[2], need_dx),
         stage=False)
 
 
@@ -1419,8 +1362,7 @@ def fused_gru_gates(x: Tensor, h: Tensor,
                 b_cand._accumulate(dpre_c.sum(axis=lead))
 
     out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run, ("fused_gru_gates",
-                       {"x": x, "h": h, "params": params, "hidden": hidden}))
+    _record(out, run)
     return out
 
 
@@ -1596,10 +1538,7 @@ def fused_twin_cheb_conv(lap2: np.ndarray, x: Tensor,
 
     out = Tensor._make(_run_forward(run), (x, w_a, b_a, w_b, b_b),
                        backward)
-    _record(out, run, ("fused_twin_cheb_conv",
-                       {"x": x, "w_a": w_a, "b_a": b_a, "w_b": w_b,
-                        "b_b": b_b, "order": order, "lap_b": lap_b,
-                        "lap_t": lap_t}))
+    _record(out, run)
     return out
 
 
@@ -1712,13 +1651,7 @@ def fused_twin_cnrnn_cell(lap2: np.ndarray, x: Tensor, h: Tensor,
     out = Tensor._make(_run_forward(run),
                        (x, h) + tuple(params_a) + tuple(params_b),
                        backward)
-    _record(out, run, ("fused_twin_cnrnn_cell",
-                       {"x": x, "h": h,
-                        "params_a": (w_reset_a, b_reset_a, w_update_a,
-                                     b_update_a, w_cand_a, b_cand_a),
-                        "params_b": (w_reset_b, b_reset_b, w_update_b,
-                                     b_update_b, w_cand_b, b_cand_b),
-                        "order": order, "lap_b": lap_b, "lap_t": lap_t}))
+    _record(out, run)
     return out
 
 
@@ -1769,7 +1702,7 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
                 _unbroadcast(np.moveaxis(dc, -3, -1), c.shape))
 
     out = Tensor._make(_run_forward(run), (r, c), backward)
-    _record(out, run, ("fused_softmax_recovery", {"r": r, "c": c}))
+    _record(out, run)
     return out
 
 
@@ -1833,9 +1766,7 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
                 prediction.shape))
 
     out = Tensor._make(_run_forward(run), (prediction,), backward)
-    _record(out, run, ("fused_masked_frobenius",
-                       {"prediction": prediction, "truth": truth_arr,
-                        "mask": mask_arr, "weights": weights}))
+    _record(out, run)
     return out
 
 

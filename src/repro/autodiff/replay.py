@@ -48,12 +48,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import ops as _ops
-from .lowering import LoweredPlan, LoweringFallbackWarning, lower_tape
 from .tensor import (Tensor, _active_profiler, _run_forward, _set_tape,
                      anomaly_enabled, get_default_dtype)
 
-__all__ = ["CaptureMismatchWarning", "InferenceEngine",
-           "LoweringFallbackWarning", "ReplayEngine"]
+__all__ = ["CaptureMismatchWarning", "InferenceEngine", "ReplayEngine"]
 
 
 class CaptureMismatchWarning(RuntimeWarning):
@@ -64,16 +62,14 @@ class _Tape:
     """One recorded training step: thunks, loss, and input buffers."""
 
     __slots__ = ("signature", "entries", "made", "loss",
-                 "hist_buf", "truth_buf", "mask_buf", "plan")
+                 "hist_buf", "truth_buf", "mask_buf")
 
     def __init__(self, signature: Tuple):
         self.signature = signature
-        #: ``(output Tensor, forward thunk, spec)`` per recorded op, in
-        #: creation order — which is execution order, so replay repeats
-        #: eager's RNG draws exactly.  ``spec`` describes the op to the
-        #: lowering pass (``None`` for ops without a lowering spec).
-        self.entries: List[Tuple[Tensor, Callable[[], np.ndarray],
-                                 Optional[tuple]]] = []
+        #: ``(output Tensor, forward thunk)`` per recorded op, in creation
+        #: order — which is execution order, so replay repeats eager's
+        #: RNG draws exactly.
+        self.entries: List[Tuple[Tensor, Callable[[], np.ndarray]]] = []
         #: Tensors created via ``Tensor._make`` while recording; must
         #: equal ``len(entries)`` for the capture to be trusted.
         self.made = 0
@@ -81,17 +77,33 @@ class _Tape:
         self.hist_buf: Optional[np.ndarray] = None
         self.truth_buf: Optional[np.ndarray] = None
         self.mask_buf: Optional[np.ndarray] = None
-        #: Lowered execution plan: ``None`` until compiled, ``False`` if
-        #: lowering declined (this tape replays forever), else the plan.
-        self.plan = None
 
     def arena_nbytes(self) -> int:
         """Bytes held live by this tape's buffers and op outputs."""
         total = (self.hist_buf.nbytes + self.truth_buf.nbytes
                  + self.mask_buf.nbytes)
-        for out, _, _ in self.entries:
+        for out, _ in self.entries:
             total += out.data.nbytes
         return total
+
+    def rerun(self) -> Tensor:
+        """Re-execute every recorded thunk in order; returns the root.
+
+        Each output is coerced to its captured dtype: Tensor._make casts
+        op results to the default dtype on the eager path, and a thunk
+        whose internal math runs wider (e.g. a float64 structural matrix
+        under float32 training) must round identically here or every
+        downstream op drifts off the eager bit pattern.  np.asarray is a
+        no-op when the dtype already matches.
+        """
+        if _active_profiler() is None:
+            for out, run in self.entries:
+                out.data = np.asarray(run(), dtype=out.data.dtype)
+        else:
+            for out, run in self.entries:
+                out.data = np.asarray(_run_forward(run),
+                                      dtype=out.data.dtype)
+        return self.loss
 
 
 class ReplayEngine:
@@ -108,12 +120,6 @@ class ReplayEngine:
         Tapes kept per engine; the least-recently-used is evicted beyond
         this (a ragged final batch per epoch needs 2; more only helps
         when batch shapes genuinely alternate).
-    lower:
-        When true, each tape is compiled into a flat
-        :class:`~repro.autodiff.lowering.LoweredPlan` on its first reuse
-        and steady-state steps run the plan's two instruction loops
-        instead of walking thunks and closures.  A tape the lowerer
-        declines (:class:`LoweringFallbackWarning`) keeps replaying.
 
     Usage (what ``Trainer.fit`` does per batch)::
 
@@ -125,21 +131,16 @@ class ReplayEngine:
             engine.backward(loss)
     """
 
-    def __init__(self, model, loss_fn, max_tapes: int = 4,
-                 lower: bool = False):
+    def __init__(self, model, loss_fn, max_tapes: int = 4):
         self.model = model
         self.loss_fn = loss_fn
         self.max_tapes = int(max_tapes)
-        self.lower = bool(lower)
         self.enabled = True
         self.captures = 0
         self.replays = 0
         self.eager_steps = 0
-        self.lowered_steps = 0
-        self.plan_fallbacks = 0
         self._tapes: "OrderedDict[Tuple, _Tape]" = OrderedDict()
         self._active: Optional[_Tape] = None
-        self._plan_active: Optional[LoweredPlan] = None
 
     # ------------------------------------------------------------------
     def _signature(self, histories, targets, masks, horizon: int) -> Tuple:
@@ -167,33 +168,16 @@ class ReplayEngine:
             return self._capture(signature, histories, targets, masks,
                                  horizon)
         self._tapes.move_to_end(signature)
-        if self.lower:
-            plan = tape.plan
-            if plan is None:
-                # Lazy compile on first reuse: the capture step's
-                # backward has already memoized the topological order on
-                # the loss, so the backward schedule freezes for free.
-                plan = lower_tape(tape)
-                tape.plan = plan if plan is not None else False
-                if plan is None:
-                    self.plan_fallbacks += 1
-            if plan:
-                return self._run_plan(tape, plan, histories, targets,
-                                      masks)
         return self._replay(tape, histories, targets, masks)
 
     def backward(self, loss: Tensor) -> None:
         """Backward pass for a loss returned by :meth:`forward`.
 
-        A lowered step runs the plan's precomputed backward schedule; on
-        a live (non-lowered) tape the graph is retained (and its
-        topological order memoized on the loss Tensor) so the next
-        replay can reuse it; a capture-fallback loss backpropagates
-        normally.
+        On a live tape the graph is retained (and its topological order
+        memoized on the loss Tensor) so the next replay can reuse it; a
+        capture-fallback loss backpropagates normally.
         """
-        if self._plan_active is not None:
-            self._plan_active.run_backward()
-        elif self._active is not None:
+        if self._active is not None:
             loss.backward(retain_graph=True)
         else:
             loss.backward()
@@ -242,7 +226,6 @@ class ReplayEngine:
             self._tapes.popitem(last=False)     # evict least recently used
         self._tapes[signature] = tape
         self._active = tape
-        self._plan_active = None
         self.captures += 1
         return loss
 
@@ -251,32 +234,9 @@ class ReplayEngine:
         np.copyto(tape.hist_buf, histories)
         np.copyto(tape.truth_buf, targets)
         np.copyto(tape.mask_buf, masks)
-        # Coerce each output to its captured dtype: Tensor._make casts op
-        # results to the default dtype on the eager path, and a thunk
-        # whose internal math runs wider (e.g. a float64 structural
-        # matrix under float32 training) must round identically here or
-        # every downstream op drifts off the eager bit pattern.
-        # np.asarray is a no-op when the dtype already matches.
-        if _active_profiler() is None:
-            for out, run, _ in tape.entries:
-                out.data = np.asarray(run(), dtype=out.data.dtype)
-        else:
-            for out, run, _ in tape.entries:
-                out.data = np.asarray(_run_forward(run),
-                                      dtype=out.data.dtype)
         self._active = tape
-        self._plan_active = None
         self.replays += 1
-        return tape.loss
-
-    def _run_plan(self, tape: _Tape, plan: LoweredPlan, histories,
-                  targets, masks) -> Tensor:
-        """Steady-state lowered step: one flat forward instruction loop."""
-        loss = plan.run_forward(histories, targets, masks)
-        self._active = tape
-        self._plan_active = plan
-        self.lowered_steps += 1
-        return loss
+        return tape.rerun()
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
@@ -290,39 +250,18 @@ class ReplayEngine:
         """
         self._tapes.clear()
         self._active = None
-        self._plan_active = None
 
     def arena_nbytes(self) -> int:
         """Total bytes held live across all recorded tapes' arenas."""
         return sum(t.arena_nbytes() for t in self._tapes.values())
 
-    def plan_stats(self) -> Dict[str, int]:
-        """Aggregated lowering statistics across the live tapes' plans."""
-        plans = [t.plan for t in self._tapes.values()
-                 if isinstance(t.plan, LoweredPlan)]
-        totals = {"plans": len(plans), "plan_instructions": 0,
-                  "plan_fused_chains": 0, "plan_fused_ops": 0,
-                  "plan_elided": 0, "plan_scratch_nbytes": 0}
-        for plan in plans:
-            totals["plan_instructions"] += plan.n_forward + plan.n_backward
-            totals["plan_fused_chains"] += plan.n_fused_chains
-            totals["plan_fused_ops"] += plan.n_fused_ops
-            totals["plan_elided"] += plan.n_elided
-            totals["plan_scratch_nbytes"] += plan.scratch_nbytes
-        return totals
-
     def stats(self) -> Dict[str, float]:
         """Counters for telemetry: how the engine actually executed."""
-        stats = {"captures": self.captures, "replays": self.replays,
-                 "eager_steps": self.eager_steps,
-                 "lowered_steps": self.lowered_steps,
-                 "plan_fallbacks": self.plan_fallbacks,
-                 "tapes": len(self._tapes),
-                 "arena_nbytes": self.arena_nbytes(),
-                 "enabled": self.enabled}
-        if self.lower:
-            stats.update(self.plan_stats())
-        return stats
+        return {"captures": self.captures, "replays": self.replays,
+                "eager_steps": self.eager_steps,
+                "tapes": len(self._tapes),
+                "arena_nbytes": self.arena_nbytes(),
+                "enabled": self.enabled}
 
 
 class InferenceEngine:
@@ -334,9 +273,8 @@ class InferenceEngine:
     the training-only weight dropped: tapes are captured with the model
     in eval mode and **no loss or backward schedule attached** — the
     arena holds only the prediction subgraph (no truth/mask buffers, no
-    regularizer terms), warm steps re-execute just the prediction
-    thunks, and with ``lower=True`` each tape compiles into a
-    forward-only :class:`~repro.autodiff.lowering.LoweredPlan`.
+    regularizer terms), and warm steps re-execute just the prediction
+    thunks.
 
     Same fallback rules as :class:`ReplayEngine`: declines under
     anomaly mode, disables itself permanently on a capture mismatch
@@ -347,16 +285,13 @@ class InferenceEngine:
     buffers it reads from are overwritten by the next request.
     """
 
-    def __init__(self, model, max_tapes: int = 4, lower: bool = False):
+    def __init__(self, model, max_tapes: int = 4):
         self.model = model
         self.max_tapes = int(max_tapes)
-        self.lower = bool(lower)
         self.enabled = True
         self.captures = 0
         self.replays = 0
         self.eager_steps = 0
-        self.lowered_steps = 0
-        self.plan_fallbacks = 0
         self._tapes: "OrderedDict[Tuple, _Tape]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -394,27 +329,9 @@ class InferenceEngine:
         if tape is None:
             return self._capture(signature, histories, horizon)
         self._tapes.move_to_end(signature)
-        if self.lower:
-            plan = tape.plan
-            if plan is None:
-                plan = lower_tape(tape, forward_only=True)
-                tape.plan = plan if plan is not None else False
-                if plan is None:
-                    self.plan_fallbacks += 1
-            if plan:
-                out = plan.run_forward(histories)
-                self.lowered_steps += 1
-                return np.array(out.data, copy=True)
         np.copyto(tape.hist_buf, histories)
-        if _active_profiler() is None:
-            for out, run, _ in tape.entries:
-                out.data = np.asarray(run(), dtype=out.data.dtype)
-        else:
-            for out, run, _ in tape.entries:
-                out.data = np.asarray(_run_forward(run),
-                                      dtype=out.data.dtype)
         self.replays += 1
-        return np.array(tape.loss.data, copy=True)
+        return np.array(tape.rerun().data, copy=True)
 
     # ------------------------------------------------------------------
     def _capture(self, signature, histories, horizon: int) -> np.ndarray:
@@ -441,8 +358,7 @@ class InferenceEngine:
                 "forwards", CaptureMismatchWarning)
             return np.array(prediction.data, copy=True)
         # The tape root is the prediction itself: there is no loss at
-        # inference time, and forward-only lowering never touches the
-        # root beyond adopting its buffer.
+        # inference time.
         tape.loss = prediction
         if len(self._tapes) >= self.max_tapes:
             self._tapes.popitem(last=False)
@@ -467,8 +383,6 @@ class InferenceEngine:
         """Counters for telemetry: how inference actually executed."""
         return {"captures": self.captures, "replays": self.replays,
                 "eager_steps": self.eager_steps,
-                "lowered_steps": self.lowered_steps,
-                "plan_fallbacks": self.plan_fallbacks,
                 "tapes": len(self._tapes),
                 "arena_nbytes": self.arena_nbytes(),
                 "enabled": self.enabled}

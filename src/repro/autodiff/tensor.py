@@ -117,22 +117,11 @@ def _active_profiler():
     return _PROFILER
 
 
-def _record(out: "Tensor", run: Callable[[], np.ndarray],
-            spec: Optional[tuple] = None) -> None:
-    """Register an op's (output, forward thunk) pair with the active tape.
-
-    ``spec``, when given, is a ``(kind, *payload)`` tuple describing the
-    op to the tape-lowering pass (:mod:`repro.autodiff.lowering`): the
-    kind names a registered lowering rule and the payload carries the
-    operands/constants the rule needs to rebuild the op as a flat
-    buffer-writing instruction.  Ops without a spec are lowered
-    generically (their thunk is re-executed, exactly like replay) when
-    their kind is known to be safe, and force the whole tape back to
-    plain replay otherwise.
-    """
+def _record(out: "Tensor", run: Callable[[], np.ndarray]) -> None:
+    """Register an op's (output, forward thunk) pair with the active tape."""
     tape = _TAPE
     if tape is not None:
-        tape.entries.append((out, run, spec))
+        tape.entries.append((out, run))
 
 
 def _run_forward(run: Callable[[], np.ndarray]) -> np.ndarray:
@@ -446,7 +435,7 @@ class Tensor:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
         out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run, ("add", self, other))
+        _record(out, run)
         return out
 
     __radd__ = __add__
@@ -460,7 +449,7 @@ class Tensor:
                 self._accumulate(-grad)
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("neg", self))
+        _record(out, run)
         return out
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
@@ -476,7 +465,7 @@ class Tensor:
                 other._accumulate(_unbroadcast(-grad, other.shape))
 
         out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run, ("sub", self, other))
+        _record(out, run)
         return out
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
@@ -495,7 +484,7 @@ class Tensor:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
         out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run, ("mul", self, other))
+        _record(out, run)
         return out
 
     __rmul__ = __mul__
@@ -578,7 +567,7 @@ class Tensor:
                 b._accumulate(_unbroadcast(gb, b.shape))
 
         out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run, ("matmul", self, other))
+        _record(out, run)
         return out
 
     # ------------------------------------------------------------------
@@ -597,7 +586,7 @@ class Tensor:
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("sum", self, axis, keepdims))
+        _record(out, run)
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -650,7 +639,7 @@ class Tensor:
                 self._accumulate(grad.reshape(original))
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("reshape", self, shape))
+        _record(out, run)
         return out
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
@@ -671,7 +660,7 @@ class Tensor:
                 self._accumulate(grad.transpose(inverse))
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("transpose", self, axes))
+        _record(out, run)
         return out
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
@@ -700,7 +689,7 @@ class Tensor:
                 self._accumulate(full)
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("getitem", self, index, basic))
+        _record(out, run)
         return out
 
     def expand_dims(self, axis: int) -> "Tensor":
@@ -712,7 +701,7 @@ class Tensor:
                 self._accumulate(np.squeeze(grad, axis=axis))
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("expand_dims", self, axis))
+        _record(out, run)
         return out
 
     def squeeze(self, axis: int) -> "Tensor":
@@ -724,7 +713,7 @@ class Tensor:
                 self._accumulate(np.expand_dims(grad, axis=axis))
 
         out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run, ("squeeze", self, axis))
+        _record(out, run)
         return out
 
 

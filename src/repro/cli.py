@@ -277,6 +277,7 @@ def cmd_info(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from .core.trainer import ENGINE_MODES
+    from .serve import SERVE_ENGINES
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -297,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="train in float32 (2x faster)")
     compare.add_argument("--engine", default="eager",
                          choices=ENGINE_MODES,
-                         help="training-step executor: replay captures "
-                              "each step's op tape once and re-executes "
-                              "it; lowered also compiles the tape into a "
-                              "flat fused instruction plan (both "
-                              "bit-for-bit identical to eager, faster; "
-                              "see docs/EXECUTION.md)")
+                         help="training-step executor: eager rebuilds "
+                              "the graph every step; replay captures each "
+                              "step's op tape once and re-executes it "
+                              "(bit-for-bit identical to eager; see "
+                              "docs/EXECUTION.md)")
     compare.add_argument("--out", default=None,
                          help="write the result rows as JSON")
     compare.add_argument("--telemetry", default=None, metavar="FILE",
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=50,
                        help="number of forecast-now requests to replay")
     serve.add_argument("--engine", default="replay",
-                       choices=("eager", "replay", "lowered"),
+                       choices=SERVE_ENGINES,
                        help="inference executor for loaded models "
                             "(forward-only tapes; see docs/SERVING.md)")
     serve.add_argument("--workers", type=int, default=0,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -41,7 +41,7 @@ BEST_NAME = "best.npz"
 NONFINITE_GRAD_POLICIES = ("skip", "halve_lr", "abort")
 
 #: Valid settings for TrainConfig.engine (see docs/EXECUTION.md).
-ENGINE_MODES = ("eager", "replay", "lowered")
+ENGINE_MODES = ("eager", "replay")
 
 
 class NonFiniteGradError(FloatingPointError):
@@ -83,12 +83,8 @@ class TrainConfig:
     on_nonfinite_grad: str = "skip"
     #: Training-step execution engine: ``"eager"`` rebuilds the autodiff
     #: graph every step; ``"replay"`` captures it once per batch
-    #: signature and re-executes the recorded tape; ``"lowered"``
-    #: additionally compiles each tape into a flat instruction plan with
-    #: fused elementwise chains and a precomputed backward schedule.
-    #: All three are bit-for-bit identical (see
-    #: :mod:`repro.autodiff.replay`, :mod:`repro.autodiff.lowering` and
-    #: docs/EXECUTION.md).
+    #: signature and re-executes the recorded tape.  Both are bit-for-bit
+    #: identical (see :mod:`repro.autodiff.replay` and docs/EXECUTION.md).
     engine: str = "eager"
 
     def __post_init__(self):
@@ -170,8 +166,9 @@ class Trainer:
                     f"sharded execution forces engine='eager' "
                     f"(requested {self.config.engine!r})",
                     RuntimeWarning)
-                self.config.engine = "eager"
-        # The replay/lowered engines hand Adam a gradient for every
+                # A copy, so a config the caller reuses keeps its engine.
+                self.config = replace(self.config, engine="eager")
+        # The replay engine hands Adam a gradient for every
         # parameter on every step, which is exactly what the flat
         # vectorized path needs; eager mode keeps the per-parameter loop
         # (numerically they are bit-for-bit identical either way).
@@ -245,10 +242,9 @@ class Trainer:
                  **self.sharding.describe())
         contracts = get_contract_policy()
         engine = None
-        if cfg.engine in ("replay", "lowered"):
+        if cfg.engine == "replay":
             from ..autodiff.replay import ReplayEngine
-            engine = ReplayEngine(self.model, self.loss_fn,
-                                  lower=(cfg.engine == "lowered"))
+            engine = ReplayEngine(self.model, self.loss_fn)
             if start_epoch > 0:
                 # Belt and braces after a checkpoint restore: tapes are
                 # only recorded after this point, but any future restore
@@ -357,11 +353,6 @@ class Trainer:
         result.seconds = time.time() - start
         if engine is not None:
             emit(telemetry, "engine", mode=cfg.engine, **engine.stats())
-            if cfg.engine == "lowered":
-                emit(telemetry, "lowering",
-                     arena_nbytes=engine.arena_nbytes(),
-                     fallbacks=engine.plan_fallbacks,
-                     **engine.plan_stats())
             engine.invalidate()     # release the arenas with the run
         emit(telemetry, "fit_end", epochs_run=len(result.val_losses),
              best_epoch=result.best_epoch,

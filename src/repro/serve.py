@@ -94,9 +94,9 @@ __all__ = [
 ]
 
 #: Engine names a loaded model can execute with ("eager" bypasses the
-#: inference tapes entirely; "replay"/"lowered" wrap the model in an
+#: inference tapes entirely; "replay" wraps the model in an
 #: :class:`InferenceEngine`).
-SERVE_ENGINES = ("eager", "replay", "lowered")
+SERVE_ENGINES = ("eager", "replay")
 
 #: Data-plane transports for :class:`ForecastWorkerPool` ("shm" ships
 #: array bytes through a per-worker shared-memory slot ring and falls
@@ -308,8 +308,7 @@ class ModelRegistry:
         model.eval()
         engine = None
         if self.config.engine != "eager":
-            engine = InferenceEngine(
-                model, lower=(self.config.engine == "lowered"))
+            engine = InferenceEngine(model)
             if warm is not None:
                 self._warm(key, model, engine, warm)
         self.loads += 1

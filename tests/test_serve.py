@@ -343,8 +343,10 @@ class TestForecastService:
         service.close()
 
     def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServeConfig(engine="gpu")
+        # A removed engine name must fail loudly, not fall back.
+        for engine in ("gpu", "lowered"):
+            with pytest.raises(ValueError, match="engine"):
+                ServeConfig(engine=engine)
 
 
 class TestForecastWorkerPool:

@@ -356,6 +356,19 @@ class TestTrainerIntegration:
         assert len(trainer.data_parallel_units()) \
             == plan.n_origin_shards + plan.n_dest_shards
 
+    def test_forced_eager_leaves_caller_config_alone(
+            self, plan, proximity, sequence):
+        """A config reused for a later dense trainer keeps its engine."""
+        config = TrainConfig(engine="replay")
+        with pytest.warns(RuntimeWarning, match="eager"):
+            Trainer(_model(proximity, sequence.n_buckets),
+                    _loss(proximity), config,
+                    sharding=ShardedExecution(plan, mode="blocked"))
+        assert config.engine == "replay"
+        dense = Trainer(_model(proximity, sequence.n_buckets),
+                        _loss(proximity), config)
+        assert dense.config.engine == "replay"
+
     def test_model_without_hook_rejected(self, plan, proximity,
                                          sequence):
         n = proximity.shape[0]
