@@ -844,11 +844,11 @@ def cheb_conv_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
 # Node-major GCNN factorizer (paper §V-A: ChebConv + ReLU + pooling,
 # then the latent head)
 # ----------------------------------------------------------------------
-# Activations stay node-major, zero-padded ``(…, N, P)`` buffers with an
-# optional leading pair axis, from the factorizer's input to its latent
-# head (docs/AUTODIFF.md, "The node-major factorizer").  The dense fused
-# ops and shardexec's chunks both run these kernels, so dense ≡
-# exact-sharded holds by construction.
+# Activations stay node-major, zero-padded ``(…, N, P)`` buffers (any
+# leading stack axes broadcast through), from the factorizer's input to
+# its latent head (docs/AUTODIFF.md, "The node-major factorizer").  The
+# fused ops and shardexec's chunk loop, which the AF's dense and sharded
+# stage 1 both run, share these kernels.
 class _Pool:
     """One stage's cluster pooling, as row operations on the node axis.
 
@@ -1119,72 +1119,66 @@ def _latent_head_backward(grad: np.ndarray, cache, w_buckets: np.ndarray,
     return dw_buckets, db_buckets, dw_latent, db_latent, dx
 
 
-def _factorizer_node(label: str, x: Tensor, sides, forward, backward,
-                     stage: bool) -> Tensor:
+def _factorizer_node(label: str, x: Tensor, params: Sequence[Tensor],
+                     forward, backward, stage: bool) -> Tensor:
     """One node-major factorizer kernel as a single graph node.
 
-    ``sides`` holds one side's parameters, or both AF sides' (on a
-    leading pair axis).  ``forward(x_in, params)`` and ``backward(grad,
-    cache, params, need_dx)`` are the kernels with the op's constants
-    bound.  A ``stage`` returns the slice-major view of its node-major
-    output, which the next stage takes back without a copy; the latent
-    head returns slice-major data.  The closures carry ``label``, the
-    public op's name, which the op profiler sees.
+    ``forward(x_in, params)`` and ``backward(grad, cache, params,
+    need_dx)`` are the kernels with the op's constants bound.  A
+    ``stage`` returns the slice-major view of its node-major output,
+    which the next stage takes back without a copy; the latent head
+    returns slice-major data.  The closures carry ``label``, the public
+    op's name, which the op profiler sees.
     """
     batch, channels = x.shape[-3], x.shape[-1]
-    params = cache = None
+    values = cache = None
 
     def run() -> np.ndarray:
-        nonlocal params, cache
-        params = [p.data for p in sides[0]] if len(sides) == 1 else \
-            [np.stack([a.data, b.data]) for a, b in zip(*sides)]
+        nonlocal values, cache
+        values = [p.data for p in params]
         out, cache = forward(_node_major(x.data) if stage else _rows(x.data),
-                             params)
-        return _slice_major(out, batch, sides[0][0].shape[-1]) if stage \
+                             values)
+        return _slice_major(out, batch, params[0].shape[-1]) if stage \
             else out
 
     def backward_(grad: np.ndarray) -> None:
-        *grads, dx = backward(_rows(grad) if stage else grad, cache, params,
+        *grads, dx = backward(_rows(grad) if stage else grad, cache, values,
                               x.requires_grad)
-        for index, side in enumerate(sides):
-            for param, value in zip(side, grads):
-                if param.requires_grad:
-                    param._accumulate(value if len(sides) == 1
-                                      else value[index])
+        for param, value in zip(params, grads):
+            if param.requires_grad:
+                param._accumulate(value)
         if dx is not None:
             x._accumulate(_slice_major(dx, batch, channels))
 
     run.__qualname__ = f"{label}.<locals>.run"
     backward_.__qualname__ = f"{label}.<locals>.backward"
-    out = Tensor._make(_run_forward(run),
-                       (x,) + tuple(p for side in sides for p in side),
-                       backward_)
+    out = Tensor._make(_run_forward(run), (x,) + tuple(params), backward_)
     _record(out, run)
     return out
 
 
-def _gcnn_stage_node(label: str, lap, x: Tensor, sides, order: int,
+def _gcnn_stage_node(label: str, lap, x: Tensor, params, order: int,
                      stride: int, perm, inv_counts) -> Tensor:
     lap = _constant_array(lap)
     lap_t = np.swapaxes(lap, -1, -2)
     batch, n = x.shape[-3:-1]
     pool = _Pool(n, stride, perm, inv_counts, x.data.dtype)
     return _factorizer_node(
-        label, x, sides,
-        lambda x_in, params: _gcnn_stage_forward(
-            lap, x_in, *params, order, batch, pool),
-        lambda grad, cache, params, need_dx: _gcnn_stage_backward(
-            grad, cache, lap_t, params[0], pool, need_dx),
+        label, x, params,
+        lambda x_in, values: _gcnn_stage_forward(
+            lap, x_in, *values, order, batch, pool),
+        lambda grad, cache, values, need_dx: _gcnn_stage_backward(
+            grad, cache, lap_t, values[0], pool, need_dx),
         stage=True)
 
 
-def _latent_head_node(label: str, x: Tensor, sides) -> Tensor:
+def _latent_head_node(label: str, x: Tensor, params) -> Tensor:
     batch = x.shape[-3]
     return _factorizer_node(
-        label, x, sides,
-        lambda x_in, params: _latent_head_forward(x_in, *params, batch),
-        lambda grad, cache, params, need_dx: _latent_head_backward(
-            grad, cache, params[0], params[2], need_dx),
+        label, x, params,
+        lambda x_in, values: _latent_head_forward(x_in, *values, batch),
+        lambda grad, cache, values, need_dx: _latent_head_backward(
+            grad, cache, values[0], values[2], need_dx),
         stage=False)
 
 
@@ -1211,25 +1205,7 @@ def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
     if x.ndim != 3:
         raise ValueError(f"fused_gcnn_stage expects (batch, N, C) input, "
                          f"got shape {x.shape}")
-    return _gcnn_stage_node("fused_gcnn_stage", lap, x, [(weight, bias)],
-                            order, stride, perm, inv_counts)
-
-
-def fused_twin_gcnn_stage(lap2: np.ndarray, x: Tensor,
-                          w_a: Tensor, b_a: Tensor,
-                          w_b: Tensor, b_b: Tensor, order: int,
-                          stride: int = 1, perm: np.ndarray = None,
-                          inv_counts: np.ndarray = None) -> Tensor:
-    """Two same-shaped factorizer stages as one stacked node.
-
-    The pair-axis analog of :func:`fused_gcnn_stage`: ``x (2, B, N, C)``
-    holds both sides' slice batches, ``lap2 (2, N, N)`` their scaled
-    Laplacians, and the conv weights run as batched GEMMs.  The pooling
-    layout (``stride``/``perm``/``inv_counts``) must be shared by both
-    sides — the caller verifies the coarsenings agree.
-    """
-    return _gcnn_stage_node("fused_twin_gcnn_stage", lap2,
-                            _ensure_tensor(x), [(w_a, b_a), (w_b, b_b)],
+    return _gcnn_stage_node("fused_gcnn_stage", lap, x, (weight, bias),
                             order, stride, perm, inv_counts)
 
 
@@ -1264,20 +1240,7 @@ def fused_latent_head(x: Tensor, w_buckets: Tensor, b_buckets: Tensor,
                                            w_latent, b_latent)
     return _latent_head_node(
         "fused_latent_head", _ensure_tensor(x),
-        [(w_buckets, b_buckets, w_latent, b_latent)])
-
-
-def fused_twin_latent_head(x: Tensor,
-                           head_a: Sequence[Tensor],
-                           head_b: Sequence[Tensor]) -> Tensor:
-    """Both factorizers' two-GEMM latent heads as one stacked node.
-
-    The pair-axis analog of :func:`fused_latent_head`: ``x (2, B, P, C)``
-    → ``(2, B, R, K)``.  ``head_a``/``head_b`` are each
-    ``(w_buckets, b_buckets, w_latent, b_latent)``.
-    """
-    return _latent_head_node("fused_twin_latent_head", _ensure_tensor(x),
-                             [tuple(head_a), tuple(head_b)])
+        (w_buckets, b_buckets, w_latent, b_latent))
 
 
 def fused_latent_head_reference(x: Tensor, w_buckets: Tensor,

@@ -12,8 +12,7 @@ from .recovery import recover
 from .shardexec import (DataParallelUnit, ShardedExecution,
                         ShardMemoryBudgetError)
 from .spatial import (DEFAULT_BLOCKS, GCNNBlock, SpatialFactorizer,
-                      factorize_tensor_batch,
-                      sharded_factorize_tensor_batch)
+                      factorize_tensor_batch)
 from .trainer import (ENGINE_MODES, NonFiniteGradError, TrainConfig,
                       Trainer, TrainResult)
 
@@ -22,7 +21,7 @@ __all__ = [
     "CNRNNCell", "GraphSeq2Seq",
     "TemporalAttention", "AttentiveSeq2Seq",
     "SpatialFactorizer", "GCNNBlock", "DEFAULT_BLOCKS",
-    "factorize_tensor_batch", "sharded_factorize_tensor_batch",
+    "factorize_tensor_batch",
     "ShardedExecution", "ShardMemoryBudgetError", "DataParallelUnit",
     "recover",
     "masked_frobenius", "bf_loss", "af_loss",

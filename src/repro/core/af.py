@@ -22,8 +22,7 @@ from ..contracts import (check_finite, check_shape_dtype,
 from .cnrnn import GraphSeq2Seq, twin_forecast
 from .recovery import recover
 from .spatial import (DEFAULT_BLOCKS, GCNNBlock, SpatialFactorizer,
-                      factorize_tensor_batch,
-                      sharded_factorize_tensor_batch)
+                      factorize_tensor_batch)
 
 
 class AdvancedFramework(Module):
@@ -122,13 +121,9 @@ class AdvancedFramework(Module):
 
         # Stage 1: spatial factorization of every historical tensor.
         flat_steps = x.reshape(batch * steps, n, n_prime, k)
-        sharding = getattr(self, "_sharding", None)
-        if sharding is not None:
-            r_hist, c_hist = sharded_factorize_tensor_batch(
-                self.factor_r, self.factor_c, flat_steps, sharding)
-        else:
-            r_hist, c_hist = factorize_tensor_batch(
-                self.factor_r, self.factor_c, flat_steps)
+        r_hist, c_hist = factorize_tensor_batch(
+            self.factor_r, self.factor_c, flat_steps,
+            getattr(self, "_sharding", None))
         # R history: (B, s, N, β*K) — graph signal over origins.
         r_seq = r_hist.reshape(batch, steps, n, self.rank * k)
         # C history: (B, s, β, N', K) → (B, s, N', β*K) over destinations.

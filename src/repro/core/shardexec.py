@@ -1,43 +1,49 @@
-"""Sharded execution of the AF's stage-1 factor computation.
+"""Chunked execution of the AF's stage-1 factor computation.
 
 The stage-1 bottleneck scales with ``N²``: every origin (and every
 destination) contributes one GCNN slice encoding, so a batch of ``B``
-tensors over ``N`` regions runs ``2·B·N`` slice encodings whose
-activations alone dwarf memory at metro scale.  The slice axis is
-embarrassingly partitionable — each origin slice is an independent
-signal over the *destination* graph — so a :class:`~repro.graph.sharding.ShardPlan`
-splits the R side along origin clusters and the C side along
-destination clusters, and this module runs one shard's slices at a
-time, with a strict per-shard memory budget measured by tracemalloc.
+tensors over ``N`` regions runs ``2·B·N`` slice encodings.  The slice
+axis is embarrassingly partitionable — each origin slice is an
+independent signal over the *destination* graph — so each side runs as
+a sequence of **chunks**: contiguous runs of its slices, each run
+through the node-major stage and head kernels
+(``ops._gcnn_stage_forward``/``_backward``,
+``ops._latent_head_forward``/``_backward``) on its own zero-padded
+node-major ``(N, P)`` signal.  A chunk holds at most as many slices as
+keep its first-stage ``(M·B, C)`` feature block within
+:data:`_CHUNK_BYTES`, so its working set is a few MiB, near a core's L2,
+instead of every stage streaming all slices through memory; the
+schedule depends on shapes only, so capture/replay tapes stay valid.
+
+The dense path (:func:`dense_factorize`) is one run of every slice.  A
+:class:`~repro.graph.sharding.ShardPlan` splits the R side along origin
+clusters and the C side along destination clusters, and
+:class:`ShardedExecution` runs one shard's slices at a time through the
+same chunk loop, with a strict per-shard memory budget measured by
+tracemalloc.  A shard larger than one chunk is split like the dense run.
 
 Because the graph convolutions propagate along the *other* side's
-graph, slicing the shard axis never crosses a convolution.  A shard
-runs the same node-major stage and head kernels as the dense fused ops
-(``ops._gcnn_stage_forward``/``_backward``,
-``ops._latent_head_forward``/``_backward``) on its own slices: each
-slice is relaid once, into its chunk's zero-padded node-major
-``(N, P)`` signal; the activations stay node-major through every stage
-and come back slice-major only at the head's exit.  Per-shard forwards
-are bit-identical slices of the dense forward, because every per-slice
-result comes from a GEMM that cannot see the other slices' positions:
-the Laplacian terms are ``(N, N) @ (N, P)`` with ``P`` padded to full
-32-column tiles, and the channel mixes and head projections run over
-rows in full fixed-size row tiles (``ops._ROW_TILE``).  On OpenBLAS a
-partial tile in either direction breaks this (``tests/test_cheb_layout.py``).
-The plan's halos therefore stay empty-handed here — they document what
-a graph-axis sharding *would* exchange — and the only parity hazard is
-the backward weight reduction, which motivates the two modes:
+graph, slicing the shard axis never crosses a convolution.  Every
+per-slice forward result and data gradient comes from a GEMM that
+cannot see the other slices' positions: the Laplacian terms are
+``(N, N) @ (N, P)`` with ``P`` padded to full 32-column tiles, and the
+channel mixes and head projections run over rows in full fixed-size row
+tiles (``ops._ROW_TILE``).  On OpenBLAS a partial tile in either
+direction breaks this (``tests/test_cheb_layout.py``).  So outputs and
+input gradients are bit-identical however the slices are chunked.  The
+weight gradients are per-chunk partials summed in fixed chunk order;
+they depend on the chunking in the last bits, which motivates the two
+sharded modes:
 
 ``exact``
-    Per-shard forward, but the per-stage caches are scattered into
-    full dense-order buffers and the backward runs the dense math
-    (single full-size GEMMs per parameter).  Bit-identical losses,
-    gradients, weights and RNG versus the dense path — the parity mode
-    the benchmark gate verifies — at the price of dense-sized caches.
+    Per-shard forward, but the caches are scattered into full
+    dense-order buffers and the backward runs the dense chunk schedule
+    over them.  Bit-identical losses, gradients, weights and RNG versus
+    the dense path — the parity mode the benchmark gate verifies — at
+    the price of dense-sized caches.
 
 ``blocked``
-    Per-shard backward accumulating into per-parameter buffers in
-    fixed shard order, plus **zero-slice collapse**: at metro scale
+    Per-shard backward, plus **zero-slice collapse**: at metro scale
     most OD slices are entirely empty, all empty slices share one
     forward state (the bias response), so they are computed once
     forward and their output gradients are summed into a single
@@ -45,33 +51,40 @@ the backward weight reduction, which motivates the two modes:
     run-to-run, memory bounded by the occupied slices of one shard,
     and the source of the wall-clock win on sparse cities; weight
     gradients match dense to float round-off (not bitwise) because
-    the reduction is chunked.
+    the chunks differ.
 
-:func:`repro.core.spatial.sharded_factorize_tensor_batch` is the entry
-point the model uses; :meth:`ShardedExecution.factorize_arrays` is the
-raw-numpy inference twin (no autodiff, optional fork fan-out across
-shards for multi-core hosts).
+The plan's halos stay empty-handed here — they document what a
+graph-axis sharding *would* exchange.
+:func:`repro.core.spatial.factorize_tensor_batch` is the entry point the
+model uses, with or without an execution.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
 import tracemalloc
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..autodiff.ops import (_Pool, _gcnn_stage_backward, _gcnn_stage_forward,
                             _latent_head_backward, _latent_head_forward,
-                            _node_major, _padded)
+                            _node_major, _padded, _slice_major)
 from ..autodiff.tensor import Tensor, _record, _run_forward
 from ..graph.sharding import Shard, ShardPlan
 
 __all__ = ["ShardedExecution", "ShardMemoryBudgetError",
-           "DataParallelUnit"]
+           "DataParallelUnit", "dense_factorize"]
+
+# Bytes of one chunk's first-stage (M·B, C) feature block.  Swept on a
+# 2 MiB-L2 core, stage-1 forward + backward, float64, one BLAS thread:
+# at 67 regions (M = 88 cluster rows, C = 7 buckets, 48 intervals) the
+# time is flat from 0.25 to 2 MiB (50–420 slices per chunk) and ~15%
+# higher as one chunk per side; at 500 regions (M = 524) targets under
+# 1 MiB re-read the 2 MB Laplacian once per extra chunk and lose 5–30%.
+# At 2 MiB a 500-region chunk holds 71 slices, so blocked metro shards
+# (4–73 occupied slices) almost never split.
+_CHUNK_BYTES = 2 << 20
 
 
 class ShardMemoryBudgetError(RuntimeError):
@@ -98,8 +111,7 @@ class DataParallelUnit:
     shard's slices over the origin graph (side ``"c"``).  Units share
     parameters and reduce gradients into them; they own disjoint slice
     rows, so any subset can run on any worker in any order (the
-    ``exact`` mode reduction is order-free, ``blocked`` fixes the
-    order for determinism).
+    reduction order is fixed for determinism).
     """
 
     side: str
@@ -141,12 +153,12 @@ def _side_stages(factorizer) -> Tuple[List[_Stage], Tuple[Tensor, ...]]:
     Returns the stages and the latent head's parameters ``(w_buckets,
     b_buckets, w_latent, b_latent)``.  Requires mean pooling
     (``factorizer._fused_specs`` is the same per-stage constant set the
-    fused kernels use); max pooling has no sharded path — callers check
+    fused kernels use); max pooling has no chunked path — callers check
     :meth:`ShardedExecution.supports`.
     """
     if factorizer._fused_specs is None:
         raise ValueError(
-            "sharded execution requires mean pooling (the factorizer "
+            "chunked execution requires mean pooling (the factorizer "
             "has no fused stage constants)")
     stages: List[_Stage] = []
     for conv, spec in zip(factorizer.convs, factorizer._fused_specs):
@@ -188,27 +200,42 @@ def _chunk_input(tensors: np.ndarray, side: str, slices: np.ndarray,
     return _node_major(chunk)
 
 
-def _side_grad(dx: np.ndarray, shape: tuple, side: str) -> np.ndarray:
-    """A side's padded node-major input gradient ``(nodes, P)`` over all
-    its slices, in the ``(B, N, N', K)`` layout of the batch."""
-    batch, n_origins, n_dests, k = shape
+def _scatter_input_grad(dx: np.ndarray, side: str, slices: np.ndarray,
+                        n_side: int, grad: np.ndarray) -> None:
+    """Adjoint of :func:`_chunk_input`: write a chunk's padded node-major
+    input gradient into ``dx``, the ``(B, N, N', K)`` batch gradient."""
+    b, region = np.divmod(slices, n_side)
+    values = _slice_major(grad, slices.size, dx.shape[-1])
     if side == "r":
-        rows = dx[:, :batch * n_origins * k].reshape(
-            n_dests, batch, n_origins, k)
-        return rows.transpose(1, 2, 0, 3)
-    rows = dx[:, :batch * n_dests * k].reshape(n_origins, batch, n_dests, k)
-    return rows.transpose(1, 0, 2, 3)
+        dx[b, region] = values
+    else:
+        dx[b, :, region] = values
+
+
+def _chunk_slices(stages: Sequence[_Stage], dtype) -> int:
+    """Most slices one chunk holds: as many as keep the first stage's
+    ``(M·B, C)`` feature block within :data:`_CHUNK_BYTES`, at least
+    one."""
+    first = stages[0]
+    channels = first.weight.shape[0] // first.order
+    per_slice = first.pool.rows * channels * np.dtype(dtype).itemsize
+    return max(1, _CHUNK_BYTES // per_slice)
+
+
+def _chunks(slices: np.ndarray, limit: int) -> List[np.ndarray]:
+    """A non-empty run of ``slices`` split, in order, into the fewest
+    chunks of at most ``limit`` slices, of near-equal sizes."""
+    return np.array_split(slices, -(-slices.size // limit))
 
 
 # ----------------------------------------------------------------------
 # Raw-array forward / backward over a chunk of slices: the fused ops'
 # node-major stage and head helpers, run on the chunk's columns.  A
-# slice's outputs and caches are bit-identical to its part of the dense
-# computation (see the module docstring), which is what makes the exact
-# mode's reassembled backward bit-identical overall.
+# slice's outputs, caches and input gradient are bit-identical to its
+# part of any other chunking (see the module docstring).
 # ----------------------------------------------------------------------
 def _forward_chunk(x: np.ndarray, batch: int, stages: Sequence[_Stage],
-                   head: Sequence[Tensor], need_caches: bool = True):
+                   head: Sequence[Tensor]):
     """``batch`` slices as a padded node-major ``x (N, P)`` →
     ``((batch, R, K) output, caches)``.  Every cache array has the slice
     axis second to last."""
@@ -220,7 +247,7 @@ def _forward_chunk(x: np.ndarray, batch: int, stages: Sequence[_Stage],
         caches.append(cache)
     out, cache = _latent_head_forward(x, *(p.data for p in head), batch)
     caches.append(cache)
-    return out, (caches if need_caches else None)
+    return out, caches
 
 
 def _backward_chunk(grad: np.ndarray, caches, stages: Sequence[_Stage],
@@ -244,26 +271,16 @@ def _backward_chunk(grad: np.ndarray, caches, stages: Sequence[_Stage],
 
 
 class _GradSink:
-    """Accumulates gradient contributions per parameter.
+    """Sums each parameter's per-chunk gradients locally, in call order,
+    and flushes each total once, so the reduction order is the fixed
+    chunk order however the chunks were scheduled."""
 
-    ``direct=True`` forwards each contribution straight to the
-    parameter (exact mode touches every parameter exactly once, with
-    the full-size dense GEMM); ``direct=False`` sums contributions
-    locally in call order and flushes once, so the blocked mode's
-    reduction order is the fixed shard order regardless of how shards
-    were scheduled.
-    """
-
-    def __init__(self, direct: bool):
-        self.direct = direct
+    def __init__(self):
         self._params: Dict[int, Tensor] = {}
         self._totals: Dict[int, np.ndarray] = {}
 
     def add(self, param: Tensor, value: np.ndarray) -> None:
         if not param.requires_grad:
-            return
-        if self.direct:
-            param._accumulate(value)
             return
         key = id(param)
         if key in self._totals:
@@ -279,44 +296,109 @@ class _GradSink:
         self._params.clear()
 
 
-# ----------------------------------------------------------------------
-def _forked_entry(conn, thunk):
-    try:
-        conn.send(("ok", thunk()))
-    except Exception as exc:                    # pragma: no cover
-        conn.send(("err", repr(exc)))
-    finally:
-        conn.close()
+def _unmeasured(index: int, fn: Callable[[], None]) -> None:
+    fn()
 
 
-def _run_thunks(thunks: List, n_jobs: int) -> List:
-    """Run thunks serially or across forked workers (``n_jobs`` at a
-    time).  Fork start method required for parallelism — the thunks
-    close over live numpy state; only results cross the pipe."""
-    if n_jobs <= 1 or len(thunks) <= 1 \
-            or "fork" not in multiprocessing.get_all_start_methods():
-        return [thunk() for thunk in thunks]
-    ctx = multiprocessing.get_context("fork")
-    results = [None] * len(thunks)
-    pending = deque(enumerate(thunks))
-    active: deque = deque()
-    while pending or active:
-        while pending and len(active) < n_jobs:
-            index, thunk = pending.popleft()
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_forked_entry, args=(child, thunk))
-            proc.start()
-            child.close()
-            active.append((index, proc, parent))
-        index, proc, parent = active.popleft()
-        status, payload = parent.recv()
-        proc.join()
-        parent.close()
-        if status != "ok":
-            raise RuntimeError(
-                f"sharded inference worker {index} failed: {payload}")
-        results[index] = payload
-    return results
+def _forward_runs(od: np.ndarray, side: str, stages, head, n_side: int,
+                  runs, out: np.ndarray, consume,
+                  measure=_unmeasured) -> None:
+    """The chunk loop.  Forward each ``(index, slices)`` run in chunks
+    (:func:`_chunks`), write each chunk's output rows into ``out`` and
+    hand ``consume(slices, caches)`` its caches, in order.
+    ``measure(index, fn)`` runs one run's chunks (the per-shard memory
+    budget)."""
+    limit = _chunk_slices(stages, od.dtype)
+    for index, slices in runs:
+        def forward_run(slices=slices) -> None:
+            for chunk in _chunks(slices, limit):
+                out[chunk], caches = _forward_chunk(
+                    _chunk_input(od, side, chunk, n_side), chunk.size,
+                    stages, head)
+                consume(chunk, caches)
+        measure(index, forward_run)
+
+
+def _dense_forward(od, side, stages, head, n_side, out, state) -> None:
+    """Every slice of a side as one run."""
+    chunks = state["chunks"] = []
+    _forward_runs(od, side, stages, head, n_side,
+                  [(0, np.arange(out.shape[0]))], out,
+                  lambda slices, caches: chunks.append((slices, caches)))
+
+
+def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
+               forward, labels: Tuple[str, str]) -> Tensor:
+    """One side's stage 1 over ``tensors (B, N, N', K)`` as one graph
+    node: ``(B·n_side, R, K)``.
+
+    ``forward(od, side, stages, head, n_side, out, state)`` fills
+    ``out`` and leaves ``state["chunks"]``, the ``(slices, caches)``
+    chunks the backward runs in order (and, for the zero-slice
+    collapse, ``state["empty"]``/``state["caches_zero"]``).  The run and
+    backward closures carry ``labels``, the names the op profiler
+    books.
+    """
+    stages, head = _side_stages(factorizer)
+    params = [p for st in stages for p in (st.weight, st.bias)]
+    params.extend(head)
+    rank, k = head[2].shape[-1], head[0].shape[-1]
+    state: dict = {}
+
+    def run() -> np.ndarray:
+        od = tensors.data
+        out = np.empty((od.shape[0] * n_side, rank, k), dtype=od.dtype)
+        forward(od, side, stages, head, n_side, out, state)
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        sink = _GradSink()
+        dx = np.empty(tensors.shape, dtype=tensors.data.dtype) \
+            if tensors.requires_grad else None
+        for slices, caches in state.pop("chunks"):
+            g = _backward_chunk(grad[slices], caches, stages, head, sink,
+                                need_input_grad=dx is not None)
+            if dx is not None:
+                _scatter_input_grad(dx, side, slices, n_side, g)
+        empty = state.pop("empty", None)
+        caches_zero = state.pop("caches_zero", None)
+        if empty is not None and empty.any():
+            # The collapse pseudo-shard: every empty slice has the same
+            # forward caches, and the backward is linear in the output
+            # gradient given those caches, so one backward of the
+            # summed gradient equals the sum of backwards.
+            _backward_chunk(grad[empty].sum(axis=0, keepdims=True),
+                            caches_zero, stages, head, sink,
+                            need_input_grad=False)
+        sink.flush()
+        if dx is not None:
+            tensors._accumulate(dx)
+
+    run.__qualname__ = f"{labels[0]}.<locals>.run"
+    backward.__qualname__ = f"{labels[1]}.<locals>.backward"
+    out = Tensor._make(_run_forward(run), (tensors,) + tuple(params),
+                       backward)
+    _record(out, run)
+    return out
+
+
+def _factorize(factorizer_r, factorizer_c, tensors: Tensor, forward,
+               labels: Tuple[str, str]) -> Tuple[Tensor, Tensor]:
+    batch, n_origins, n_dests, k = tensors.shape
+    r = _side_node(tensors, factorizer_r, "r", n_origins, forward, labels)
+    c = _side_node(tensors, factorizer_c, "c", n_dests, forward, labels)
+    r = r.reshape(batch, n_origins, factorizer_r.rank, k)
+    c = c.reshape(batch, n_dests, factorizer_c.rank, k)
+    return r, c.transpose((0, 2, 1, 3))
+
+
+def dense_factorize(factorizer_r, factorizer_c,
+                    tensors: Tensor) -> Tuple[Tensor, Tensor]:
+    """Both sides' stage 1 over every slice, one side at a time, in
+    chunks: ``(B, N, N', K)`` → ``R (B, N, β, K)``, ``C (B, β, N', K)``.
+    Requires mean-pooling factorizers."""
+    return _factorize(factorizer_r, factorizer_c, tensors, _dense_forward,
+                      ("fused_gcnn_stage", "fused_gcnn_stage"))
 
 
 # ----------------------------------------------------------------------
@@ -336,16 +418,12 @@ class ShardedExecution:
         Optional hard cap on one shard's incremental working set,
         enforced with tracemalloc on profiled forwards (the first
         forward after construction or :meth:`arm_profile`).
-    n_jobs:
-        Fork fan-out for :meth:`factorize_arrays` (inference only;
-        training stays single-process for determinism).
     """
 
     MODES = ("exact", "blocked")
 
     def __init__(self, plan: ShardPlan, mode: str = "blocked",
-                 memory_budget_bytes: Optional[int] = None,
-                 n_jobs: int = 1):
+                 memory_budget_bytes: Optional[int] = None):
         if mode not in self.MODES:
             raise ValueError(
                 f"mode must be one of {self.MODES}, got {mode!r}")
@@ -355,7 +433,6 @@ class ShardedExecution:
         self.plan = plan
         self.mode = mode
         self.memory_budget_bytes = memory_budget_bytes
-        self.n_jobs = int(n_jobs)
         self.shard_peaks: Dict[str, List[int]] = {"r": [], "c": []}
         self.last_occupancy: Dict[str, dict] = {}
         self._profile_pending = True
@@ -410,7 +487,6 @@ class ShardedExecution:
         """Summary for telemetry and benchmark reports."""
         return {"mode": self.mode,
                 "memory_budget_bytes": self.memory_budget_bytes,
-                "n_jobs": self.n_jobs,
                 "max_shard_peak_bytes": self.max_shard_peak_bytes,
                 "occupancy": self.last_occupancy,
                 "plan": self.plan.describe()}
@@ -418,9 +494,8 @@ class ShardedExecution:
     # ------------------------------------------------------------------
     def factorize(self, factorizer_r, factorizer_c,
                   tensors: Tensor) -> Tuple[Tensor, Tensor]:
-        """Sharded twin of
-        :func:`repro.core.spatial.factorize_tensor_batch`:
-        ``(B, N, N', K)`` → ``R (B, N, β, K)``, ``C (B, β, N', K)``."""
+        """Sharded :func:`dense_factorize`: ``(B, N, N', K)`` →
+        ``R (B, N, β, K)``, ``C (B, β, N', K)``."""
         batch, n_origins, n_dests, k = tensors.shape
         if n_origins != self.plan.n_origins \
                 or n_dests != self.plan.n_destinations:
@@ -428,6 +503,17 @@ class ShardedExecution:
                 f"tensor batch is {n_origins}x{n_dests} regions but the "
                 f"plan covers {self.plan.n_origins}x"
                 f"{self.plan.n_destinations}")
+        if self.mode == "blocked" and tensors.requires_grad:
+            raise NotImplementedError(
+                "blocked mode does not propagate gradients into the "
+                "history input (zero-slice collapse shares forward "
+                "state); use mode='exact' or detach the input")
+        if self.mode == "exact":
+            forward, labels = self._exact_forward, ("_exact_run",
+                                                    "_exact_backward")
+        else:
+            forward, labels = self._blocked_forward, ("_blocked_run",
+                                                      "_blocked_backward")
         profiled = self._profile_pending
         if profiled:
             self._profile_pending = False
@@ -437,70 +523,41 @@ class ShardedExecution:
             if self._started_tracing:
                 tracemalloc.start()
         try:
-            r = self._side_node(tensors, factorizer_r, "r",
-                                self.plan.origin_shards, n_origins)
-            c = self._side_node(tensors, factorizer_c, "c",
-                                self.plan.dest_shards, n_dests)
+            return _factorize(factorizer_r, factorizer_c, tensors, forward,
+                              labels)
         finally:
             if profiled:
                 self._profiling = False
                 if self._started_tracing:
                     tracemalloc.stop()
                     self._started_tracing = False
-        r = r.reshape(batch, n_origins, factorizer_r.rank, k)
-        c = c.reshape(batch, n_dests, factorizer_c.rank, k)
-        return r, c.transpose((0, 2, 1, 3))
 
     # ------------------------------------------------------------------
-    def _measure(self, side: str, shard_index: int, fn):
+    def _measure(self, side: str, shard_index: int, fn) -> None:
         """Run ``fn`` under a per-shard tracemalloc measurement."""
         if not self._profiling:
-            return fn()
+            fn()
+            return
         baseline = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        result = fn()
+        fn()
         peak = tracemalloc.get_traced_memory()[1]
         used = max(int(peak - baseline), 0)
         self.shard_peaks[side].append(used)
         budget = self.memory_budget_bytes
         if budget is not None and used > budget:
             raise ShardMemoryBudgetError(side, shard_index, used, budget)
-        return result
 
-    def _side_node(self, tensors: Tensor, factorizer, side: str,
-                   shards: Tuple[Shard, ...], n_side: int) -> Tensor:
-        """One side's stage 1 over ``tensors (B, N, N', K)`` as one graph
-        node: ``(B·n_side, R, K)``."""
-        stages, head = _side_stages(factorizer)
-        if self.mode == "blocked" and tensors.requires_grad:
-            raise NotImplementedError(
-                "blocked mode does not propagate gradients into the "
-                "history input (zero-slice collapse shares forward "
-                "state); use mode='exact' or detach the input")
-        params = [p for st in stages for p in (st.weight, st.bias)]
-        params.extend(head)
-        state: dict = {}
-        args = (tensors, stages, head, side, shards, n_side, state)
-        if self.mode == "exact":
-            run = self._exact_run(*args)
-            backward = self._exact_backward(*args)
-        else:
-            run = self._blocked_run(*args)
-            backward = self._blocked_backward(*args)
-        out = Tensor._make(_run_forward(run), (tensors,) + tuple(params),
-                           backward)
-        _record(out, run)
-        return out
-
-    def _forward_shards(self, od, side, stages, head, shards, n_side,
-                        consume, occupied=None, need_caches=True,
-                        n_jobs=1) -> None:
-        """Forward each shard's slices (only the ``occupied`` ones when
-        given) and hand ``consume(slices, out, caches)`` the results in
-        shard order."""
+    def _shard_runs(self, side: str, n_side: int, batch: int,
+                    occupied: Optional[np.ndarray] = None) -> list:
+        """``(shard index, slices)`` per shard of ``side`` (only the
+        ``occupied`` slices when given; shards left empty are
+        skipped)."""
+        shards = self.plan.origin_shards if side == "r" \
+            else self.plan.dest_shards
         runs = []
         for shard in shards:
-            slices = _shard_slices(shard, od.shape[0], n_side)
+            slices = _shard_slices(shard, batch, n_side)
             if occupied is not None:
                 slices = slices[occupied[slices]]
                 if slices.size == 0:
@@ -508,144 +565,61 @@ class ShardedExecution:
                         self.shard_peaks[side].append(0)
                     continue
             runs.append((shard.index, slices))
+        return runs
 
-        def one_shard(index, slices):
-            return self._measure(side, index, lambda: _forward_chunk(
-                _chunk_input(od, side, slices, n_side), slices.size,
-                stages, head, need_caches))
-
-        if n_jobs > 1:
-            results = _run_thunks([functools.partial(one_shard, *run)
-                                   for run in runs], n_jobs)
-        else:
-            results = (one_shard(*run) for run in runs)
-        for (_, slices), (out, caches) in zip(runs, results):
-            consume(slices, out, caches)
-
-    def _collapsed_forward(self, od, side, stages, head, shards, n_side,
-                           need_caches=True, n_jobs=1):
-        """Forward with zero-slice collapse: ``(out, [(slices, caches)],
-        empty mask, the empty slices' shared caches)``."""
-        occupied = _occupied(od, side)
-        zero = np.zeros((stages[0].lap.shape[0], _padded(od.shape[-1])),
-                        dtype=od.dtype)
-        out_zero, caches_zero = _forward_chunk(zero, 1, stages, head,
-                                               need_caches)
-        out = np.empty((occupied.size,) + out_zero.shape[1:], dtype=od.dtype)
-        out[~occupied] = out_zero
-        chunks = []
-
-        def consume(slices, chunk_out, caches):
-            out[slices] = chunk_out
-            chunks.append((slices, caches))
-
-        self._forward_shards(od, side, stages, head, shards, n_side,
-                             consume, occupied, need_caches, n_jobs)
-        return out, chunks, ~occupied, caches_zero
+    def _run_shards(self, od, side, stages, head, n_side, out, consume,
+                    occupied=None) -> None:
+        _forward_runs(
+            od, side, stages, head, n_side,
+            self._shard_runs(side, n_side, od.shape[0], occupied), out,
+            consume,
+            lambda index, fn: self._measure(side, index, fn))
 
     # ------------------------------------------------------------------
-    # exact mode: per-shard forward, dense-order caches, dense backward
+    # exact mode: per-shard forward, dense-order caches, backward over
+    # the dense chunk schedule
     # ------------------------------------------------------------------
-    def _exact_run(self, tensors, stages, head, side, shards, n_side,
-                   state):
-        def run() -> np.ndarray:
-            od = tensors.data
-            total = od.shape[0] * n_side
-            full = {}
+    def _exact_forward(self, od, side, stages, head, n_side, out,
+                       state) -> None:
+        total = out.shape[0]
+        full: list = []
 
-            def consume(slices, chunk_out, caches):
-                if not full:
-                    full["out"] = np.empty((total,) + chunk_out.shape[1:],
-                                           dtype=od.dtype)
-                    full["caches"] = [
-                        tuple(np.empty(a.shape[:-2] + (total, a.shape[-1]),
-                                       dtype=a.dtype) for a in cache)
-                        for cache in caches]
-                full["out"][slices] = chunk_out
-                for dense, part in zip(full["caches"], caches):
-                    for array, chunk in zip(dense, part):
-                        array[..., slices, :] = chunk
+        def scatter(slices, caches) -> None:
+            if not full:
+                full.extend(
+                    tuple(np.empty(a.shape[:-2] + (total, a.shape[-1]),
+                                   dtype=a.dtype) for a in cache)
+                    for cache in caches)
+            for dense, part in zip(full, caches):
+                for array, chunk in zip(dense, part):
+                    array[..., slices, :] = chunk
 
-            self._forward_shards(od, side, stages, head, shards, n_side,
-                                 consume)
-            state["caches"] = full["caches"]
-            return full["out"]
-        return run
-
-    def _exact_backward(self, tensors, stages, head, side, shards, n_side,
-                        state):
-        def backward(grad: np.ndarray) -> None:
-            sink = _GradSink(direct=True)
-            g = _backward_chunk(grad, state.pop("caches"), stages, head,
-                                sink, need_input_grad=tensors.requires_grad)
-            if tensors.requires_grad:
-                tensors._accumulate(_side_grad(g, tensors.shape, side))
-        return backward
+        self._run_shards(od, side, stages, head, n_side, out, scatter)
+        # Each dense chunk's caches, copied out of dense order when the
+        # backward reaches it: the same arrays a dense forward keeps.
+        state["chunks"] = (
+            (slices, [tuple(np.ascontiguousarray(a[..., slices, :])
+                            for a in cache) for cache in full])
+            for slices in _chunks(np.arange(total),
+                                  _chunk_slices(stages, od.dtype)))
 
     # ------------------------------------------------------------------
     # blocked mode: zero-slice collapse + per-shard backward reduction
     # ------------------------------------------------------------------
-    def _blocked_run(self, tensors, stages, head, side, shards, n_side,
-                     state):
-        def run() -> np.ndarray:
-            out, state["chunks"], state["empty"], state["caches_zero"] = \
-                self._collapsed_forward(tensors.data, side, stages, head,
-                                        shards, n_side)
-            empty = state["empty"]
-            self.last_occupancy[side] = {
-                "slices": int(empty.size),
-                "occupied": int(empty.size - empty.sum()),
-                "occupancy": float(1.0 - empty.mean())}
-            return out
-        return run
-
-    def _blocked_backward(self, tensors, stages, head, side, shards, n_side,
-                          state):
-        def backward(grad: np.ndarray) -> None:
-            sink = _GradSink(direct=False)
-            for slices, caches in state.pop("chunks"):
-                _backward_chunk(grad[slices], caches, stages, head, sink,
-                                need_input_grad=False)
-            empty = state.pop("empty")
-            caches_zero = state.pop("caches_zero")
-            if empty.any():
-                # The collapse pseudo-shard: every empty slice has the
-                # same forward caches, and the backward is linear in the
-                # output gradient given those caches, so one backward of
-                # the summed gradient equals the sum of backwards.
-                grad_empty = grad[empty].sum(axis=0, keepdims=True)
-                _backward_chunk(grad_empty, caches_zero, stages, head,
-                                sink, need_input_grad=False)
-            sink.flush()
-        return backward
-
-    # ------------------------------------------------------------------
-    # Raw-array inference path (serving): forward only, zero-slice
-    # collapse always on, optional fork fan-out across shards.
-    # ------------------------------------------------------------------
-    def factorize_arrays(self, factorizer_r, factorizer_c,
-                         tensors: np.ndarray,
-                         n_jobs: Optional[int] = None
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Forward-only sharded factorization of raw arrays.
-
-        Returns ``(R, C)`` numpy arrays with the same shapes as
-        :meth:`factorize`.  ``n_jobs > 1`` fans shards out across
-        forked workers (results-only pipe transport); the default
-        (``self.n_jobs``) keeps it serial, where the zero-slice
-        collapse is still the wall-clock win on sparse cities.
-        """
-        tensors = np.asarray(tensors)
-        batch, n_origins, n_dests, k = tensors.shape
-        n_jobs = self.n_jobs if n_jobs is None else int(n_jobs)
-        sides = []
-        for factorizer, side, shards, n_side in (
-                (factorizer_r, "r", self.plan.origin_shards, n_origins),
-                (factorizer_c, "c", self.plan.dest_shards, n_dests)):
-            stages, head = _side_stages(factorizer)
-            out = self._collapsed_forward(tensors, side, stages, head,
-                                          shards, n_side, need_caches=False,
-                                          n_jobs=n_jobs)[0]
-            sides.append(out.reshape(batch, n_side, factorizer.rank, k))
-        r, c = sides
-        return r, c.transpose(0, 2, 1, 3)
+    def _blocked_forward(self, od, side, stages, head, n_side, out,
+                         state) -> None:
+        occupied = _occupied(od, side)
+        zero = np.zeros((stages[0].lap.shape[0], _padded(od.shape[-1])),
+                        dtype=od.dtype)
+        out[~occupied], state["caches_zero"] = _forward_chunk(
+            zero, 1, stages, head)
+        chunks = state["chunks"] = []
+        self._run_shards(
+            od, side, stages, head, n_side, out,
+            lambda slices, caches: chunks.append((slices, caches)),
+            occupied)
+        empty = state["empty"] = ~occupied
+        self.last_occupancy[side] = {
+            "slices": int(empty.size),
+            "occupied": int(empty.size - empty.sum()),
+            "occupancy": float(1.0 - empty.mean())}

@@ -23,6 +23,7 @@ from ..autodiff.module import Module
 from ..autodiff.tensor import Tensor
 from ..graph.chebconv import ChebConv, GraphPool
 from ..graph.coarsening import coarsen_graph, naive_coarsening
+from .shardexec import dense_factorize
 
 
 @dataclass(frozen=True)
@@ -148,108 +149,36 @@ class SpatialFactorizer(Module):
         return x.transpose((0, 2, 1))               # (B*, rank, K)
 
 
-def _twin_stage_specs(factorizer_a: SpatialFactorizer,
-                      factorizer_b: SpatialFactorizer):
-    """Shared per-stage pooling constants when the two factorizers are
-    architecture-identical (same stage shapes/orders and identical
-    coarsening layouts), i.e. when they can run as one stacked
-    computation.  Returns ``None`` when they cannot."""
-    if factorizer_a._fused_specs is None \
-            or factorizer_b._fused_specs is None \
-            or len(factorizer_a.convs) != len(factorizer_b.convs):
-        return None
-    for conv_a, conv_b in zip(factorizer_a.convs, factorizer_b.convs):
-        if conv_a.order != conv_b.order \
-                or conv_a.weight.shape != conv_b.weight.shape \
-                or conv_a._scaled_lap.shape != conv_b._scaled_lap.shape:
-            return None
-    if factorizer_a.to_buckets.weight.shape \
-            != factorizer_b.to_buckets.weight.shape \
-            or factorizer_a.latent_proj.weight.shape \
-            != factorizer_b.latent_proj.weight.shape:
-        return None
-    shared = []
-    for spec_a, spec_b in zip(factorizer_a._fused_specs,
-                              factorizer_b._fused_specs):
-        if spec_a["stride"] != spec_b["stride"] \
-                or (spec_a["perm"] is None) != (spec_b["perm"] is None):
-            return None
-        if spec_a["perm"] is not None and not (
-                np.array_equal(spec_a["perm"], spec_b["perm"])
-                and np.array_equal(spec_a["inv_counts"],
-                                   spec_b["inv_counts"])):
-            return None
-        shared.append(spec_a)
-    return shared
-
-
 def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
                            factorizer_c: SpatialFactorizer,
-                           tensors: Tensor) -> Tuple[Tensor, Tensor]:
+                           tensors: Tensor,
+                           execution=None) -> Tuple[Tensor, Tensor]:
     """Apply both factorizers to a batch of OD tensors.
 
     ``tensors`` is ``(B, N, N', K)``.  Returns ``(R, C)`` with
     ``R = (B, N, β, K)`` (origin slices encoded over the destination
     graph) and ``C = (B, β, N', K)`` (destination slices encoded over the
-    origin graph).  With fused kernels on and architecture-identical
-    factorizers (square cities), both sides run as one stacked
-    computation per stage (``ops.fused_twin_gcnn_stage``).
+    origin graph).  With fused kernels on and mean pooling, each side
+    runs as one graph node over cache-sized chunks of its slices
+    (:func:`repro.core.shardexec.dense_factorize`).  ``execution``, a
+    :class:`repro.core.shardexec.ShardedExecution`, runs the same chunk
+    loop shard by shard instead.
     """
+    if execution is not None:
+        return execution.factorize(factorizer_r, factorizer_c, tensors)
+    if ops.fused_enabled() and factorizer_r._fused_specs is not None \
+            and factorizer_c._fused_specs is not None:
+        return dense_factorize(factorizer_r, factorizer_c, tensors)
+    # Reference and max-pooling path: origin slices (B*N, N', K) over the
+    # destination graph; destination slices (B*N', N, K) over the origin
+    # graph.
     batch, n_origins, n_dests, k = tensors.shape
-    if ops.fused_enabled() and n_origins == n_dests:
-        shared = _twin_stage_specs(factorizer_r, factorizer_c)
-        if shared is not None:
-            # Both sides relaid node-major in one copy: (2, nodes, B,
-            # slices, K), then viewed slice-major for the stage op.
-            x = ops.stack([tensors.transpose((2, 0, 1, 3)),
-                           tensors.transpose((1, 0, 2, 3))], axis=0)
-            x = x.reshape((2, n_dests, batch * n_origins, k)) \
-                .transpose((0, 2, 1, 3))
-            for conv_r, conv_c, spec in zip(factorizer_r.convs,
-                                            factorizer_c.convs, shared):
-                lap2 = np.stack([conv_r._scaled_lap.data,
-                                 conv_c._scaled_lap.data])
-                x = ops.fused_twin_gcnn_stage(
-                    lap2, x, conv_r.weight, conv_r.bias,
-                    conv_c.weight, conv_c.bias, conv_r.order, **spec)
-            out2 = ops.fused_twin_latent_head(
-                x,
-                (factorizer_r.to_buckets.weight,
-                 factorizer_r.to_buckets.bias,
-                 factorizer_r.latent_proj.weight,
-                 factorizer_r.latent_proj.bias),
-                (factorizer_c.to_buckets.weight,
-                 factorizer_c.to_buckets.bias,
-                 factorizer_c.latent_proj.weight,
-                 factorizer_c.latent_proj.bias))
-            r = out2[0].reshape(batch, n_origins, factorizer_r.rank, k)
-            c = out2[1].reshape(batch, n_dests, factorizer_c.rank, k)
-            return r, c.transpose((0, 2, 1, 3))     # (B, β, N', K)
-    # Origin slices: (B*N, N', K) over the destination graph, a view of
-    # the batch that the first stage relays node-major.  Destination
-    # slices: (B*N', N, K) over the origin graph, relaid node-major here
-    # and viewed slice-major.
     r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-    c_slices = tensors.transpose((1, 0, 2, 3)) \
-        .reshape((n_origins, batch * n_dests, k)).transpose((1, 0, 2))
+    c_slices = tensors.transpose((0, 2, 1, 3)) \
+        .reshape(batch * n_dests, n_origins, k)
     r = factorizer_r(r_slices).reshape(batch, n_origins,
                                        factorizer_r.rank, k)
     c = factorizer_c(c_slices).reshape(batch, n_dests,
                                        factorizer_c.rank, k)
     c = c.transpose((0, 2, 1, 3))                   # (B, β, N', K)
     return r, c
-
-
-def sharded_factorize_tensor_batch(factorizer_r: SpatialFactorizer,
-                                   factorizer_c: SpatialFactorizer,
-                                   tensors: Tensor,
-                                   execution) -> Tuple[Tensor, Tensor]:
-    """Sharded twin of :func:`factorize_tensor_batch`.
-
-    ``execution`` is a :class:`repro.core.shardexec.ShardedExecution`;
-    the R side runs one origin shard's slices at a time over the
-    destination graph, the C side one destination shard's slices over
-    the origin graph.  Same shapes and (in ``"exact"`` mode) bit-
-    identical values/gradients as the dense function.
-    """
-    return execution.factorize(factorizer_r, factorizer_c, tensors)

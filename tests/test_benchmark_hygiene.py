@@ -213,7 +213,7 @@ def _af_step_labels(n_origins, n_dests, mode):
 
 
 @pytest.mark.parametrize("n_origins,n_dests,mode,stage_op", [
-    (10, 10, None, "fused_twin_gcnn_stage"),
+    (10, 10, None, "fused_gcnn_stage"),
     (10, 12, None, "fused_gcnn_stage"),
     (10, 10, "exact", "_exact_run"),
     (10, 10, "blocked", "_blocked_run")],
