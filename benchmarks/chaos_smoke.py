@@ -14,7 +14,7 @@ non-zero if any fault class slips through:
                                falls back to best.npz with a warning
 6.  bit-flipped checkpoint  -> same (SHA-256 integrity check)
 7.  killed roster worker    -> run_comparison retries and succeeds
-8.  detect_anomaly names the creating op, fused AND reference kernels
+8.  detect_anomaly names the creating (fused) op
 9.  contract checks cost < 5% of a Trainer.fit epoch
 
 Usage: PYTHONPATH=src python3 benchmarks/chaos_smoke.py
@@ -32,7 +32,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import faultinject
-from repro.autodiff import AnomalyError, Tensor, detect_anomaly, set_fused
+from repro.autodiff import AnomalyError, Tensor, detect_anomaly
 from repro.autodiff.rnn import GRUCell
 from repro.contracts import (ContractPolicy, ContractViolation,
                              contract_policy, validate_sequence)
@@ -229,27 +229,20 @@ def check_worker_kill():
             f"method did not recover: {result.methods['nh'].error}"
 
 
-@check("detect_anomaly names the op (fused + reference)")
+@check("detect_anomaly names the op")
 def check_anomaly_naming():
-    for fused in (True, False):
-        set_fused(fused)
+    cell = GRUCell(4, 3, np.random.default_rng(0))
+    cell.w_reset.data[0, 0] = np.nan
+    x = Tensor(np.ones((2, 4)))
+    h = cell.initial_state(2)
+    with detect_anomaly():
         try:
-            cell = GRUCell(4, 3, np.random.default_rng(0))
-            cell.w_reset.data[0, 0] = np.nan
-            x = Tensor(np.ones((2, 4)))
-            h = cell.initial_state(2)
-            with detect_anomaly():
-                try:
-                    cell(x, h)
-                except AnomalyError as exc:
-                    assert exc.op and exc.op != "?", \
-                        f"anomaly lost the op name (fused={fused})"
-                    assert exc.phase == "forward", exc.phase
-                else:
-                    raise AssertionError(
-                        f"NaN forward undetected (fused={fused})")
-        finally:
-            set_fused(True)
+            cell(x, h)
+        except AnomalyError as exc:
+            assert exc.op and exc.op != "?", "anomaly lost the op name"
+            assert exc.phase == "forward", exc.phase
+        else:
+            raise AssertionError("NaN forward undetected")
 
 
 @check("contract overhead < 5% of a Trainer.fit epoch")

@@ -56,8 +56,9 @@ python3 e2ebench/run.py --workload pipeline-metro --seed 1 --seconds 2 --trace 0
 # loss, glue) must sum to the op profiler's total.
 python3 e2ebench/run.py --workload pipeline-paper --seed 1 --seconds 2 --trace 1 || exit 1
 
-# Kernel microbenchmarks first: fused vs. reference autodiff ops and
-# one AF/BF training step.  Writes BENCH_AUTODIFF.json at the repo root.
+# Execution-engine microbenchmark: eager vs. replay on one AF/BF
+# training step, a 3-epoch smoke fit per engine and the AF step's op
+# profile.  Writes BENCH_AUTODIFF.json at the repo root.
 python3 benchmarks/microbench.py \
     --scale "${REPRO_BENCH_SCALE:-full}" \
     2>&1 | tee bench_autodiff_output.txt

@@ -15,7 +15,6 @@ The deep-learning stack the paper builds on, reimplemented from scratch:
 
 from . import init, ops
 from .gradcheck import check_gradients, numerical_gradient
-from .ops import fused_enabled, set_fused, use_fused
 from .layers import (MLP, Activation, Dropout, Embedding, LayerNorm,
                      Linear, Sequential)
 from .module import Module, Parameter
@@ -30,7 +29,6 @@ from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
 __all__ = [
     "Tensor", "tensor", "zeros", "ones",
     "set_default_dtype", "get_default_dtype",
-    "fused_enabled", "set_fused", "use_fused",
     "detect_anomaly", "anomaly_enabled", "AnomalyError",
     "ops", "init",
     "Module", "Parameter",

@@ -18,7 +18,6 @@ runs when the op is built (eager and capture), not on replay.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence, Union
 
 import numpy as np
@@ -461,42 +460,14 @@ def _pool_axis(x: Tensor, axis: int, stride: int, how: str) -> Tensor:
 # otherwise dominate training wall-clock (see docs/AUTODIFF.md, "Fused
 # kernels").
 #
-# Every fused op keeps a ``*_reference`` twin built from the primitive
-# ops above.  The twins are the ground truth for the gradcheck parity
-# tests in tests/test_autodiff_fused.py and power the fused-vs-reference
-# microbenchmark (benchmarks/microbench.py); ``set_fused(False)`` or the
-# ``use_fused(False)`` context manager routes the public entry points
-# through them.
+# Each fused op is the only implementation of its sub-expression.  The
+# same math written with the primitive ops above lives in tests/oracles.py,
+# the ground truth for the parity tests in tests/test_autodiff_fused.py.
 #
 # Replay note: fused thunks re-read parameter arrays (and rebuild the
-# stacked/concatenated weight blocks the twin kernels use) on every run,
-# so optimizer updates and load_state_dict are always reflected.  Graph
+# concatenated weight blocks the CNRNN cell uses) on every run, so
+# optimizer updates and load_state_dict are always reflected.  Graph
 # Laplacians are structural constants — captured once, never rebuilt.
-
-_FUSED_ENABLED = True
-
-
-def fused_enabled() -> bool:
-    """Whether the fused kernels are active (vs. the reference paths)."""
-    return _FUSED_ENABLED
-
-
-def set_fused(enabled: bool) -> bool:
-    """Enable/disable the fused kernels globally; returns the old value."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_fused(enabled: bool):
-    """Context manager scoping :func:`set_fused`."""
-    previous = set_fused(enabled)
-    try:
-        yield
-    finally:
-        set_fused(previous)
 
 
 def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
@@ -508,77 +479,6 @@ def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
                 "not require grad")
         return value.data
     return np.asarray(value)
-
-
-# ----------------------------------------------------------------------
-# Chebyshev propagation (ChebConv's recursion, paper Eq. 5)
-# ----------------------------------------------------------------------
-def cheb_propagate(lap: Union[Tensor, np.ndarray], x: Tensor,
-                   order: int) -> Tensor:
-    """All ``order`` Chebyshev terms of ``x`` on ``lap`` as one node.
-
-    Forward: ``T_0 = x``, ``T_1 = L x``, ``T_s = 2 L T_{s-1} - T_{s-2}``,
-    stacked along a new trailing axis — output ``(N, M, order)`` for input
-    ``x (N, M)``.  ``lap`` is a graph constant (no gradient).  Backward
-    runs the recursion's adjoint: sweeping ``s`` downward, the adjoint of
-    ``T_s`` adds ``2 L^T a_s`` to ``T_{s-1}`` and ``-a_s`` to ``T_{s-2}``.
-    """
-    if order < 1:
-        raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    if not fused_enabled():
-        return cheb_propagate_reference(lap, x, order)
-    x = _ensure_tensor(x)
-    if x.ndim != 2:
-        raise ValueError(f"cheb_propagate expects a 2-D signal, "
-                         f"got shape {x.shape}")
-    lap_data = _constant_array(lap)
-    if lap_data.shape != (x.shape[0], x.shape[0]):
-        raise ValueError(
-            f"Laplacian shape {lap_data.shape} does not match signal with "
-            f"{x.shape[0]} nodes")
-    lap_t = lap_data.T
-
-    def run() -> np.ndarray:
-        terms = [x.data]
-        if order > 1:
-            terms.append(lap_data @ x.data)
-        for _ in range(2, order):
-            t = lap_data @ terms[-1]
-            t *= 2.0
-            t -= terms[-2]
-            terms.append(t)
-        return np.stack(terms, axis=-1)
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # Own a contiguous copy: the adjoint sweep accumulates in place.
-        adj = np.ascontiguousarray(grad.transpose(2, 0, 1))
-        for s in range(order - 1, 1, -1):
-            adj[s - 1] += 2.0 * (lap_t @ adj[s])
-            adj[s - 2] -= adj[s]
-        if order > 1:
-            adj[0] += lap_t @ adj[1]
-        x._accumulate(adj[0])
-
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
-
-
-def cheb_propagate_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                             order: int) -> Tensor:
-    """Unfused Chebyshev recursion from primitive ops (ground truth)."""
-    if order < 1:
-        raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    lap = lap if isinstance(lap, Tensor) else Tensor(np.asarray(lap))
-    x = _ensure_tensor(x)
-    terms = [x]
-    if order > 1:
-        terms.append(lap.matmul(x))
-    for _ in range(2, order):
-        terms.append(2.0 * lap.matmul(terms[-1]) - terms[-2])
-    return stack(terms, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +665,6 @@ def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
     """
     if order < 1:
         raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    if not fused_enabled():
-        return cheb_conv_reference(lap, x, weight, bias, order)
     x = _ensure_tensor(x)
     if x.ndim != 3:
         raise ValueError(f"cheb_conv expects (batch, N, C) input, "
@@ -825,19 +723,6 @@ def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
     out = Tensor._make(_run_forward(run), (x, weight, bias), backward)
     _record(out, run)
     return out
-
-
-def cheb_conv_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                        weight: Tensor, bias: Tensor, order: int) -> Tensor:
-    """Unfused Cheby-Net convolution from primitive ops (ground truth)."""
-    x = _ensure_tensor(x)
-    batch, n, channels = x.shape
-    flat = x.transpose((1, 0, 2)).reshape(n, batch * channels)
-    stacked = cheb_propagate_reference(lap, flat, order)
-    features = stacked.reshape(n * batch, channels * order)
-    mixed = features.matmul(weight)
-    out = mixed.reshape(n, batch, weight.shape[-1])
-    return out.transpose((1, 0, 2)) + bias
 
 
 # ----------------------------------------------------------------------
@@ -1194,34 +1079,14 @@ def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
     non-overlapping windows of ``stride`` nodes scaled by ``inv_counts``
     (1 / real nodes per cluster, 0 for all-fake clusters).  ``stride=1``
     skips pooling.  This is :class:`repro.core.spatial.SpatialFactorizer`'s
-    hot path, run node-major (:func:`_gcnn_stage_forward`); the ~10-node
-    primitive composition is kept in :func:`fused_gcnn_stage_reference`.
+    hot path, run node-major (:func:`_gcnn_stage_forward`).
     """
-    if not fused_enabled():
-        return fused_gcnn_stage_reference(lap, x, weight, bias, order,
-                                          stride=stride, perm=perm,
-                                          inv_counts=inv_counts)
     x = _ensure_tensor(x)
     if x.ndim != 3:
         raise ValueError(f"fused_gcnn_stage expects (batch, N, C) input, "
                          f"got shape {x.shape}")
     return _gcnn_stage_node("fused_gcnn_stage", lap, x, (weight, bias),
                             order, stride, perm, inv_counts)
-
-
-def fused_gcnn_stage_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                               weight: Tensor, bias: Tensor, order: int,
-                               stride: int = 1, perm: np.ndarray = None,
-                               inv_counts: np.ndarray = None) -> Tensor:
-    """Unfused conv+ReLU+pool stage from primitive ops (ground truth)."""
-    y = relu(cheb_conv_reference(lap, x, weight, bias, order))
-    if perm is not None:
-        y = pad_axis(y, 1, 0, perm.size - y.shape[1])
-        y = take_axis(y, np.asarray(perm, dtype=np.intp), 1)
-    if stride > 1:
-        y = mean_pool_axis(y, 1, stride)
-        y = y * (np.asarray(inv_counts) * stride).reshape(1, -1, 1)
-    return y
 
 
 def fused_latent_head(x: Tensor, w_buckets: Tensor, b_buckets: Tensor,
@@ -1235,23 +1100,9 @@ def fused_latent_head(x: Tensor, w_buckets: Tensor, b_buckets: Tensor,
     :class:`repro.core.spatial.SpatialFactorizer`, run node-major by
     :func:`_latent_head_forward`.
     """
-    if not fused_enabled():
-        return fused_latent_head_reference(x, w_buckets, b_buckets,
-                                           w_latent, b_latent)
     return _latent_head_node(
         "fused_latent_head", _ensure_tensor(x),
         (w_buckets, b_buckets, w_latent, b_latent))
-
-
-def fused_latent_head_reference(x: Tensor, w_buckets: Tensor,
-                                b_buckets: Tensor, w_latent: Tensor,
-                                b_latent: Tensor) -> Tensor:
-    """Unfused latent head from primitive ops (ground truth)."""
-    x = _ensure_tensor(x)
-    t = x.matmul(w_buckets) + b_buckets
-    t = t.transpose((0, 2, 1))
-    z = t.matmul(w_latent) + b_latent
-    return z.transpose((0, 2, 1))
 
 
 # ----------------------------------------------------------------------
@@ -1269,9 +1120,6 @@ def fused_gru_gates(x: Tensor, h: Tensor,
     blend — with a single hand-written backward.  ``x`` is
     ``(..., input)``, ``h`` is ``(..., hidden)``.
     """
-    if not fused_enabled():
-        return fused_gru_gates_reference(x, h, w_reset, b_reset, w_update,
-                                         b_update, w_cand, b_cand)
     x, h = _ensure_tensor(x), _ensure_tensor(h)
     params = (w_reset, b_reset, w_update, b_update, w_cand, b_cand)
     hidden = h.shape[-1]
@@ -1329,20 +1177,6 @@ def fused_gru_gates(x: Tensor, h: Tensor,
     return out
 
 
-def fused_gru_gates_reference(x: Tensor, h: Tensor,
-                              w_reset: Tensor, b_reset: Tensor,
-                              w_update: Tensor, b_update: Tensor,
-                              w_cand: Tensor, b_cand: Tensor) -> Tensor:
-    """Unfused GRU cell from primitive ops (ground truth)."""
-    x, h = _ensure_tensor(x), _ensure_tensor(h)
-    hx = concat([h, x], axis=-1)
-    reset = sigmoid(hx.matmul(w_reset) + b_reset)
-    update = sigmoid(hx.matmul(w_update) + b_update)
-    rhx = concat([reset * h, x], axis=-1)
-    candidate = tanh(rhx.matmul(w_cand) + b_cand)
-    return update * h + (1.0 - update) * candidate
-
-
 # ----------------------------------------------------------------------
 # Whole CNRNN cell (paper Eqs. 7-10)
 # ----------------------------------------------------------------------
@@ -1359,10 +1193,6 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
     raw numpy with one hand-written backward.  ``x (B, N, C_in)``,
     ``h (B, N, H)`` → ``(B, N, H)``.
     """
-    if not fused_enabled():
-        return fused_cnrnn_cell_reference(lap, x, h, w_reset, b_reset,
-                                          w_update, b_update, w_cand,
-                                          b_cand, order)
     x, h = _ensure_tensor(x), _ensure_tensor(h)
     params = (w_reset, b_reset, w_update, b_update, w_cand, b_cand)
     lap_data = _constant_array(lap)
@@ -1434,190 +1264,6 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
     return out
 
 
-def fused_cnrnn_cell_reference(lap: Union[Tensor, np.ndarray], x: Tensor,
-                               h: Tensor,
-                               w_reset: Tensor, b_reset: Tensor,
-                               w_update: Tensor, b_update: Tensor,
-                               w_cand: Tensor, b_cand: Tensor,
-                               order: int) -> Tensor:
-    """Unfused CNRNN step from primitive ops (ground truth)."""
-    x, h = _ensure_tensor(x), _ensure_tensor(h)
-    hx = concat([h, x], axis=-1)
-    reset = sigmoid(cheb_conv_reference(lap, hx, w_reset, b_reset, order))
-    update = sigmoid(cheb_conv_reference(lap, hx, w_update, b_update,
-                                         order))
-    rhx = concat([reset * h, x], axis=-1)
-    candidate = tanh(cheb_conv_reference(lap, rhx, w_cand, b_cand, order))
-    return update * h + (1.0 - update) * candidate
-
-
-# ----------------------------------------------------------------------
-# Twin CNRNN kernels: both factor RNNs of the AF in one stacked call
-# ----------------------------------------------------------------------
-def fused_twin_cheb_conv(lap2: np.ndarray, x: Tensor,
-                         w_a: Tensor, b_a: Tensor,
-                         w_b: Tensor, b_b: Tensor, order: int) -> Tensor:
-    """Two same-shaped Cheby-Net convolutions as one batched node.
-
-    ``x (2, B, N, C)`` carries two independent graph signals; side 0 is
-    convolved with ``(w_a, b_a)`` on ``lap2[0]``, side 1 with
-    ``(w_b, b_b)`` on ``lap2[1]`` — one batched GEMM each for the mix,
-    the weight gradients, and the adjoint seed.  Used by
-    :func:`repro.core.cnrnn.twin_forecast` for the AF's decoder
-    projections.
-    """
-    x = _ensure_tensor(x)
-    two, batch, n, channels = x.shape
-    lap_b = _constant_array(lap2)[:, None]              # (2, 1, N, N)
-    q = w_a.shape[-1]
-    lap_t = np.swapaxes(lap_b, -1, -2)
-    feats = w2 = None
-
-    def run() -> np.ndarray:
-        nonlocal feats, w2
-        feats = _cheb_feats(_cheb_terms(lap_b, x.data, order), order)
-        w2 = np.stack([w_a.data, w_b.data])             # (2, C·S, Q)
-        b2 = np.stack([b_a.data, b_b.data])             # (2, Q)
-        return np.matmul(feats, w2).reshape(two, batch, n, q) \
-            + b2[:, None, None]
-
-    def backward(grad: np.ndarray) -> None:
-        gm = grad.reshape(two, batch * n, q)
-        if w_a.requires_grad or w_b.requires_grad:
-            dw = np.matmul(np.swapaxes(feats, -1, -2), gm)
-            if w_a.requires_grad:
-                w_a._accumulate(dw[0])
-            if w_b.requires_grad:
-                w_b._accumulate(dw[1])
-        if b_a.requires_grad or b_b.requires_grad:
-            db = gm.sum(axis=1)
-            if b_a.requires_grad:
-                b_a._accumulate(db[0])
-            if b_b.requires_grad:
-                b_b._accumulate(db[1])
-        if x.requires_grad:
-            x._accumulate(_cheb_adjoint(
-                lap_t, gm, w2, (two, batch, n, channels), order))
-
-    out = Tensor._make(_run_forward(run), (x, w_a, b_a, w_b, b_b),
-                       backward)
-    _record(out, run)
-    return out
-
-
-def fused_twin_cnrnn_cell(lap2: np.ndarray, x: Tensor, h: Tensor,
-                          params_a: Sequence[Tensor],
-                          params_b: Sequence[Tensor],
-                          order: int) -> Tensor:
-    """Two architecture-identical CNRNN steps as one stacked node.
-
-    The AF forecasts its two factor sequences with independent CNRNNs
-    whose cells have identical shapes; stacking both sides into
-    ``x (2, B, N, C)`` / ``h (2, B, N, H)`` lets every gate GEMM run
-    batched over the pair (halving the per-step dispatch overhead of
-    :func:`fused_cnrnn_cell`, whose math this mirrors exactly).
-    ``params_a``/``params_b`` are each
-    ``(w_reset, b_reset, w_update, b_update, w_cand, b_cand)``;
-    ``lap2 (2, N, N)`` holds each side's scaled Laplacian.
-    """
-    x, h = _ensure_tensor(x), _ensure_tensor(h)
-    w_reset_a, b_reset_a, w_update_a, b_update_a, w_cand_a, b_cand_a = \
-        params_a
-    w_reset_b, b_reset_b, w_update_b, b_update_b, w_cand_b, b_cand_b = \
-        params_b
-    lap_b = _constant_array(lap2)[:, None]              # (2, 1, N, N)
-    two, batch, n, cx = x.shape
-    hidden = h.shape[-1]
-    joint = hidden + cx
-    lap_t = np.swapaxes(lap_b, -1, -2)
-    hx = f_hx = w_ru = ru = r = u = rhx = f_rhx = None
-    w_cand = c = hmc = None
-
-    def run() -> np.ndarray:
-        nonlocal hx, f_hx, w_ru, ru, r, u, rhx, f_rhx, w_cand, c, hmc
-        hx = np.concatenate([h.data, x.data], axis=-1)  # (2, B, N, J)
-        f_hx = _cheb_feats(_cheb_terms(lap_b, hx, order), order)
-        w_ru = np.stack([
-            np.concatenate([w_reset_a.data, w_update_a.data], axis=1),
-            np.concatenate([w_reset_b.data, w_update_b.data], axis=1)])
-        b_ru = np.stack([
-            np.concatenate([b_reset_a.data, b_update_a.data]),
-            np.concatenate([b_reset_b.data, b_update_b.data])])
-        pre_ru = np.matmul(f_hx, w_ru)                  # (2, B·N, 2H)
-        ru = _stable_sigmoid(pre_ru.reshape(two, batch, n, 2 * hidden)
-                             + b_ru[:, None, None])
-        r, u = ru[..., :hidden], ru[..., hidden:]
-        rhx = np.concatenate([r * h.data, x.data], axis=-1)
-        f_rhx = _cheb_feats(_cheb_terms(lap_b, rhx, order), order)
-        w_cand = np.stack([w_cand_a.data, w_cand_b.data])
-        b_cand = np.stack([b_cand_a.data, b_cand_b.data])
-        c = np.tanh(np.matmul(f_rhx, w_cand)
-                    .reshape(two, batch, n, hidden)
-                    + b_cand[:, None, None])
-        hmc = h.data - c
-        return c + u * hmc                              # Eq. 10 blend
-
-    def backward(grad: np.ndarray) -> None:
-        # Same adjoint as fused_cnrnn_cell, with one leading pair axis;
-        # per-parameter gradients are contiguous slabs/slices of the
-        # stacked results.
-        dh = grad * u
-        dpre_c = (grad - dh) * (1.0 - c * c)
-        dru = ru * (1.0 - ru)
-        dpre_u = (grad * hmc) * dru[..., hidden:]
-        dpre_c_flat = dpre_c.reshape(two, batch * n, hidden)
-        if w_cand_a.requires_grad or w_cand_b.requires_grad:
-            dw_cand = np.matmul(np.swapaxes(f_rhx, -1, -2), dpre_c_flat)
-            if w_cand_a.requires_grad:
-                w_cand_a._accumulate(dw_cand[0])
-            if w_cand_b.requires_grad:
-                w_cand_b._accumulate(dw_cand[1])
-        if b_cand_a.requires_grad or b_cand_b.requires_grad:
-            db_cand = dpre_c_flat.sum(axis=1)
-            if b_cand_a.requires_grad:
-                b_cand_a._accumulate(db_cand[0])
-            if b_cand_b.requires_grad:
-                b_cand_b._accumulate(db_cand[1])
-        drhx = _cheb_adjoint(lap_t, dpre_c_flat, w_cand,
-                             (two, batch, n, joint), order)
-        drh = drhx[..., :hidden]
-        dpre_r = (drh * h.data) * dru[..., :hidden]
-        dh += drh * r
-        dpre_ru_flat = np.concatenate(
-            [dpre_r.reshape(two, batch * n, hidden),
-             dpre_u.reshape(two, batch * n, hidden)], axis=-1)
-        if w_reset_a.requires_grad or w_update_a.requires_grad \
-                or w_reset_b.requires_grad or w_update_b.requires_grad:
-            dw_ru = np.matmul(np.swapaxes(f_hx, -1, -2), dpre_ru_flat)
-            for side, (w_r, w_u) in enumerate(
-                    [(w_reset_a, w_update_a), (w_reset_b, w_update_b)]):
-                if w_r.requires_grad:
-                    w_r._accumulate(dw_ru[side, :, :hidden])
-                if w_u.requires_grad:
-                    w_u._accumulate(dw_ru[side, :, hidden:])
-        if b_reset_a.requires_grad or b_update_a.requires_grad \
-                or b_reset_b.requires_grad or b_update_b.requires_grad:
-            db_ru = dpre_ru_flat.sum(axis=1)
-            for side, (bias_r, bias_u) in enumerate(
-                    [(b_reset_a, b_update_a), (b_reset_b, b_update_b)]):
-                if bias_r.requires_grad:
-                    bias_r._accumulate(db_ru[side, :hidden])
-                if bias_u.requires_grad:
-                    bias_u._accumulate(db_ru[side, hidden:])
-        dhx = _cheb_adjoint(lap_t, dpre_ru_flat, w_ru,
-                            (two, batch, n, joint), order)
-        if h.requires_grad:
-            h._accumulate(dh + dhx[..., :hidden])
-        if x.requires_grad:
-            x._accumulate(drhx[..., hidden:] + dhx[..., hidden:])
-
-    out = Tensor._make(_run_forward(run),
-                       (x, h) + tuple(params_a) + tuple(params_b),
-                       backward)
-    _record(out, run)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Recovery (paper §IV-D: per-bucket R @ C + bucket-axis softmax)
 # ----------------------------------------------------------------------
@@ -1630,8 +1276,6 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
     closed-form softmax VJP ``s·(g - Σ g·s)`` followed by the two
     batched matmul adjoints.
     """
-    if not fused_enabled():
-        return fused_softmax_recovery_reference(r_factors, c_factors)
     r, c = _ensure_tensor(r_factors), _ensure_tensor(c_factors)
     if r.ndim < 3 or c.ndim < 3:
         raise ValueError("factor tensors must have >= 3 dims")
@@ -1669,23 +1313,6 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
     return out
 
 
-def fused_softmax_recovery_reference(r_factors: Tensor,
-                                     c_factors: Tensor) -> Tensor:
-    """Unfused recovery from primitive ops (ground truth)."""
-    r, c = _ensure_tensor(r_factors), _ensure_tensor(c_factors)
-    ndim_r = r.ndim
-    r_bucket_first = r.transpose(
-        list(range(ndim_r - 3)) + [ndim_r - 1, ndim_r - 3, ndim_r - 2])
-    ndim_c = c.ndim
-    c_bucket_first = c.transpose(
-        list(range(ndim_c - 3)) + [ndim_c - 1, ndim_c - 3, ndim_c - 2])
-    raw = r_bucket_first.matmul(c_bucket_first)
-    ndim = raw.ndim
-    scores = raw.transpose(
-        list(range(ndim - 3)) + [ndim - 2, ndim - 1, ndim - 3])
-    return softmax(scores, axis=-1)
-
-
 # ----------------------------------------------------------------------
 # Masked Frobenius loss (paper Eq. 4's data term)
 # ----------------------------------------------------------------------
@@ -1703,8 +1330,6 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
     engine can refresh a recorded step by writing new batches into the
     same buffers.
     """
-    if not fused_enabled():
-        return fused_masked_frobenius_reference(prediction, truth, mask)
     prediction = _ensure_tensor(prediction)
     dtype = prediction.data.dtype
     mask_arr = np.asarray(mask, dtype=dtype)
@@ -1732,13 +1357,3 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
     _record(out, run)
     return out
 
-
-def fused_masked_frobenius_reference(prediction: Tensor, truth: np.ndarray,
-                                     mask: np.ndarray) -> Tensor:
-    """Unfused masked Frobenius loss (ground truth)."""
-    prediction = _ensure_tensor(prediction)
-    mask = np.asarray(mask, dtype=np.float64)
-    weights = Tensor(mask[..., None])
-    diff = (prediction - Tensor(np.asarray(truth))) * weights
-    observed = max(float(mask.sum()), 1.0)
-    return (diff * diff).sum() * (1.0 / observed)

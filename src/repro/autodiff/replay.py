@@ -34,8 +34,8 @@ Fallback rules (see docs/EXECUTION.md):
   the step (an op bypassing the thunk protocol) disables the engine for
   the rest of the run — the eagerly-computed loss of the failed capture
   is still used, so the step is not wasted and no RNG draw happens twice;
-* a signature change (new batch shape, horizon, dtype, fused/training
-  mode) simply captures a new tape; :meth:`ReplayEngine.invalidate`
+* a signature change (new batch shape, horizon, dtype, training mode)
+  simply captures a new tape; :meth:`ReplayEngine.invalidate`
   drops all tapes (the trainer calls it after checkpoint restore).
 """
 
@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import ops as _ops
 from .tensor import (Tensor, _active_profiler, _run_forward, _set_tape,
                      anomaly_enabled, get_default_dtype)
 
@@ -147,7 +146,7 @@ class ReplayEngine:
         """Everything that must match for a recorded step to be reusable."""
         return (np.shape(histories), np.shape(targets), np.shape(masks),
                 int(horizon), np.dtype(get_default_dtype()).name,
-                _ops.fused_enabled(), bool(self.model.training))
+                bool(self.model.training))
 
     # ------------------------------------------------------------------
     def forward(self, histories, targets, masks,
@@ -297,7 +296,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _signature(self, histories, horizon: int) -> Tuple:
         return (np.shape(histories), int(horizon),
-                np.dtype(get_default_dtype()).name, _ops.fused_enabled())
+                np.dtype(get_default_dtype()).name)
 
     def _forward(self, histories, horizon: int) -> Tensor:
         prediction, _, _ = self.model(histories, horizon)

@@ -51,8 +51,7 @@ class GRUCell(Module):
 
         The whole update — both concatenations, three gate matmuls,
         nonlinearities, and the state blend — runs as one fused graph
-        node (:func:`repro.autodiff.ops.fused_gru_gates`); the primitive
-        composition is kept in ``fused_gru_gates_reference``.
+        node (:func:`repro.autodiff.ops.fused_gru_gates`).
         """
         return ops.fused_gru_gates(x, h, self.w_reset, self.b_reset,
                                    self.w_update, self.b_update,

@@ -19,7 +19,7 @@ from ..autodiff.module import Module
 from ..autodiff.tensor import Tensor
 from ..contracts import (check_finite, check_shape_dtype,
                          get_contract_policy)
-from .cnrnn import GraphSeq2Seq, twin_forecast
+from .cnrnn import GraphSeq2Seq
 from .recovery import recover
 from .spatial import (DEFAULT_BLOCKS, GCNNBlock, SpatialFactorizer,
                       factorize_tensor_batch)
@@ -135,11 +135,9 @@ class AdvancedFramework(Module):
         r_seq = self.drop_r(r_seq)
         c_seq = self.drop_c(c_seq)
 
-        # Stage 2: CNRNN forecasting of both factor sequences (run as
-        # one stacked computation when the fused kernels are enabled and
-        # the two sides are architecture-identical).
-        r_future, c_future = twin_forecast(self.rnn_r, self.rnn_c,
-                                           r_seq, c_seq, horizon)
+        # Stage 2: CNRNN forecasting of both factor sequences.
+        r_future = self.rnn_r(r_seq, horizon)
+        c_future = self.rnn_c(c_seq, horizon)
         r_factors = r_future.reshape(batch, horizon, n, self.rank, k)
         c_factors = c_future.reshape(batch, horizon, n_prime, self.rank, k)
         c_factors = c_factors.transpose((0, 1, 3, 2, 4))

@@ -45,9 +45,8 @@ class CNRNNCell(Module):
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         # The whole step — Eqs. 7-10: concatenations, the three gate
         # graph convolutions, nonlinearities, and the state blend — is
-        # one fused graph node; ops.fused_cnrnn_cell_reference keeps the
-        # primitive composition for gradcheck parity.  All three gate
-        # convolutions share the cell's (single) scaled Laplacian.
+        # one fused graph node.  All three gate convolutions share the
+        # cell's (single) scaled Laplacian.
         return ops.fused_cnrnn_cell(
             self.conv_reset._scaled_lap, x, h,
             self.conv_reset.weight, self.conv_reset.bias,
@@ -124,88 +123,3 @@ class GraphSeq2Seq(Module):
                          and j < horizon - 1)
             step_input = targets[:, j] if use_truth else prediction
         return ops.stack(predictions, axis=1)
-
-
-def _cell_params(cell: CNRNNCell) -> tuple:
-    return (cell.conv_reset.weight, cell.conv_reset.bias,
-            cell.conv_update.weight, cell.conv_update.bias,
-            cell.conv_cand.weight, cell.conv_cand.bias)
-
-
-def _twin_compatible(rnn_a: GraphSeq2Seq, rnn_b: GraphSeq2Seq) -> bool:
-    """True when the two seq2seq models are architecture-identical
-    (same node count, channels, hidden size, order, and depth), so their
-    cells can run as stacked batched GEMMs."""
-    cells_a = rnn_a.encoder_cells + rnn_a.decoder_cells
-    cells_b = rnn_b.encoder_cells + rnn_b.decoder_cells
-    if len(rnn_a.encoder_cells) != len(rnn_b.encoder_cells) \
-            or len(rnn_a.decoder_cells) != len(rnn_b.decoder_cells):
-        return False
-    if rnn_a.proj.order != rnn_b.proj.order \
-            or rnn_a.proj.weight.shape != rnn_b.proj.weight.shape:
-        return False
-    return all(ca.n_nodes == cb.n_nodes
-               and ca.in_channels == cb.in_channels
-               and ca.hidden_channels == cb.hidden_channels
-               and ca.conv_reset.order == cb.conv_reset.order
-               for ca, cb in zip(cells_a, cells_b))
-
-
-def twin_forecast(rnn_a: GraphSeq2Seq, rnn_b: GraphSeq2Seq,
-                  history_a: Tensor, history_b: Tensor,
-                  horizon: int) -> tuple:
-    """Forecast two factor sequences, jointly when possible.
-
-    The AF's R and C sequences run through architecture-identical
-    CNRNNs; when the fused kernels are on (and shapes agree) both
-    recurrences execute as one stacked computation per step
-    (:func:`repro.autodiff.ops.fused_twin_cnrnn_cell`), halving the
-    per-cell dispatch overhead.  Falls back to two independent forward
-    passes otherwise — results are identical either way.
-    """
-    if not (ops.fused_enabled() and history_a.shape == history_b.shape
-            and _twin_compatible(rnn_a, rnn_b)):
-        return rnn_a(history_a, horizon), rnn_b(history_b, horizon)
-    x2 = ops.stack([history_a, history_b], axis=0)     # (2, B, s, N, C)
-    batch, steps = history_a.shape[0], history_a.shape[1]
-    enc_pairs = list(zip(rnn_a.encoder_cells, rnn_b.encoder_cells))
-    dec_pairs = list(zip(rnn_a.decoder_cells, rnn_b.decoder_cells))
-
-    def pair_lap(cell_a: CNRNNCell, cell_b: CNRNNCell) -> np.ndarray:
-        return np.stack([cell_a.conv_reset._scaled_lap.data,
-                         cell_b.conv_reset._scaled_lap.data])
-
-    enc_laps = [pair_lap(ca, cb) for ca, cb in enc_pairs]
-    dec_laps = [pair_lap(ca, cb) for ca, cb in dec_pairs]
-    states = [Tensor(np.zeros((2, batch, ca.n_nodes, ca.hidden_channels)))
-              for ca, _ in enc_pairs]
-    for t in range(steps):
-        layer_input = x2[:, :, t]
-        for i, (ca, cb) in enumerate(enc_pairs):
-            states[i] = ops.fused_twin_cnrnn_cell(
-                enc_laps[i], layer_input, states[i],
-                _cell_params(ca), _cell_params(cb), ca.conv_reset.order)
-            layer_input = states[i]
-    if rnn_a.in_channels == rnn_a.out_channels:
-        step_input = x2[:, :, -1]
-    else:
-        step_input = Tensor(np.zeros(
-            (2, batch, history_a.shape[2], rnn_a.out_channels)))
-    proj_lap = np.stack([rnn_a.proj._scaled_lap.data,
-                         rnn_b.proj._scaled_lap.data])
-    predictions = []
-    for _ in range(horizon):
-        layer_input = step_input
-        for i, (ca, cb) in enumerate(dec_pairs):
-            states[i] = ops.fused_twin_cnrnn_cell(
-                dec_laps[i], layer_input, states[i],
-                _cell_params(ca), _cell_params(cb), ca.conv_reset.order)
-            layer_input = states[i]
-        prediction = ops.fused_twin_cheb_conv(
-            proj_lap, layer_input,
-            rnn_a.proj.weight, rnn_a.proj.bias,
-            rnn_b.proj.weight, rnn_b.proj.bias, rnn_a.proj.order)
-        predictions.append(prediction)
-        step_input = prediction
-    out2 = ops.stack(predictions, axis=2)              # (2, B, h, N, C)
-    return out2[0], out2[1]

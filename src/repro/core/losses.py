@@ -30,8 +30,7 @@ def masked_frobenius(prediction: Tensor, truth: np.ndarray,
     tensor size) keeps the loss scale independent of sparsity.
 
     Evaluates as one fused graph node (see
-    ``ops.fused_masked_frobenius``); the primitive composition is kept
-    in ``ops.fused_masked_frobenius_reference``.
+    ``ops.fused_masked_frobenius``).
     """
     return ops.fused_masked_frobenius(prediction, truth, mask)
 

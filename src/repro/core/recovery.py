@@ -36,6 +36,5 @@ def recover(r_factors: Tensor, c_factors: Tensor) -> Tensor:
             f"latent ranks differ: R has {r_factors.shape[-2]}, C has "
             f"{c_factors.shape[-3]}")
     # One fused node: per-bucket batched matmul + bucket-axis softmax
-    # with the closed-form softmax VJP (the unfused composition lives in
-    # ops.fused_softmax_recovery_reference).
+    # with the closed-form softmax VJP.
     return ops.fused_softmax_recovery(r_factors, c_factors)

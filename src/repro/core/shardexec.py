@@ -151,15 +151,9 @@ def _side_stages(factorizer) -> Tuple[List[_Stage], Tuple[Tensor, ...]]:
     """Derive the per-stage constants from a SpatialFactorizer.
 
     Returns the stages and the latent head's parameters ``(w_buckets,
-    b_buckets, w_latent, b_latent)``.  Requires mean pooling
-    (``factorizer._fused_specs`` is the same per-stage constant set the
-    fused kernels use); max pooling has no chunked path — callers check
-    :meth:`ShardedExecution.supports`.
+    b_buckets, w_latent, b_latent)``; ``factorizer._fused_specs`` is the
+    same per-stage constant set the fused kernels use.
     """
-    if factorizer._fused_specs is None:
-        raise ValueError(
-            "chunked execution requires mean pooling (the factorizer "
-            "has no fused stage constants)")
     stages: List[_Stage] = []
     for conv, spec in zip(factorizer.convs, factorizer._fused_specs):
         lap = conv._scaled_lap.data
@@ -395,8 +389,7 @@ def _factorize(factorizer_r, factorizer_c, tensors: Tensor, forward,
 def dense_factorize(factorizer_r, factorizer_c,
                     tensors: Tensor) -> Tuple[Tensor, Tensor]:
     """Both sides' stage 1 over every slice, one side at a time, in
-    chunks: ``(B, N, N', K)`` → ``R (B, N, β, K)``, ``C (B, β, N', K)``.
-    Requires mean-pooling factorizers."""
+    chunks: ``(B, N, N', K)`` → ``R (B, N, β, K)``, ``C (B, β, N', K)``."""
     return _factorize(factorizer_r, factorizer_c, tensors, _dense_forward,
                       ("fused_gcnn_stage", "fused_gcnn_stage"))
 
@@ -446,9 +439,6 @@ class ShardedExecution:
             factorizer = getattr(model, name, None)
             if factorizer is None:
                 return False, f"model has no {name} factorizer"
-            if factorizer._fused_specs is None:
-                return False, (f"{name} uses max pooling; the sharded "
-                               f"path needs mean pooling")
         if self.plan.n_origins != model.n_origins \
                 or self.plan.n_destinations != model.n_destinations:
             return False, (

@@ -67,7 +67,6 @@ class SpatialFactorizer(Module):
     def __init__(self, graph_weights: np.ndarray, n_buckets: int, rank: int,
                  rng: np.random.Generator,
                  blocks: Sequence[GCNNBlock] = DEFAULT_BLOCKS,
-                 pool_mode: str = "mean",
                  cluster_pooling: bool = True):
         super().__init__()
         blocks = tuple(blocks)
@@ -96,7 +95,7 @@ class SpatialFactorizer(Module):
             if block.pool_levels > 0:
                 self.pools.append(GraphPool(
                     self._coarsening, levels=block.pool_levels,
-                    start_level=level, mode=pool_mode))
+                    start_level=level))
                 level += block.pool_levels
             else:
                 self.pools.append(None)
@@ -107,15 +106,12 @@ class SpatialFactorizer(Module):
                              else self._coarsening.graphs[level].shape[0])
         self.latent_proj = Linear(self._pooled_size, rank, rng)
         # Per-stage constants for the fused conv+ReLU+pool kernel
-        # (ops.fused_gcnn_stage); max pooling has no fused path.
-        if pool_mode == "mean":
-            self._fused_specs = [
-                dict(stride=1, perm=None, inv_counts=None) if pool is None
-                else dict(stride=pool.stride, perm=pool._perm,
-                          inv_counts=pool._mean_scale / pool.stride)
-                for pool in self.pools]
-        else:
-            self._fused_specs = None
+        # (ops.fused_gcnn_stage).
+        self._fused_specs = [
+            dict(stride=1, perm=None, inv_counts=None) if pool is None
+            else dict(stride=pool.stride, perm=pool._perm,
+                      inv_counts=pool._mean_scale / pool.stride)
+            for pool in self.pools]
 
     @property
     def pooled_size(self) -> int:
@@ -128,25 +124,15 @@ class SpatialFactorizer(Module):
         ``slices`` is ``(B*, nodes, K)`` — any number of tensor slices
         flattened into the leading axis.  Returns ``(B*, rank, K)``.
         """
+        # Each conv+ReLU+pool stage and the two-projection tail are
+        # single fused graph nodes.
         x = slices
-        if ops.fused_enabled() and self._fused_specs is not None:
-            # Each conv+ReLU+pool stage and the two-projection tail are
-            # single fused graph nodes; the primitive composition below
-            # is the reference path.
-            for conv, spec in zip(self.convs, self._fused_specs):
-                x = ops.fused_gcnn_stage(conv._scaled_lap, x, conv.weight,
-                                         conv.bias, conv.order, **spec)
-            return ops.fused_latent_head(
-                x, self.to_buckets.weight, self.to_buckets.bias,
-                self.latent_proj.weight, self.latent_proj.bias)
-        for conv, pool in zip(self.convs, self.pools):
-            x = ops.relu(conv(x))
-            if pool is not None:
-                x = pool(x)
-        x = self.to_buckets(x)                      # (B*, beta', K)
-        x = x.transpose((0, 2, 1))                  # (B*, K, beta')
-        x = self.latent_proj(x)                     # (B*, K, rank)
-        return x.transpose((0, 2, 1))               # (B*, rank, K)
+        for conv, spec in zip(self.convs, self._fused_specs):
+            x = ops.fused_gcnn_stage(conv._scaled_lap, x, conv.weight,
+                                     conv.bias, conv.order, **spec)
+        return ops.fused_latent_head(
+            x, self.to_buckets.weight, self.to_buckets.bias,
+            self.latent_proj.weight, self.latent_proj.bias)
 
 
 def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
@@ -158,27 +144,11 @@ def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
     ``tensors`` is ``(B, N, N', K)``.  Returns ``(R, C)`` with
     ``R = (B, N, β, K)`` (origin slices encoded over the destination
     graph) and ``C = (B, β, N', K)`` (destination slices encoded over the
-    origin graph).  With fused kernels on and mean pooling, each side
-    runs as one graph node over cache-sized chunks of its slices
-    (:func:`repro.core.shardexec.dense_factorize`).  ``execution``, a
-    :class:`repro.core.shardexec.ShardedExecution`, runs the same chunk
-    loop shard by shard instead.
+    origin graph).  Each side runs as one graph node over cache-sized
+    chunks of its slices (:func:`repro.core.shardexec.dense_factorize`).
+    ``execution``, a :class:`repro.core.shardexec.ShardedExecution`, runs
+    the same chunk loop shard by shard instead.
     """
     if execution is not None:
         return execution.factorize(factorizer_r, factorizer_c, tensors)
-    if ops.fused_enabled() and factorizer_r._fused_specs is not None \
-            and factorizer_c._fused_specs is not None:
-        return dense_factorize(factorizer_r, factorizer_c, tensors)
-    # Reference and max-pooling path: origin slices (B*N, N', K) over the
-    # destination graph; destination slices (B*N', N, K) over the origin
-    # graph.
-    batch, n_origins, n_dests, k = tensors.shape
-    r_slices = tensors.reshape(batch * n_origins, n_dests, k)
-    c_slices = tensors.transpose((0, 2, 1, 3)) \
-        .reshape(batch * n_dests, n_origins, k)
-    r = factorizer_r(r_slices).reshape(batch, n_origins,
-                                       factorizer_r.rank, k)
-    c = factorizer_c(c_slices).reshape(batch, n_dests,
-                                       factorizer_c.rank, k)
-    c = c.transpose((0, 2, 1, 3))                   # (B, β, N', K)
-    return r, c
+    return dense_factorize(factorizer_r, factorizer_c, tensors)

@@ -104,9 +104,8 @@ class ChebConv(Module):
                 f"{self.in_channels}")
         # The whole convolution — node-first relayout, Chebyshev
         # recursion, channel-mixing GEMM, bias — is one fused graph node
-        # (ops.cheb_conv); ops.cheb_conv_reference keeps the primitive
-        # composition for gradcheck parity.  The cached polynomial basis
-        # collapses the term recursion into a single GEMM each way.
+        # (ops.cheb_conv).  The cached polynomial basis collapses the
+        # term recursion into a single GEMM each way.
         return ops.cheb_conv(self._scaled_lap, x, self.weight, self.bias,
                              self.order, basis=self.polynomial_basis())
 

@@ -12,6 +12,7 @@ import pytest
 from repro.histograms import WindowDataset, build_od_tensors, chronological_split
 from repro.regions import toy_city
 from repro.trips import toy_dataset
+from tests import oracles
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +49,10 @@ def split(windows):
 @pytest.fixture(scope="session")
 def proximity(dataset):
     return dataset.city.proximity()
+
+
+@pytest.fixture
+def oracle_kernels(monkeypatch):
+    """Run every fused kernel, and the AF's stage 1, as its primitive-op
+    composition from ``tests/oracles.py`` for the duration of a test."""
+    oracles.install(monkeypatch)

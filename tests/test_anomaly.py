@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import (AnomalyError, Tensor, anomaly_enabled,
-                            detect_anomaly, ops, set_fused, use_fused)
+                            detect_anomaly, ops)
 from repro.autodiff.rnn import GRUCell
 
 
@@ -77,27 +77,24 @@ class TestBackwardAnomaly:
 
 class TestFusedAndReference:
     @pytest.mark.parametrize("fused", [True, False])
-    def test_gru_cell_anomaly_names_op_both_modes(self, fused):
-        set_fused(fused)
-        try:
-            cell = GRUCell(4, 3, np.random.default_rng(0))
-            cell.w_reset.data[0, 0] = np.nan
-            x = Tensor(np.ones((2, 4)))
-            h = cell.initial_state(2)
-            with detect_anomaly():
-                with pytest.raises(AnomalyError) as err:
-                    cell(x, h)
-            assert err.value.op and err.value.op != "?"
-        finally:
-            set_fused(True)
+    def test_gru_cell_anomaly_names_op_both_modes(self, fused, request):
+        if not fused:
+            request.getfixturevalue("oracle_kernels")
+        cell = GRUCell(4, 3, np.random.default_rng(0))
+        cell.w_reset.data[0, 0] = np.nan
+        x = Tensor(np.ones((2, 4)))
+        h = cell.initial_state(2)
+        with detect_anomaly():
+            with pytest.raises(AnomalyError) as err:
+                cell(x, h)
+        assert err.value.op and err.value.op != "?"
 
     def test_fused_kernel_blames_fused_op(self):
-        with use_fused(True):
-            cell = GRUCell(4, 3, np.random.default_rng(0))
-            cell.w_reset.data[0, 0] = np.nan
-            with detect_anomaly():
-                with pytest.raises(AnomalyError) as err:
-                    cell(Tensor(np.ones((2, 4))), cell.initial_state(2))
+        cell = GRUCell(4, 3, np.random.default_rng(0))
+        cell.w_reset.data[0, 0] = np.nan
+        with detect_anomaly():
+            with pytest.raises(AnomalyError) as err:
+                cell(Tensor(np.ones((2, 4))), cell.initial_state(2))
         assert "fused" in err.value.op
 
 

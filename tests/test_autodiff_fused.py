@@ -1,30 +1,28 @@
 """Parity tests for the fused autodiff kernels.
 
-Every fused op in :mod:`repro.autodiff.ops` has a ``*_reference`` twin
-built from primitive ops.  These tests feed identical float64 inputs to
-both paths and require matching outputs and matching analytic gradients
-(tolerance well under 1e-6), plus finite-difference gradchecks of the
-fused backward closures, shape/dtype edge cases, a bit-for-bit
-determinism check for the parallel experiment runner, and a tolerant
-perf guard for the fused AF training step.
+Every fused op in :mod:`repro.autodiff.ops` (and the fused Dirichlet
+energy) has a primitive-op oracle in ``tests/oracles.py``.  These tests
+feed identical float64 inputs to both and require matching outputs and
+matching analytic gradients (tolerance well under 1e-6), plus
+finite-difference gradchecks of the fused backward closures, shape/dtype
+edge cases, whole-factorizer and whole-AF-model parity against the
+oracles, and a bit-for-bit determinism check for the parallel experiment
+runner.
 """
 
-import importlib.util
 import multiprocessing
-import os
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, check_gradients, ops
+from repro.autodiff import Tensor, check_gradients, ops, profile
 from repro.autodiff.tensor import set_default_dtype
 from repro.core.af import AdvancedFramework
 from repro.core.spatial import SpatialFactorizer, factorize_tensor_batch
 from repro.experiments import (MethodBudget, make_bf, make_nh, prepare,
                                run_comparison)
-from repro.graph.energy import dirichlet_energy, dirichlet_energy_reference
+from repro.graph.energy import dirichlet_energy
+from tests import oracles
 
 PARITY = dict(rtol=1e-9, atol=1e-9)     # far below the 1e-6 requirement
 
@@ -41,7 +39,8 @@ def _random_proximity(n, rng):
 
 
 def assert_parity(fused_fn, reference_fn, arrays, seed):
-    """Run both paths on identical inputs; compare outputs and grads.
+    """Run the fused op and its oracle on identical inputs; compare
+    outputs and grads.
 
     ``arrays`` are raw numpy inputs turned into fresh requires-grad
     Tensors per path; the backward seed is a fixed random cotangent so
@@ -49,10 +48,8 @@ def assert_parity(fused_fn, reference_fn, arrays, seed):
     """
     fused_in = _params(arrays)
     ref_in = _params(arrays)
-    with ops.use_fused(True):
-        out_fused = fused_fn(*fused_in)
-    with ops.use_fused(False):
-        out_ref = reference_fn(*ref_in)
+    out_fused = fused_fn(*fused_in)
+    out_ref = reference_fn(*ref_in)
     assert out_fused.shape == out_ref.shape
     assert np.allclose(out_fused.data, out_ref.data, **PARITY)
     cotangent = np.random.default_rng(seed).normal(size=out_ref.shape)
@@ -71,56 +68,6 @@ def assert_parity(fused_fn, reference_fn, arrays, seed):
     return fused_in, ref_in
 
 
-class TestToggle:
-    def test_set_and_restore(self):
-        original = ops.fused_enabled()
-        assert ops.set_fused(False) == original
-        assert not ops.fused_enabled()
-        ops.set_fused(original)
-
-    def test_context_manager_restores_on_error(self):
-        original = ops.fused_enabled()
-        with pytest.raises(RuntimeError):
-            with ops.use_fused(not original):
-                assert ops.fused_enabled() == (not original)
-                raise RuntimeError("boom")
-        assert ops.fused_enabled() == original
-
-
-class TestChebPropagate:
-    def test_parity(self, rng):
-        lap = rng.normal(size=(6, 6))
-        x = rng.normal(size=(6, 5))
-        assert_parity(lambda t: ops.cheb_propagate(lap, t, 4),
-                      lambda t: ops.cheb_propagate_reference(lap, t, 4),
-                      [x], seed=1)
-
-    def test_order_one_is_identity_stack(self, rng):
-        lap = rng.normal(size=(4, 4))
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        with ops.use_fused(True):
-            out = ops.cheb_propagate(lap, x, 1)
-        assert out.shape == (4, 3, 1)
-        assert np.allclose(out.data[..., 0], x.data)
-
-    def test_gradcheck(self, rng):
-        lap = rng.normal(size=(5, 5))
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t: (ops.cheb_propagate(lap, t, 3) ** 2).sum(), [x])
-
-    def test_shape_errors(self, rng):
-        lap = rng.normal(size=(4, 4))
-        with ops.use_fused(True):
-            with pytest.raises(ValueError):
-                ops.cheb_propagate(lap, Tensor(np.zeros((2, 4, 3))), 2)
-            with pytest.raises(ValueError):
-                ops.cheb_propagate(lap, Tensor(np.zeros((3, 2))), 2)
-            with pytest.raises(ValueError):
-                ops.cheb_propagate(lap, Tensor(np.zeros((4, 2))), 0)
-
-
 class TestChebConv:
     def test_parity(self, rng):
         lap = rng.normal(size=(6, 6))
@@ -130,7 +77,7 @@ class TestChebConv:
         bias = rng.normal(size=(filters,))
         assert_parity(
             lambda t, w, b: ops.cheb_conv(lap, t, w, b, order),
-            lambda t, w, b: ops.cheb_conv_reference(lap, t, w, b, order),
+            lambda t, w, b: oracles.cheb_conv(lap, t, w, b, order),
             [x, weight, bias], seed=2)
 
     def test_parity_order_one_and_two(self, rng):
@@ -142,7 +89,7 @@ class TestChebConv:
             bias = rng.normal(size=(4,))
             assert_parity(
                 lambda t, w, b: ops.cheb_conv(lap, t, w, b, order),
-                lambda t, w, b: ops.cheb_conv_reference(
+                lambda t, w, b: oracles.cheb_conv(
                     lap, t, w, b, order),
                 [x, weight, bias], seed=order)
 
@@ -151,10 +98,9 @@ class TestChebConv:
         x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         weight = Tensor(rng.normal(size=(3 * 2, 3)), requires_grad=True)
         bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t, w, b: (ops.cheb_conv(lap, t, w, b, 2) ** 2).sum(),
-                [x, weight, bias])
+        check_gradients(
+            lambda t, w, b: (ops.cheb_conv(lap, t, w, b, 2) ** 2).sum(),
+            [x, weight, bias])
 
     def test_float32_preserved(self, rng):
         set_default_dtype(np.float32)
@@ -166,9 +112,8 @@ class TestChebConv:
                             requires_grad=True)
             bias = Tensor(np.zeros(3, dtype=np.float32),
                           requires_grad=True)
-            with ops.use_fused(True):
-                out = ops.cheb_conv(lap, x, weight, bias, 2)
-                out.backward(grad=np.ones(out.shape, dtype=np.float32))
+            out = ops.cheb_conv(lap, x, weight, bias, 2)
+            out.backward(grad=np.ones(out.shape, dtype=np.float32))
             assert out.data.dtype == np.float32
             assert x.grad.dtype == np.float32
             assert weight.grad.dtype == np.float32
@@ -185,7 +130,7 @@ class TestGcnnStage:
         bias = rng.normal(size=(5,))
         assert_parity(
             lambda t, w, b: ops.fused_gcnn_stage(lap, t, w, b, order),
-            lambda t, w, b: ops.fused_gcnn_stage_reference(
+            lambda t, w, b: oracles.fused_gcnn_stage(
                 lap, t, w, b, order),
             [x, weight, bias], seed=3)
 
@@ -206,7 +151,7 @@ class TestGcnnStage:
         assert_parity(
             lambda t, wt, b: ops.fused_gcnn_stage(
                 lap, t, wt, b, order, **spec),
-            lambda t, wt, b: ops.fused_gcnn_stage_reference(
+            lambda t, wt, b: oracles.fused_gcnn_stage(
                 lap, t, wt, b, order, **spec),
             [x, weight, bias], seed=4)
 
@@ -220,18 +165,16 @@ class TestGcnnStage:
         weight = Tensor(rng.normal(size=conv.weight.shape),
                         requires_grad=True)
         bias = Tensor(rng.normal(size=conv.bias.shape), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t, wt, b: (ops.fused_gcnn_stage(
-                    lap, t, wt, b, conv.order, **spec) ** 2).sum(),
-                [x, weight, bias])
+        check_gradients(
+            lambda t, wt, b: (ops.fused_gcnn_stage(
+                lap, t, wt, b, conv.order, **spec) ** 2).sum(),
+            [x, weight, bias])
 
     def test_shape_error(self, rng):
-        with ops.use_fused(True):
-            with pytest.raises(ValueError):
-                ops.fused_gcnn_stage(np.eye(4), Tensor(np.zeros((4, 3))),
-                                     Tensor(np.zeros((6, 2))),
-                                     Tensor(np.zeros(2)), 2)
+        with pytest.raises(ValueError):
+            ops.fused_gcnn_stage(np.eye(4), Tensor(np.zeros((4, 3))),
+                                 Tensor(np.zeros((6, 2))),
+                                 Tensor(np.zeros(2)), 2)
 
 
 class TestLatentHead:
@@ -241,16 +184,15 @@ class TestLatentHead:
         b_buckets = rng.normal(size=(4,))
         w_latent = rng.normal(size=(7, 3))
         b_latent = rng.normal(size=(3,))
-        assert_parity(ops.fused_latent_head, ops.fused_latent_head_reference,
+        assert_parity(ops.fused_latent_head, oracles.fused_latent_head,
                       [x, w_buckets, b_buckets, w_latent, b_latent], seed=5)
 
     def test_gradcheck(self, rng):
         tensors = _params([rng.normal(size=(2, 4, 3)),
                            rng.normal(size=(3, 2)), rng.normal(size=(2,)),
                            rng.normal(size=(4, 3)), rng.normal(size=(3,))])
-        with ops.use_fused(True):
-            check_gradients(
-                lambda *a: (ops.fused_latent_head(*a) ** 2).sum(), tensors)
+        check_gradients(
+            lambda *a: (ops.fused_latent_head(*a) ** 2).sum(), tensors)
 
 
 class TestGruGates:
@@ -265,7 +207,7 @@ class TestGruGates:
                    rng.normal(size=(hidden,)),
                    rng.normal(size=(joint, hidden)) * 0.5,
                    rng.normal(size=(hidden,))]
-        assert_parity(ops.fused_gru_gates, ops.fused_gru_gates_reference,
+        assert_parity(ops.fused_gru_gates, oracles.fused_gru_gates,
                       [x, h] + weights, seed=6)
 
     def test_parity_batched_leading_dims(self, rng):
@@ -280,7 +222,7 @@ class TestGruGates:
                    rng.normal(size=(hidden,)),
                    rng.normal(size=(joint, hidden)) * 0.5,
                    rng.normal(size=(hidden,))]
-        assert_parity(ops.fused_gru_gates, ops.fused_gru_gates_reference,
+        assert_parity(ops.fused_gru_gates, oracles.fused_gru_gates,
                       [x, h] + weights, seed=7)
 
     def test_gradcheck(self, rng):
@@ -291,9 +233,8 @@ class TestGruGates:
              rng.normal(size=(joint, hidden)), rng.normal(size=(hidden,)),
              rng.normal(size=(joint, hidden)), rng.normal(size=(hidden,)),
              rng.normal(size=(joint, hidden)), rng.normal(size=(hidden,))])
-        with ops.use_fused(True):
-            check_gradients(
-                lambda *a: (ops.fused_gru_gates(*a) ** 2).sum(), tensors)
+        check_gradients(
+            lambda *a: (ops.fused_gru_gates(*a) ** 2).sum(), tensors)
 
 
 class TestCnrnnCell:
@@ -313,116 +254,75 @@ class TestCnrnnCell:
         lap, order, arrays = self._inputs(rng)
         assert_parity(
             lambda *a: ops.fused_cnrnn_cell(lap, *a, order),
-            lambda *a: ops.fused_cnrnn_cell_reference(lap, *a, order),
+            lambda *a: oracles.fused_cnrnn_cell(lap, *a, order),
             arrays, seed=8)
 
     def test_gradcheck(self, rng):
         lap, order, arrays = self._inputs(rng, n=4, channels=2, hidden=3,
                                           order=2)
         tensors = _params(arrays)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda *a: (ops.fused_cnrnn_cell(lap, *a, order) ** 2).sum(),
-                tensors)
+        check_gradients(
+            lambda *a: (ops.fused_cnrnn_cell(lap, *a, order) ** 2).sum(),
+            tensors)
 
 
-class TestTwinOps:
-    def test_twin_cheb_conv_matches_per_side_reference(self, rng):
-        n, channels, filters, order, batch = 5, 3, 4, 3, 2
-        lap2 = rng.normal(size=(2, n, n))
-        x2 = rng.normal(size=(2, batch, n, channels))
-        w_a = rng.normal(size=(channels * order, filters))
-        b_a = rng.normal(size=(filters,))
-        w_b = rng.normal(size=(channels * order, filters))
-        b_b = rng.normal(size=(filters,))
-
-        def reference(t, wa, ba, wb, bb):
-            side_a = ops.cheb_conv_reference(lap2[0], t[0], wa, ba, order)
-            side_b = ops.cheb_conv_reference(lap2[1], t[1], wb, bb, order)
-            return ops.stack([side_a, side_b], axis=0)
-
-        assert_parity(
-            lambda t, wa, ba, wb, bb: ops.fused_twin_cheb_conv(
-                lap2, t, wa, ba, wb, bb, order),
-            reference, [x2, w_a, b_a, w_b, b_b], seed=9)
-
-    def test_twin_cnrnn_cell_matches_per_side_reference(self, rng):
-        n, channels, hidden, order, batch = 5, 3, 4, 2, 2
-        lap2 = rng.normal(size=(2, n, n))
-        joint = channels + hidden
-        x2 = rng.normal(size=(2, batch, n, channels))
-        h2 = rng.normal(size=(2, batch, n, hidden))
-        sides = [[rng.normal(size=(joint * order, hidden)) * 0.4
-                  if i % 2 == 0 else rng.normal(size=(hidden,))
-                  for i in range(6)] for _ in range(2)]
-
-        def fused(t, s, *flat):
-            params_a, params_b = flat[:6], flat[6:]
-            return ops.fused_twin_cnrnn_cell(lap2, t, s, params_a,
-                                             params_b, order)
-
-        def reference(t, s, *flat):
-            side_a = ops.fused_cnrnn_cell_reference(
-                lap2[0], t[0], s[0], *flat[:6], order)
-            side_b = ops.fused_cnrnn_cell_reference(
-                lap2[1], t[1], s[1], *flat[6:], order)
-            return ops.stack([side_a, side_b], axis=0)
-
-        assert_parity(fused, reference, [x2, h2] + sides[0] + sides[1],
-                      seed=10)
-
-    def test_twin_factorizer_matches_per_side(self, rng):
-        # Same graph on both sides so the coarsening layouts agree and
-        # the twin path activates; different weights per side.
+class TestModelParity:
+    def test_factorizer_matches_oracle(self, rng):
+        # Stage 1 of both sides (the chunked fused kernels) against the
+        # primitive factorizer composition; different weights per side.
         w = _random_proximity(12, rng)
         factor_r = SpatialFactorizer(w, 4, 3, np.random.default_rng(1))
         factor_c = SpatialFactorizer(w, 4, 3, np.random.default_rng(2))
         tensors = rng.normal(size=(2, 12, 12, 4))
 
-        def run(fused):
+        def run(factorize):
             for p in factor_r.parameters():
                 p.grad = None
             for p in factor_c.parameters():
                 p.grad = None
             x = Tensor(tensors.copy(), requires_grad=True)
-            with ops.use_fused(fused):
-                r, c = factorize_tensor_batch(factor_r, factor_c, x)
-                loss = (r ** 2).sum() + (c ** 2).sum()
-                loss.backward()
+            r, c = factorize(factor_r, factor_c, x)
+            loss = (r ** 2).sum() + (c ** 2).sum()
+            loss.backward()
             grads = [np.array(p.grad) for p in factor_r.parameters()]
             grads += [np.array(p.grad) for p in factor_c.parameters()]
             return (r.data.copy(), c.data.copy(), np.array(x.grad), grads)
 
-        r_f, c_f, xg_f, grads_f = run(True)
-        r_r, c_r, xg_r, grads_r = run(False)
+        r_f, c_f, xg_f, grads_f = run(factorize_tensor_batch)
+        r_r, c_r, xg_r, grads_r = run(oracles.factorize_tensor_batch)
         assert np.allclose(r_f, r_r, **PARITY)
         assert np.allclose(c_f, c_r, **PARITY)
         assert np.allclose(xg_f, xg_r, **PARITY)
         for gf, gr in zip(grads_f, grads_r):
             assert np.allclose(gf, gr, **PARITY)
 
-    def test_full_af_model_parity(self, rng):
-        # End-to-end: twin factorizers, twin CNRNNs, recovery — fused vs
-        # reference must agree on the loss and on every parameter grad.
+    def test_full_af_model_parity(self, rng, request):
+        # End-to-end: factorizers, CNRNNs, recovery — the fused kernels
+        # vs the oracles must agree on the loss and on every parameter
+        # grad.
         w = _random_proximity(8, rng)
         model = AdvancedFramework(w, w, 4, np.random.default_rng(0),
                                   rank=3, rnn_hidden=6, rnn_order=2)
         model.eval()                      # dropout off: deterministic
         history = rng.uniform(size=(2, 3, 8, 8, 4))
 
-        def run(fused):
+        def run():
             model.zero_grad()
-            with ops.use_fused(fused):
-                prediction, r, c = model(history, 2)
-                loss = (prediction ** 2).sum() + (r * c.transpose(
-                    (0, 1, 3, 2, 4))).sum()
-                loss.backward()
+            prediction, r, c = model(history, 2)
+            loss = (prediction ** 2).sum() + (r * c.transpose(
+                (0, 1, 3, 2, 4))).sum()
+            loss.backward()
             return (float(loss.item()),
                     {k: np.array(p.grad)
                      for k, p in model.named_parameters()})
 
-        loss_f, grads_f = run(True)
-        loss_r, grads_r = run(False)
+        loss_f, grads_f = run()
+        request.getfixturevalue("oracle_kernels")
+        with profile() as profiler:
+            loss_r, grads_r = run()
+        # The fixture took every kernel off the fused path.
+        assert not [op for op in profiler.as_dict()
+                    if op.startswith("fused_") or op == "cheb_conv"]
         assert loss_f == pytest.approx(loss_r, rel=1e-12)
         assert grads_f.keys() == grads_r.keys()
         for key in grads_f:
@@ -436,23 +336,21 @@ class TestSoftmaxRecovery:
         r = rng.normal(size=(2, 4, 3, 5))       # (B, N, beta, K)
         c = rng.normal(size=(2, 3, 4, 5))       # (B, beta, N', K)
         assert_parity(ops.fused_softmax_recovery,
-                      ops.fused_softmax_recovery_reference, [r, c], seed=11)
+                      oracles.fused_softmax_recovery, [r, c], seed=11)
 
     def test_output_is_distribution(self, rng):
         r = Tensor(rng.normal(size=(4, 3, 5)))
         c = Tensor(rng.normal(size=(3, 4, 5)))
-        with ops.use_fused(True):
-            out = ops.fused_softmax_recovery(r, c)
+        out = ops.fused_softmax_recovery(r, c)
         assert np.allclose(out.data.sum(axis=-1), 1.0)
         assert (out.data >= 0).all()
 
     def test_gradcheck(self, rng):
         r = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         c = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda a, b: (ops.fused_softmax_recovery(a, b) ** 2).sum(),
-                [r, c])
+        check_gradients(
+            lambda a, b: (ops.fused_softmax_recovery(a, b) ** 2).sum(),
+            [r, c])
 
 
 class TestMaskedFrobenius:
@@ -462,7 +360,7 @@ class TestMaskedFrobenius:
         prediction = rng.normal(size=(2, 3, 3, 4))
         assert_parity(
             lambda p: ops.fused_masked_frobenius(p, truth, mask),
-            lambda p: ops.fused_masked_frobenius_reference(p, truth, mask),
+            lambda p: oracles.fused_masked_frobenius(p, truth, mask),
             [prediction], seed=12)
 
     def test_parity_empty_mask(self, rng):
@@ -470,7 +368,7 @@ class TestMaskedFrobenius:
         mask = np.zeros((2, 3, 3))
         assert_parity(
             lambda p: ops.fused_masked_frobenius(p, truth, mask),
-            lambda p: ops.fused_masked_frobenius_reference(p, truth, mask),
+            lambda p: oracles.fused_masked_frobenius(p, truth, mask),
             [rng.normal(size=(2, 3, 3, 4))], seed=13)
 
     def test_parity_broadcast_prediction(self, rng):
@@ -482,7 +380,7 @@ class TestMaskedFrobenius:
         prediction = rng.normal(size=(2, 1, 3, 3, 4))
         fused_in, _ = assert_parity(
             lambda p: ops.fused_masked_frobenius(p, truth, mask),
-            lambda p: ops.fused_masked_frobenius_reference(p, truth, mask),
+            lambda p: oracles.fused_masked_frobenius(p, truth, mask),
             [prediction], seed=14)
         assert fused_in[0].grad.shape == prediction.shape
 
@@ -490,9 +388,8 @@ class TestMaskedFrobenius:
         truth = rng.uniform(size=(2, 3, 3, 2))
         mask = (rng.uniform(size=(2, 3, 3)) < 0.6).astype(float)
         p = Tensor(rng.normal(size=(2, 3, 3, 2)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(
-                lambda t: ops.fused_masked_frobenius(t, truth, mask), [p])
+        check_gradients(
+            lambda t: ops.fused_masked_frobenius(t, truth, mask), [p])
 
 
 class TestDirichletEnergy:
@@ -500,22 +397,21 @@ class TestDirichletEnergy:
         w = _random_proximity(6, rng)
         x = rng.normal(size=(6, 4))
         assert_parity(lambda t: dirichlet_energy(t, w),
-                      lambda t: dirichlet_energy_reference(t, w), [x],
+                      lambda t: oracles.dirichlet_energy(t, w), [x],
                       seed=15)
 
     def test_parity_nonzero_axis(self, rng):
         w = _random_proximity(5, rng)
         x = rng.normal(size=(3, 5, 2))
         assert_parity(lambda t: dirichlet_energy(t, w, node_axis=1),
-                      lambda t: dirichlet_energy_reference(t, w,
+                      lambda t: oracles.dirichlet_energy(t, w,
                                                           node_axis=1),
                       [x], seed=16)
 
     def test_gradcheck(self, rng):
         w = _random_proximity(4, rng)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        with ops.use_fused(True):
-            check_gradients(lambda t: dirichlet_energy(t, w), [x])
+        check_gradients(lambda t: dirichlet_energy(t, w), [x])
 
 
 TINY = MethodBudget(epochs=1, batch_size=8, max_train_batches=2,
@@ -548,39 +444,3 @@ class TestParallelDeterminism:
                     f"{name}/{metric} differs between n_jobs=1 and 2")
             assert np.array_equal(serial[name].predictions,
                                   pooled[name].predictions)
-
-
-@pytest.mark.skipif(
-    os.environ.get("REPRO_BENCH_SCALE") == "smoke",
-    reason="perf guard skipped in smoke mode")
-class TestFusedPerfGuard:
-    def test_fused_af_step_not_slower(self):
-        # Tolerant guard: the microbench shows >= 2x, but CI boxes are
-        # noisy — only fail when fused is meaningfully *slower*.
-        spec = importlib.util.spec_from_file_location(
-            "repro_microbench",
-            Path(__file__).resolve().parents[1] / "benchmarks"
-            / "microbench.py")
-        microbench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(microbench)
-        sizes = microbench.SIZES["smoke"]
-
-        def best_of(step, rounds=3):
-            best = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                step()
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        with ops.use_fused(True):
-            step_fused = microbench.make_af_step(sizes)
-            step_fused()                               # warmup
-            fused_s = best_of(step_fused)
-        with ops.use_fused(False):
-            step_ref = microbench.make_af_step(sizes)
-            step_ref()                                 # warmup
-            reference_s = best_of(step_ref)
-        assert fused_s <= reference_s * 1.25, (
-            f"fused AF step {fused_s * 1e3:.1f}ms slower than reference "
-            f"{reference_s * 1e3:.1f}ms")

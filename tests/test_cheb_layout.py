@@ -33,6 +33,7 @@ from repro.autodiff.ops import (_Pool, _cheb_adjoint, _cheb_feats,
                                 _gcnn_stage_forward, _latent_head_backward,
                                 _latent_head_forward, _node_major,
                                 _slice_major)
+from tests import oracles
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +355,7 @@ def test_stage_matches_reference(n, batch, c, q, kind, dtype):
         _op_grads(lambda x, w, b, op=op: op(case["lap"], x, w, b, 3,
                                             **case["spec"]),
                   arrays, case["grad"], dtype)
-        for op in (ops.fused_gcnn_stage, ops.fused_gcnn_stage_reference)]
+        for op in (ops.fused_gcnn_stage, oracles.fused_gcnn_stage)]
     (out, grads), (ref_out, ref_grads) = results
     _assert_close(out, ref_out, dtype, "output")
     for name, got, want in zip(("x", "weight", "bias"), grads, ref_grads):
@@ -419,7 +420,7 @@ def test_head_matches_reference(p, batch, c, k, rank, dtype):
                                       "w_latent", "b_latent")]
     (out, grads), (ref_out, ref_grads) = [
         _op_grads(op, arrays, case["grad"], dtype)
-        for op in (ops.fused_latent_head, ops.fused_latent_head_reference)]
+        for op in (ops.fused_latent_head, oracles.fused_latent_head)]
     _assert_close(out, ref_out, dtype, "output")
     for index, (got, want) in enumerate(zip(grads, ref_grads)):
         _assert_close(got, want, dtype, f"gradient {index}")
