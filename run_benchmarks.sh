@@ -19,11 +19,6 @@ python3 benchmarks/resume_smoke.py || exit 1
 # <5% of a training epoch (see docs/ROBUSTNESS.md).
 python3 benchmarks/chaos_smoke.py || exit 1
 
-# Replay-engine gate: tape replay must stay bit-for-bit identical to
-# eager execution (BF and AF, dropout on) and the replayed AF train
-# step must hold its >= 1.2x speedup (see docs/EXECUTION.md).
-python3 benchmarks/replay_smoke.py || exit 1
-
 # Serving gate: forecasts served through the registry/cache/inference
 # tapes must stay bit-identical to forecast_latest, the response cache
 # must stay >= 5x faster than a cold forward, and the request stream
@@ -55,13 +50,6 @@ python3 e2ebench/run.py --workload pipeline-metro --seed 1 --seconds 2 --trace 0
 # forecast_latest, and the stage buckets (factorize, forecast, recover,
 # loss, glue) must sum to the op profiler's total.
 python3 e2ebench/run.py --workload pipeline-paper --seed 1 --seconds 2 --trace 1 || exit 1
-
-# Execution-engine microbenchmark: eager vs. replay on one AF/BF
-# training step, a 3-epoch smoke fit per engine and the AF step's op
-# profile.  Writes BENCH_AUTODIFF.json at the repo root.
-python3 benchmarks/microbench.py \
-    --scale "${REPRO_BENCH_SCALE:-full}" \
-    2>&1 | tee bench_autodiff_output.txt
 
 python3 -m pytest benchmarks/ --benchmark-only -p no:cacheprovider -s -q \
     2>&1 | tee bench_output.txt

@@ -20,7 +20,7 @@ from .layers import (MLP, Activation, Dropout, Embedding, LayerNorm,
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
-from .replay import CaptureMismatchWarning, InferenceEngine, ReplayEngine
+from .replay import CaptureMismatchWarning, InferenceEngine
 from .rnn import GRU, GRUCell, LSTMCell, Seq2Seq
 from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
                      get_default_dtype, ones, set_default_dtype, tensor,
@@ -36,7 +36,7 @@ __all__ = [
     "LayerNorm",
     "GRUCell", "GRU", "LSTMCell", "Seq2Seq",
     "Optimizer", "SGD", "Adam", "StepDecay", "clip_grad_norm",
-    "ReplayEngine", "InferenceEngine", "CaptureMismatchWarning",
+    "InferenceEngine", "CaptureMismatchWarning",
     "profile", "OpProfiler",
     "check_gradients", "numerical_gradient",
 ]

@@ -143,8 +143,8 @@ class Module:
                     f"shape mismatch for {name}: "
                     f"{value.shape} vs {parameter.shape}")
             # Write through the existing array instead of rebinding:
-            # captured replay tapes and flat-optimizer views alias
-            # parameter.data, and an in-place copy keeps them live.
+            # captured inference tapes alias parameter.data, and an
+            # in-place copy keeps them live.
             if value is parameter.data:
                 continue
             np.copyto(parameter.data, value)

@@ -7,7 +7,7 @@ of graph-convolution slices, dropout regularization, ...).
 
 Like the ``Tensor`` operators, every op here wraps its forward math in a
 local ``run()`` thunk and registers it with :func:`~repro.autodiff.tensor._record`
-so the capture/replay engine can re-execute a recorded step without
+so the inference tapes can re-execute a recorded forward without
 rebuilding the graph (docs/EXECUTION.md).  Thunks rebind — via
 ``nonlocal`` — every intermediate their backward closure reads, and
 re-read parameter arrays (``p.data``) on each run so weight updates and
@@ -294,9 +294,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
     """Inverted dropout: zero activations with probability ``rate``.
 
     At evaluation time (``training=False``) this is the identity, matching
-    the usual inference-time semantics.  The thunk draws from ``rng`` on
-    every execution, so a replayed step consumes the generator exactly
-    like the eager step it recorded — bit-for-bit RNG parity.
+    the usual inference-time semantics.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -401,15 +399,12 @@ def take_axis(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
 
 def mean_pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
     """Average-pool ``x`` along ``axis`` with non-overlapping windows."""
-    return _pool_axis(x, axis, stride, how="mean")
+    return _pool_axis(x, axis, stride)
 
 
-def max_pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
-    """Max-pool ``x`` along ``axis`` with non-overlapping windows."""
-    return _pool_axis(x, axis, stride, how="max")
-
-
-def _pool_axis(x: Tensor, axis: int, stride: int, how: str) -> Tensor:
+def _pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
+    # A function of its own because the op profiler labels this op by
+    # its name, and e2ebench/spans.py books the label "_pool_axis".
     x = _ensure_tensor(x)
     n = x.shape[axis]
     if n % stride != 0:
@@ -417,31 +412,19 @@ def _pool_axis(x: Tensor, axis: int, stride: int, how: str) -> Tensor:
             f"axis length {n} not divisible by pool stride {stride}; "
             "pad with fake nodes first")
     moved_shape = None
-    grouped = None
-    pooled = None
 
     def run() -> np.ndarray:
-        nonlocal moved_shape, grouped, pooled
+        nonlocal moved_shape
         moved = np.moveaxis(x.data, axis, 0)
         moved_shape = moved.shape
         grouped = moved.reshape(n // stride, stride, *moved.shape[1:])
-        if how == "mean":
-            pooled = grouped.mean(axis=1)
-        else:
-            pooled = grouped.max(axis=1)
-        return np.moveaxis(pooled, 0, axis)
+        return np.moveaxis(grouped.mean(axis=1), 0, axis)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         gmoved = np.moveaxis(grad, axis, 0)
-        if how == "mean":
-            expanded = np.repeat(gmoved, stride, axis=0) / stride
-        else:
-            winners = (grouped == pooled[:, None])
-            counts = winners.sum(axis=1, keepdims=True)
-            expanded = (winners * (gmoved[:, None] / counts)).reshape(
-                n, *gmoved.shape[1:])
+        expanded = np.repeat(gmoved, stride, axis=0) / stride
         x._accumulate(np.moveaxis(expanded.reshape(moved_shape), 0, axis))
 
     out = Tensor._make(_run_forward(run), (x,), backward)
@@ -1324,11 +1307,6 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
     indication tensor ``(..., N, N')``, broadcast over buckets.  The
     normalizer is the observed-cell count (≥ 1), keeping the loss scale
     independent of sparsity.
-
-    Replay note: when ``truth``/``mask`` already have the prediction's
-    dtype the arrays are captured by reference (no copy), so the replay
-    engine can refresh a recorded step by writing new batches into the
-    same buffers.
     """
     prediction = _ensure_tensor(prediction)
     dtype = prediction.data.dtype

@@ -90,54 +90,18 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba 2015) with bias correction.
-
-    With ``flat=True`` the moment buffers live in two contiguous flat
-    arrays and :meth:`step` runs the update as a handful of vectorized
-    passes over them instead of a Python loop over parameters — the
-    update math is elementwise, so the result is bit-for-bit identical
-    to the per-parameter loop.  ``self._m``/``self._v`` become reshaped
-    views into the flat buffers, keeping ``state_dict`` round-trips and
-    shape validation unchanged.  The flat fast path requires every
-    parameter to carry a gradient and no weight decay; otherwise the
-    step silently falls back to the loop (still on the same views).
-    """
+    """Adam optimizer (Kingma & Ba 2015) with bias correction."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, flat: bool = False):
+                 weight_decay: float = 0.0):
         super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._flat = bool(flat)
         self._t = 0
-        if self._flat:
-            dtypes = {p.data.dtype for p in self.parameters}
-            if len(dtypes) > 1:
-                raise ValueError(
-                    f"Adam(flat=True) requires a single parameter dtype, "
-                    f"got {sorted(d.name for d in dtypes)}")
-            dtype = dtypes.pop()
-            sizes = [p.data.size for p in self.parameters]
-            self._offsets = np.cumsum([0] + sizes)
-            total = int(self._offsets[-1])
-            self._flat_m = np.zeros(total, dtype=dtype)
-            self._flat_v = np.zeros(total, dtype=dtype)
-            self._flat_g = np.empty(total, dtype=dtype)
-            self._flat_s = np.empty(total, dtype=dtype)
-            self._flat_d = np.empty(total, dtype=dtype)
-            self._m = [self._flat_m[a:b].reshape(p.data.shape)
-                       for p, a, b in self._slots()]
-            self._v = [self._flat_v[a:b].reshape(p.data.shape)
-                       for p, a, b in self._slots()]
-        else:
-            self._m = [np.zeros_like(p.data) for p in self.parameters]
-            self._v = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _slots(self):
-        """``(parameter, flat_start, flat_stop)`` triples (flat mode)."""
-        return zip(self.parameters, self._offsets[:-1], self._offsets[1:])
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         self._t += 1
@@ -149,10 +113,6 @@ class Adam(Optimizer):
         #     = (lr/bias1)·m / (sqrt(v)/sqrt(bias2) + eps)
         step_size = self.lr / bias1
         inv_sqrt_bias2 = 1.0 / np.sqrt(bias2)
-        if self._flat and not self.weight_decay \
-                and all(p.grad is not None for p in self.parameters):
-            self._step_flat(step_size, inv_sqrt_bias2)
-            return
         for parameter, m, v in zip(self.parameters, self._m, self._v):
             if parameter.grad is None:
                 continue
@@ -172,31 +132,6 @@ class Adam(Optimizer):
             update *= step_size
             parameter.data -= update
 
-    def _step_flat(self, step_size: float, inv_sqrt_bias2: float) -> None:
-        """Vectorized update over the flat moment buffers.
-
-        Mirrors the loop body operation-for-operation (all elementwise),
-        so flat and looped training runs stay bit-for-bit identical.
-        """
-        g, m, v = self._flat_g, self._flat_m, self._flat_v
-        scratch = self._flat_s
-        for parameter, a, b in self._slots():
-            g[a:b] = parameter.grad.reshape(-1)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=scratch)
-        m += scratch
-        v *= self.beta2
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - self.beta2
-        v += scratch
-        denom = np.sqrt(v, out=self._flat_d)
-        denom *= inv_sqrt_bias2
-        denom += self.eps
-        update = np.divide(m, denom, out=scratch)
-        update *= step_size
-        for parameter, a, b in self._slots():
-            parameter.data -= update[a:b].reshape(parameter.data.shape)
-
     def state_dict(self) -> Dict:
         return {"lr": self.lr, "t": self._t,
                 "m": [m.copy() for m in self._m],
@@ -207,20 +142,10 @@ class Adam(Optimizer):
         _check_slots("Adam m", state["m"], self.parameters)
         _check_slots("Adam v", state["v"], self.parameters)
         self._t = int(state["t"])
-        if self._flat:
-            # Copy into the existing flat-buffer views so the vectorized
-            # step keeps operating on the restored state.
-            for view, value, p in zip(self._m, state["m"],
-                                      self.parameters):
-                np.copyto(view, np.asarray(value, dtype=p.data.dtype))
-            for view, value, p in zip(self._v, state["v"],
-                                      self.parameters):
-                np.copyto(view, np.asarray(value, dtype=p.data.dtype))
-        else:
-            self._m = [np.array(m, dtype=p.data.dtype)
-                       for m, p in zip(state["m"], self.parameters)]
-            self._v = [np.array(v, dtype=p.data.dtype)
-                       for v, p in zip(state["v"], self.parameters)]
+        self._m = [np.array(m, dtype=p.data.dtype)
+                   for m, p in zip(state["m"], self.parameters)]
+        self._v = [np.array(v, dtype=p.data.dtype)
+                   for v, p in zip(state["v"], self.parameters)]
 
 
 def clip_grad_norm(parameters: Iterable[Parameter],

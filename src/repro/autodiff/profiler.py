@@ -5,9 +5,10 @@
 backward closure exactly — wall-clock around the call, nothing
 attributed by inference — and aggregates by op kind (the enclosing
 function name: ``matmul``, ``sigmoid``, ``fused_cnrnn_cell``, ...).
-Works identically under eager execution, tape capture, and replay, so
-``benchmarks/microbench.py`` uses it to show where each engine spends
-its time (docs/AUTODIFF.md has an example table).
+Works identically under eager execution and under inference-tape
+capture and replay; ``e2ebench/run.py --trace 1`` uses it to split a
+training step into the paper's stages (docs/AUTODIFF.md has an example
+table).
 
 Overhead is two ``perf_counter`` calls plus one dict update per op
 execution — fine for profiling runs, which is why it is opt-in rather

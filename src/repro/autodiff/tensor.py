@@ -18,11 +18,11 @@ Design notes
 * Graphs are freed after ``backward()`` unless ``retain_graph=True``.
 * Every op packages its forward computation as a local ``run()`` thunk that
   (re)binds, via ``nonlocal``, any intermediate the backward closure needs.
-  Eager mode simply calls the thunk once; the capture/replay engine
-  (:mod:`repro.autodiff.replay`) records ``(output, thunk)`` pairs and later
-  re-executes the thunks directly — same arrays, same closures, no new
-  Tensors — which is what makes replay bit-for-bit identical to eager
-  execution (see docs/EXECUTION.md).
+  Eager mode simply calls the thunk once; the inference tapes
+  (:mod:`repro.autodiff.replay`) record ``(output, thunk)`` pairs and later
+  re-execute the thunks directly — same arrays, same closures, no new
+  Tensors — which is what makes a replayed forward bit-for-bit identical
+  to eager execution (see docs/EXECUTION.md).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ _ANOMALY_ENABLED = False
 # ----------------------------------------------------------------------
 # _TAPE, when set, is a recorder with an ``entries`` list and a ``made``
 # counter: every op appends its (output Tensor, forward thunk) pair and
-# Tensor._make increments ``made``.  The replay engine compares the two
+# Tensor._make increments ``made``.  The inference engine compares the two
 # to prove the capture covered every op (a custom op missing the thunk
 # protocol would otherwise replay stale values).  _PROFILER, when set,
 # receives exact per-op forward/backward timings.  Both cost one global
@@ -228,7 +228,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_grad_borrowed", "_topo_cache")
+                 "name", "_grad_borrowed")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  name: Optional[str] = None):
@@ -238,7 +238,6 @@ class Tensor:
         self._grad_borrowed: bool = False
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: tuple = ()
-        self._topo_cache: Optional[list] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -334,9 +333,6 @@ class Tensor:
             to 1 for scalar tensors (the usual loss case).
         retain_graph:
             Keep the graph alive so ``backward`` can be called again.
-            Also memoizes the topological order on this tensor so the
-            next ``backward`` skips the graph walk entirely (the replay
-            engine leans on this; see docs/EXECUTION.md).
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not "
@@ -353,11 +349,7 @@ class Tensor:
                     f"grad shape {grad.shape} does not match tensor shape "
                     f"{self.shape}")
 
-        order = self._topo_cache
-        if order is None:
-            order = self._topo_order()
-            if retain_graph:
-                self._topo_cache = order
+        order = self._topo_order()
         self._accumulate(grad)
         profiler = _PROFILER
         for node in order:
@@ -378,8 +370,6 @@ class Tensor:
                 if not retain_graph:
                     node._backward = None
                     node._parents = ()
-        if not retain_graph:
-            self._topo_cache = None
 
     def _anomaly_backward_check(self) -> None:
         """Raise if this node's backward just wrote a non-finite gradient.

@@ -77,8 +77,7 @@ def cmd_compare(args) -> int:
     dataset = _build_dataset(args)
     data = prepare(dataset, s=args.s, h=args.h)
     budget = MethodBudget(epochs=args.epochs, batch_size=args.batch_size,
-                          max_train_batches=args.max_batches,
-                          engine=args.engine)
+                          max_train_batches=args.max_batches)
     roster = full_roster(budget)
     wanted = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in roster]
@@ -276,7 +275,6 @@ def cmd_info(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .core.trainer import ENGINE_MODES
     from .serve import SERVE_ENGINES
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -296,13 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--max-test-windows", type=int, default=32)
     compare.add_argument("--float32", action="store_true",
                          help="train in float32 (2x faster)")
-    compare.add_argument("--engine", default="eager",
-                         choices=ENGINE_MODES,
-                         help="training-step executor: eager rebuilds "
-                              "the graph every step; replay captures each "
-                              "step's op tape once and re-executes it "
-                              "(bit-for-bit identical to eager; see "
-                              "docs/EXECUTION.md)")
     compare.add_argument("--out", default=None,
                          help="write the result rows as JSON")
     compare.add_argument("--telemetry", default=None, metavar="FILE",

@@ -13,8 +13,7 @@ from .shardexec import (DataParallelUnit, ShardedExecution,
                         ShardMemoryBudgetError)
 from .spatial import (DEFAULT_BLOCKS, GCNNBlock, SpatialFactorizer,
                       factorize_tensor_batch)
-from .trainer import (ENGINE_MODES, NonFiniteGradError, TrainConfig,
-                      Trainer, TrainResult)
+from .trainer import NonFiniteGradError, TrainConfig, Trainer, TrainResult
 
 __all__ = [
     "BasicFramework", "AdvancedFramework",
@@ -26,7 +25,7 @@ __all__ = [
     "recover",
     "masked_frobenius", "bf_loss", "af_loss",
     "factor_frobenius", "factor_dirichlet",
-    "Trainer", "TrainConfig", "TrainResult", "ENGINE_MODES",
+    "Trainer", "TrainConfig", "TrainResult",
     "PaperHyperParameters", "PracticalHyperParameters",
     "paper_bf", "paper_af", "practical_bf", "practical_af",
 ]

@@ -21,7 +21,6 @@ from ..contracts import (ContractPolicy, contract_policy,
 from .af import AdvancedFramework
 from .bf import BasicFramework
 from .spatial import GCNNBlock
-from .trainer import ENGINE_MODES
 
 __all__ = [
     "PaperHyperParameters", "PracticalHyperParameters",
@@ -30,9 +29,6 @@ __all__ = [
     # configuration knobs; the implementation is repro.contracts.
     "ContractPolicy", "contract_policy", "get_contract_policy",
     "set_contract_policy",
-    # Execution-engine selection (TrainConfig.engine / CLI --engine);
-    # the implementation is repro.autodiff.replay.
-    "ENGINE_MODES",
 ]
 
 

@@ -13,7 +13,7 @@ node-major ``(N, P)`` signal.  A chunk holds at most as many slices as
 keep its first-stage ``(M·B, C)`` feature block within
 :data:`_CHUNK_BYTES`, so its working set is a few MiB, near a core's L2,
 instead of every stage streaming all slices through memory; the
-schedule depends on shapes only, so capture/replay tapes stay valid.
+schedule depends on shapes only, so inference tapes stay valid.
 
 The dense path (:func:`dense_factorize`) is one run of every slice.  A
 :class:`~repro.graph.sharding.ShardPlan` splits the R side along origin

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -39,9 +39,6 @@ BEST_NAME = "best.npz"
 
 #: Valid settings for TrainConfig.on_nonfinite_grad.
 NONFINITE_GRAD_POLICIES = ("skip", "halve_lr", "abort")
-
-#: Valid settings for TrainConfig.engine (see docs/EXECUTION.md).
-ENGINE_MODES = ("eager", "replay")
 
 
 class NonFiniteGradError(FloatingPointError):
@@ -81,11 +78,6 @@ class TrainConfig:
     #: :class:`NonFiniteGradError`.  Every occurrence emits a
     #: ``nonfinite_grad`` telemetry event.
     on_nonfinite_grad: str = "skip"
-    #: Training-step execution engine: ``"eager"`` rebuilds the autodiff
-    #: graph every step; ``"replay"`` captures it once per batch
-    #: signature and re-executes the recorded tape.  Both are bit-for-bit
-    #: identical (see :mod:`repro.autodiff.replay` and docs/EXECUTION.md).
-    engine: str = "eager"
 
     def __post_init__(self):
         if self.on_nonfinite_grad not in NONFINITE_GRAD_POLICIES:
@@ -93,10 +85,6 @@ class TrainConfig:
                 f"on_nonfinite_grad must be one of "
                 f"{NONFINITE_GRAD_POLICIES}, got "
                 f"{self.on_nonfinite_grad!r}")
-        if self.engine not in ENGINE_MODES:
-            raise ValueError(
-                f"engine must be one of {ENGINE_MODES}, got "
-                f"{self.engine!r}")
 
 
 @dataclass
@@ -158,23 +146,8 @@ class Trainer:
                     f"{type(model).__name__} does not support sharded "
                     f"execution (no set_sharding hook)")
             model.set_sharding(sharding)
-            if self.config.engine != "eager":
-                # Sharded forwards re-plan their work per occupancy
-                # pattern; a replay tape would pin the first pattern's
-                # buffer arena, so sharding forces the eager engine.
-                warnings.warn(
-                    f"sharded execution forces engine='eager' "
-                    f"(requested {self.config.engine!r})",
-                    RuntimeWarning)
-                # A copy, so a config the caller reuses keeps its engine.
-                self.config = replace(self.config, engine="eager")
-        # The replay engine hands Adam a gradient for every
-        # parameter on every step, which is exactly what the flat
-        # vectorized path needs; eager mode keeps the per-parameter loop
-        # (numerically they are bit-for-bit identical either way).
         self.optimizer = Adam(model.parameters(),
-                              lr=self.config.learning_rate,
-                              flat=(self.config.engine != "eager"))
+                              lr=self.config.learning_rate)
         self.scheduler = StepDecay(self.optimizer,
                                    factor=self.config.decay_factor,
                                    every=self.config.decay_every)
@@ -241,15 +214,6 @@ class Trainer:
                  units=len(self.data_parallel_units()),
                  **self.sharding.describe())
         contracts = get_contract_policy()
-        engine = None
-        if cfg.engine == "replay":
-            from ..autodiff.replay import ReplayEngine
-            engine = ReplayEngine(self.model, self.loss_fn)
-            if start_epoch > 0:
-                # Belt and braces after a checkpoint restore: tapes are
-                # only recorded after this point, but any future restore
-                # path added before the loop must not replay stale state.
-                engine.invalidate()
         # One parameter-list walk per fit, not one per batch: the
         # optimizer already holds the model's parameters in traversal
         # order, and gradient clipping only needs that list.
@@ -270,24 +234,10 @@ class Trainer:
                                  "trainer.fit", contracts)
                     check_finite(targets, f"batch[{b}] targets",
                                  "trainer.fit", contracts)
-                loss = None
-                if engine is not None and not contracts.strict:
-                    # Strict contract mode wants every repair path and
-                    # per-op check live, so it stays on eager graphs;
-                    # the engine itself declines under detect_anomaly().
-                    loss = engine.forward(histories, targets, masks,
-                                          horizon)
-                if loss is not None:
-                    # optimizer.zero_grad clears the cached parameter
-                    # list directly instead of re-walking the module
-                    # tree.
-                    self.optimizer.zero_grad()
-                    engine.backward(loss)
-                else:
-                    prediction, r, c = self.model(histories, horizon)
-                    loss = self.loss_fn(prediction, targets, masks, r, c)
-                    self.optimizer.zero_grad()
-                    loss.backward()
+                prediction, r, c = self.model(histories, horizon)
+                loss = self.loss_fn(prediction, targets, masks, r, c)
+                self.optimizer.zero_grad()
+                loss.backward()
                 if after_backward is not None:
                     after_backward(self.model, epoch, b)
                 if cfg.clip_norm:
@@ -351,9 +301,6 @@ class Trainer:
                      path=str(checkpoint_path))
         self.model.load_state_dict(best_state)
         result.seconds = time.time() - start
-        if engine is not None:
-            emit(telemetry, "engine", mode=cfg.engine, **engine.stats())
-            engine.invalidate()     # release the arenas with the run
         emit(telemetry, "fit_end", epochs_run=len(result.val_losses),
              best_epoch=result.best_epoch,
              best_val_loss=result.best_val_loss, seconds=result.seconds,

@@ -34,10 +34,6 @@ class MethodBudget:
     learning_rate: float = 1e-3
     seed: int = 0
     verbose: bool = False
-    #: Training-step execution engine (``"eager"``/``"replay"``); replay
-    #: is bit-for-bit identical and faster on fixed-shape batches (see
-    #: docs/EXECUTION.md).
-    engine: str = "eager"
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -45,7 +41,7 @@ class MethodBudget:
                            max_train_batches=self.max_train_batches,
                            max_val_batches=self.max_val_batches,
                            patience=self.patience, seed=self.seed,
-                           verbose=self.verbose, engine=self.engine)
+                           verbose=self.verbose)
 
 
 QUICK_BUDGET = MethodBudget(epochs=4, batch_size=8, max_train_batches=8,

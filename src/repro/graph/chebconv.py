@@ -76,7 +76,7 @@ class ChebConv(Module):
         forward evaluate all Chebyshev terms with a single GEMM (and the
         backward with one more) instead of re-running the ``S``-step
         recursion — the dominant win at small signal widths, and what
-        the replay engine captures per signature.  Returns ``None`` for
+        an inference tape captures per signature.  Returns ``None`` for
         ``order < 2``, where the recursion is already a no-op.
         """
         if self.order < 2:
@@ -117,22 +117,20 @@ class GraphPool(Module):
     :class:`~repro.graph.coarsening.Coarsening`.  ``levels`` selects how
     many matching levels to pool over, i.e. pooling size ``p = 2**levels``.
     Mean pooling divides by the number of *real* nodes per cluster so fake
-    (zero) nodes do not bias the average; max pooling uses the standard
-    zero-padding convention.
+    (zero) nodes do not bias the average.
     """
 
     def __init__(self, coarsening: Coarsening, levels: int,
                  start_level: int = 0, mode: str = "mean",
                  node_axis: int = -2):
         super().__init__()
-        if mode not in ("mean", "max"):
-            raise ValueError(f"mode must be 'mean' or 'max', got {mode}")
+        if mode != "mean":
+            raise ValueError(f"mode must be 'mean', got {mode}")
         if levels < 1 or start_level < 0 \
                 or start_level + levels > coarsening.levels:
             raise ValueError(
                 f"pooling levels [{start_level}, {start_level + levels}] "
                 f"outside coarsening depth {coarsening.levels}")
-        self.mode = mode
         self.levels = levels
         self.start_level = start_level
         self.stride = 2 ** levels
@@ -173,8 +171,6 @@ class GraphPool(Module):
         if self._perm is not None:
             x = ops.pad_axis(x, axis, 0, self._n_padded - self._in_size)
             x = ops.take_axis(x, self._perm, axis)
-        if self.mode == "max":
-            return ops.max_pool_axis(x, axis, self.stride)
         pooled = ops.mean_pool_axis(x, axis, self.stride)
         shape = [1] * x.ndim
         shape[axis] = self.output_size

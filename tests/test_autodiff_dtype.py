@@ -60,3 +60,29 @@ class TestDtypeSwitch:
         pred, _, _ = model(rng.uniform(size=(2, 3, 5, 5, 3)), horizon=1)
         assert pred.data.dtype == np.float32
         assert np.allclose(pred.numpy().sum(-1), 1.0, atol=1e-5)
+
+    def test_af_non_square_step_keeps_float32_gradients(self, float32_mode):
+        """Regression: the Dirichlet energy's backward multiplied by the
+        float64 graph Laplacian and handed float64 gradients to every
+        stage-2 parameter of an AF whose two sides differ in size."""
+        from repro.core import AdvancedFramework, af_loss
+        rng = np.random.default_rng(11)
+
+        def proximity(n):
+            w = rng.uniform(0.1, 1.0, size=(n, n))
+            w = (w + w.T) / 2.0
+            np.fill_diagonal(w, 0.0)
+            return w
+
+        w_o, w_d = proximity(8), proximity(10)
+        model = AdvancedFramework(w_o, w_d, 7, np.random.default_rng(7),
+                                  rank=3, rnn_hidden=8, rnn_order=2,
+                                  dropout=0.2)
+        history = rng.uniform(size=(4, 3, 8, 10, 7))
+        truth = rng.uniform(size=(4, 2, 8, 10, 7))
+        mask = (rng.uniform(size=(4, 2, 8, 10)) < 0.4).astype(float)
+        prediction, r, c = model(history, 2)
+        af_loss(prediction, truth, mask, r, c, w_o, w_d).backward()
+        for name, parameter in model.named_parameters():
+            assert parameter.grad is not None, name
+            assert parameter.grad.dtype == np.float32, name

@@ -29,6 +29,14 @@ class TestTrainer:
         assert len(result.val_losses) >= 2
         assert result.best_val_loss <= result.val_losses[0] + 1e-9
 
+    def test_engine_option_removed(self):
+        """Training runs eagerly only: the old engine selector is no
+        longer an option, and passing it fails loudly."""
+        from repro.experiments import MethodBudget
+        for make in (TrainConfig, MethodBudget):
+            with pytest.raises(TypeError, match="engine"):
+                make(engine="eager")
+
     def test_early_stopping(self, windows, split, rng):
         model = BasicFramework(12, 12, 7, rng, rank=2, encoder_dim=4,
                                hidden_dim=6)

@@ -344,31 +344,6 @@ class TestDataParallelUnits:
 
 
 class TestTrainerIntegration:
-    def test_non_eager_engine_forced_back_with_warning(
-            self, plan, proximity, sequence):
-        model = _model(proximity, sequence.n_buckets)
-        execution = ShardedExecution(plan, mode="blocked")
-        with pytest.warns(RuntimeWarning, match="eager"):
-            trainer = Trainer(model, _loss(proximity),
-                              TrainConfig(engine="replay"),
-                              sharding=execution)
-        assert trainer.config.engine == "eager"
-        assert len(trainer.data_parallel_units()) \
-            == plan.n_origin_shards + plan.n_dest_shards
-
-    def test_forced_eager_leaves_caller_config_alone(
-            self, plan, proximity, sequence):
-        """A config reused for a later dense trainer keeps its engine."""
-        config = TrainConfig(engine="replay")
-        with pytest.warns(RuntimeWarning, match="eager"):
-            Trainer(_model(proximity, sequence.n_buckets),
-                    _loss(proximity), config,
-                    sharding=ShardedExecution(plan, mode="blocked"))
-        assert config.engine == "replay"
-        dense = Trainer(_model(proximity, sequence.n_buckets),
-                        _loss(proximity), config)
-        assert dense.config.engine == "replay"
-
     def test_model_without_hook_rejected(self, plan, proximity,
                                          sequence):
         n = proximity.shape[0]
