@@ -7,9 +7,10 @@ Five checks at smoke scale (see docs/SERVING.md), results recorded in
 1. **Parity** — a forecast served through the full stack (registry ->
    checksummed checkpoint -> inference tape -> response cache) must be
    bit-identical to calling ``forecast_latest`` on the fitted
-   forecaster directly, through the replay inference engine, cold and
-   warm.  Any divergence means the serving path no
-   longer computes what the paper's model computes.
+   forecaster directly, cold and warm, and at least one of those
+   forwards must have replayed a captured inference tape.  Any
+   divergence means the serving path no longer computes what the
+   paper's model computes.
 2. **Cache speedup** — a response-cache hit must be at least
    ``MIN_CACHE_SPEEDUP``x faster than a cold (cache-cleared, warm-tape)
    forward; the cache is the first rung of the degradation ladder and
@@ -55,7 +56,7 @@ from repro.histograms.histogram import HistogramSpec
 from repro.histograms.tensor_builder import ODTensorSequence
 from repro.serve import (ForecastRequest, ForecastResponse,
                          ForecastService, ForecastWorkerPool, ModelKey,
-                         ServeConfig, ShedError)
+                         ShedError)
 from repro.serve_shm import leaked_segments, slot_bytes_for
 
 S, H = 4, 2
@@ -82,8 +83,8 @@ def _fit():
     return data, budget, forecaster
 
 
-def _service(engine, data, budget, path, key):
-    service = ForecastService(ServeConfig(engine=engine))
+def _service(data, budget, path, key):
+    service = ForecastService()
     service.register(key, path,
                      lambda: make_bf(data, budget).model)
     return service
@@ -94,7 +95,7 @@ def check_parity(data, budget, forecaster, path, key):
     failures = []
     t = data.sequence.n_intervals
     tails = [data.sequence.slice(0, t - i) for i in range(3)]
-    service = _service("replay", data, budget, path, key)
+    service = _service(data, budget, path, key)
     for repeat in range(2):                  # cold pass, then warm pass
         for tail in tails:
             direct = forecast_latest(forecaster, tail, S, H)
@@ -104,13 +105,19 @@ def check_parity(data, budget, forecaster, path, key):
                     f"replay serving diverged from forecast_latest "
                     f"(repeat {repeat}, max abs diff "
                     f"{np.abs(served - direct).max():.3e})")
+    replays = service.stats()["engines"][str(key)]["replays"]
     service.close()
-    return {"replay": not failures, "windows": len(tails)}, failures
+    # The first window captures the tape; the next windows must replay
+    # it, or the gate would compare eager forwards only.
+    if replays < 1:
+        failures.append("parity check never replayed an inference tape")
+    return {"replay": not failures, "windows": len(tails),
+            "replays": replays}, failures
 
 
 def check_cache_speedup(data, budget, path, key):
     """Best-of-N cache hit vs cold (cache-cleared, warm-tape) forward."""
-    service = _service("replay", data, budget, path, key)
+    service = _service(data, budget, path, key)
     request = ForecastRequest(key, data.sequence, S, H)
     service.forecast_one(request)            # capture tape + fill cache
     cold_s = hit_s = float("inf")
@@ -139,7 +146,7 @@ def check_cache_speedup(data, budget, path, key):
 
 def check_throughput(data, budget, path, key):
     """Forecasts/sec and latency percentiles over a mixed stream."""
-    service = _service("replay", data, budget, path, key)
+    service = _service(data, budget, path, key)
     t = data.sequence.n_intervals
     requests = [
         ForecastRequest(key, data.sequence.slice(0, t - i % N_TAILS), S, H)

@@ -32,7 +32,7 @@ Fallback rules (see docs/EXECUTION.md):
   for good — the eagerly-computed prediction of the failed capture is
   still returned;
 * a signature change (new batch shape, horizon, dtype) simply captures a
-  new tape; :meth:`InferenceEngine.invalidate` drops all tapes.
+  new tape.
 """
 
 from __future__ import annotations
@@ -192,15 +192,6 @@ class InferenceEngine:
         return np.array(prediction.data, copy=True)
 
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop every tape (call after hot-reloading the model weights).
-
-        Thunks re-read parameter arrays in place, so tapes usually
-        survive a ``load_state_dict`` — but serving correctness must not
-        ride on that: a reloaded model pays one re-capture instead.
-        """
-        self._tapes.clear()
-
     def arena_nbytes(self) -> int:
         return sum(t.arena_nbytes() for t in self._tapes.values())
 

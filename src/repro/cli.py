@@ -175,7 +175,7 @@ def cmd_serve(args) -> int:
     from .forecast import tail_slice
     from .persistence import save_checkpoint
     from .serve import (ForecastRequest, ForecastService,
-                        ForecastWorkerPool, ModelKey, ServeConfig)
+                        ForecastWorkerPool, ModelKey)
 
     dataset = _build_dataset(args)
     data = prepare(dataset, s=args.s, h=args.h)
@@ -197,13 +197,12 @@ def cmd_serve(args) -> int:
         telemetry = TelemetryLogger(args.telemetry,
                                     run_id=f"serve-{args.city}")
     key = ModelKey(args.city, "demo")
-    config = ServeConfig(engine=args.engine)
 
     def builder():
         return make_bf(data, budget).model
 
     def factory():
-        service = ForecastService(config, telemetry=telemetry)
+        service = ForecastService(telemetry=telemetry)
         service.register(key, path, builder)
         return service
 
@@ -275,7 +274,6 @@ def cmd_info(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .serve import SERVE_ENGINES
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the result rows as JSON")
     compare.add_argument("--telemetry", default=None, metavar="FILE",
                          help="append JSONL run events to FILE "
-                              "(see docs/CHECKPOINTING.md)")
+                              "(see docs/TELEMETRY.md)")
     compare.add_argument("--artifact-dir", default=None, metavar="DIR",
                          help="persist per-method results in DIR and "
                               "skip already-completed methods on rerun")
@@ -332,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batches", type=int, default=8)
     serve.add_argument("--requests", type=int, default=50,
                        help="number of forecast-now requests to replay")
-    serve.add_argument("--engine", default="replay",
-                       choices=SERVE_ENGINES,
-                       help="inference executor for loaded models "
-                            "(forward-only tapes; see docs/SERVING.md)")
     serve.add_argument("--workers", type=int, default=0,
                        help="serve through this many fork-isolated "
                             "worker processes (0 = in-process)")
@@ -352,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: a temp dir)")
     serve.add_argument("--telemetry", default=None, metavar="FILE",
                        help="append JSONL serve events to FILE "
-                            "(see docs/SERVING.md)")
+                            "(see docs/TELEMETRY.md)")
     serve.set_defaults(fn=cmd_serve)
 
     info = sub.add_parser("info", help="version and subsystem summary")

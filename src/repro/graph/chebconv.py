@@ -121,11 +121,8 @@ class GraphPool(Module):
     """
 
     def __init__(self, coarsening: Coarsening, levels: int,
-                 start_level: int = 0, mode: str = "mean",
-                 node_axis: int = -2):
+                 start_level: int = 0, node_axis: int = -2):
         super().__init__()
-        if mode != "mean":
-            raise ValueError(f"mode must be 'mean', got {mode}")
         if levels < 1 or start_level < 0 \
                 or start_level + levels > coarsening.levels:
             raise ValueError(

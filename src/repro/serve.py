@@ -1,4 +1,4 @@
-"""Long-running forecast serving: registry, cache, batching, workers.
+"""Long-running forecast serving: registry, cache, workers.
 
 The experiment harness answers "how good is the model?"; this module
 answers production's question — *given everything observed up to now,
@@ -19,10 +19,8 @@ four layers on top of the :mod:`repro.forecast` facade:
    skip graph construction entirely.
 3. :class:`ForecastService` — per-request contract validation, an LRU
    :class:`ResponseCache` keyed on (model key, window signature,
-   horizon), micro-batching of concurrent same-model queries
-   (:meth:`ForecastService.submit` coalesces submissions within
-   ``batch_window`` seconds into one batched forward, split back per
-   caller), and per-request JSONL telemetry.
+   horizon), one model forward per cache miss, and per-request JSONL
+   telemetry.
 4. :class:`ForecastWorkerPool` — fork-isolated serving processes (the
    fault-isolation pattern of ``experiments.runner``): a request that
    hangs or kills its worker is timed out, the worker respawned, the
@@ -43,10 +41,8 @@ worker (ring walk) -> stale cached answer (``degraded=True``,
 fast-fail outside the ladder: it consumes no retry and serves no stale
 answer.
 
-See ``docs/SERVING.md`` for the operational guide and the telemetry
-event schema (``model_load/model_reload/model_evict/model_error/
-serve_request/worker_spawn/worker_death/serve_shed/transport_fallback/
-serve_queue_depth``).
+See ``docs/SERVING.md`` for the operational guide and
+``docs/TELEMETRY.md`` for the events this module emits.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import multiprocessing
-import queue
 import threading
 import time
 import warnings
@@ -93,11 +88,6 @@ __all__ = [
     "window_signature",
 ]
 
-#: Engine names a loaded model can execute with ("eager" bypasses the
-#: inference tapes entirely; "replay" wraps the model in an
-#: :class:`InferenceEngine`).
-SERVE_ENGINES = ("eager", "replay")
-
 #: Data-plane transports for :class:`ForecastWorkerPool` ("shm" ships
 #: array bytes through a per-worker shared-memory slot ring and falls
 #: back per request when a payload does not fit; "pickle" forces the
@@ -118,44 +108,19 @@ class ModelKey:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Operational knobs for the service (all layers share one config)."""
+    """Operational knobs for the registry and the service.  The worker
+    pool takes its own (timeout, retries, transport) as arguments."""
 
-    #: Execution engine for loaded models (see :data:`SERVE_ENGINES`).
-    engine: str = "replay"
     #: Loaded models kept in memory; least-recently-served is evicted.
     max_models: int = 8
     #: Response-cache entries; 0 disables the cache.
     cache_size: int = 256
-    #: When set, cached forecasts expire at the next wall-clock
-    #: boundary of this many minutes (the OD tensor interval clock):
-    #: a forecast cached at 10:07 with 15-minute intervals dies at
-    #: 10:15, when the next interval's data can first arrive.  None
-    #: keeps entries until LRU eviction (the historical behaviour).
-    cache_interval_minutes: Optional[float] = None
-    #: Seconds :meth:`ForecastService.submit` waits to coalesce
-    #: concurrent requests into one batched forward.
-    batch_window: float = 0.002
-    #: Hard ceiling on coalesced batch size.
-    max_batch: int = 32
-    #: Per-request worker timeout (seconds); None waits forever.
-    request_timeout: Optional[float] = 30.0
-    #: Worker attempts per request beyond the first (respawn + retry).
-    retries: int = 1
     #: Degrade to the last known answer instead of failing outright.
     stale_ok: bool = True
 
     def __post_init__(self):
-        if self.engine not in SERVE_ENGINES:
-            raise ValueError(
-                f"engine must be one of {SERVE_ENGINES}, got "
-                f"{self.engine!r}")
         if self.max_models < 1:
             raise ValueError("max_models must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.cache_interval_minutes is not None \
-                and self.cache_interval_minutes <= 0:
-            raise ValueError("cache_interval_minutes must be positive")
 
 
 class ModelUnavailableError(RuntimeError):
@@ -190,23 +155,9 @@ class LoadedModel:
 
     key: ModelKey
     model: Module
-    engine: Optional[InferenceEngine]
+    engine: InferenceEngine
     epoch: int
     fingerprint: Tuple[int, int, int]
-
-    def predict(self, histories: np.ndarray, horizon: int) -> np.ndarray:
-        """``(B, h, N, N', K)`` prediction for a batch of histories."""
-        if self.engine is not None:
-            return self.engine.predict(histories, horizon)
-        was_training = bool(self.model.training)
-        if was_training:
-            self.model.eval()
-        try:
-            prediction, _, _ = self.model(histories, horizon)
-        finally:
-            if was_training:
-                self.model.train()
-        return prediction.numpy()
 
 
 class ModelRegistry:
@@ -233,16 +184,10 @@ class ModelRegistry:
         self.errors = 0
 
     def register(self, key: ModelKey, checkpoint_path,
-                 builder: Callable[[], Module],
-                 warm: Optional[Tuple[int, int]] = None) -> None:
+                 builder: Callable[[], Module]) -> None:
         """Announce a deployment.  Re-registering a key drops any loaded
-        instance (the next request reloads from the new path).
-
-        ``warm=(s, horizon)`` captures the inference tape at load and
-        hot-reload time with an all-zeros ``(1, s, N, N', K)`` history,
-        so the first real request replays a warm tape instead of paying
-        the capture cost (BENCH_SERVE.json's cold-capture p99)."""
-        self._registered[key] = (Path(checkpoint_path), builder, warm)
+        instance (the next request reloads from the new path)."""
+        self._registered[key] = (Path(checkpoint_path), builder)
         self._loaded.pop(key, None)
 
     def keys(self) -> List[ModelKey]:
@@ -264,7 +209,7 @@ class ModelRegistry:
         entry = self._registered.get(key)
         if entry is None:
             raise ModelUnavailableError(key, "not registered")
-        path, builder, warm = entry
+        path, builder = entry
         try:
             fingerprint = self._fingerprint(path)
         except OSError as exc:
@@ -282,7 +227,7 @@ class ModelRegistry:
         # Drop first: between here and a successful load there is no
         # instance, so a corrupt rewrite can never serve stale weights.
         self._loaded.pop(key, None)
-        loaded = self._load(key, path, builder, fingerprint, reload, warm)
+        loaded = self._load(key, path, builder, fingerprint, reload)
         self._loaded[key] = loaded
         while len(self._loaded) > self.config.max_models:
             evicted, _ = self._loaded.popitem(last=False)
@@ -291,8 +236,7 @@ class ModelRegistry:
         return loaded
 
     def _load(self, key: ModelKey, path: Path, builder, fingerprint,
-              reload: bool,
-              warm: Optional[Tuple[int, int]] = None) -> LoadedModel:
+              reload: bool) -> LoadedModel:
         start = time.perf_counter()
         try:
             model = builder()
@@ -306,40 +250,14 @@ class ModelRegistry:
             raise ModelUnavailableError(
                 key, f"checkpoint rejected: {exc}") from exc
         model.eval()
-        engine = None
-        if self.config.engine != "eager":
-            engine = InferenceEngine(model)
-            if warm is not None:
-                self._warm(key, model, engine, warm)
         self.loads += 1
         self.reloads += int(reload)
         emit(self.telemetry, "model_reload" if reload else "model_load",
              key=str(key), path=str(path), epoch=checkpoint.epoch,
              seconds=time.perf_counter() - start)
-        return LoadedModel(key=key, model=model, engine=engine,
+        return LoadedModel(key=key, model=model,
+                           engine=InferenceEngine(model),
                            epoch=checkpoint.epoch, fingerprint=fingerprint)
-
-    def _warm(self, key: ModelKey, model: Module,
-              engine: InferenceEngine,
-              warm: Tuple[int, int]) -> None:
-        """Capture the inference tape with a synthetic all-zeros window.
-
-        Best-effort: a model whose architecture the zeros window does
-        not fit must still load and serve, so failures are reported as
-        telemetry, never raised."""
-        s, horizon = warm
-        start = time.perf_counter()
-        try:
-            shape = (1, int(s), model.n_origins, model.n_destinations,
-                     model.n_buckets)
-            engine.predict(np.zeros(shape), int(horizon))
-        except Exception as exc:
-            emit(self.telemetry, "model_warm_error", key=str(key),
-                 error=f"{type(exc).__name__}: {exc}")
-            return
-        emit(self.telemetry, "model_warm", key=str(key), s=int(s),
-             horizon=int(horizon),
-             seconds=time.perf_counter() - start)
 
     def stats(self) -> Dict[str, int]:
         return {"registered": len(self._registered),
@@ -356,50 +274,24 @@ class ResponseCache:
 
     Stores and returns *copies*: a cached answer must stay bit-identical
     to the forward that produced it even if a caller mutates what it was
-    handed.
-
-    With ``interval_minutes`` set, entries carry an expiry aligned to
-    the OD tensor interval clock: every entry cached inside one
-    wall-clock interval dies at that interval's *end* — the first
-    moment the next interval's data can exist and make the answer
-    stale.  ``clock`` is injectable for tests (defaults to
-    :func:`time.time`).
+    handed.  Entries never expire: the key pins the exact input window,
+    so an entry can only ever hold the answer a fresh forward would give
+    (a hot reload drops the model's entries, see
+    :meth:`invalidate_model`), and the LRU bound caps memory.
     """
 
-    def __init__(self, max_entries: int = 256,
-                 interval_minutes: Optional[float] = None,
-                 clock: Callable[[], float] = time.time):
-        if interval_minutes is not None and interval_minutes <= 0:
-            raise ValueError("interval_minutes must be positive")
+    def __init__(self, max_entries: int = 256):
         self.max_entries = int(max_entries)
-        self.interval_minutes = interval_minutes
-        self.clock = clock
-        self._entries: \
-            "OrderedDict[tuple, Tuple[Optional[float], np.ndarray]]" \
-            = OrderedDict()
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.expired = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _expiry(self) -> Optional[float]:
-        """End of the current wall-clock interval, or None (no TTL)."""
-        if self.interval_minutes is None:
-            return None
-        period = self.interval_minutes * 60.0
-        return (int(self.clock() // period) + 1) * period
-
     def get(self, key: tuple) -> Optional[np.ndarray]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        expires_at, prediction = entry
-        if expires_at is not None and self.clock() >= expires_at:
-            del self._entries[key]
-            self.expired += 1
+        prediction = self._entries.get(key)
+        if prediction is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -409,8 +301,7 @@ class ResponseCache:
     def put(self, key: tuple, prediction: np.ndarray) -> None:
         if self.max_entries <= 0:
             return
-        self._entries[key] = (self._expiry(),
-                              np.array(prediction, copy=True))
+        self._entries[key] = np.array(prediction, copy=True)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -427,7 +318,7 @@ class ResponseCache:
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "expired": self.expired}
+                "misses": self.misses}
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +355,6 @@ class ForecastResponse:
     prediction: Optional[np.ndarray]
     cache: str = "miss"            # "hit" | "miss" | "stale"
     seconds: float = 0.0
-    batch: int = 1                 # coalesced batch size for this forward
     degraded: bool = False
     error: Optional[str] = None
     #: The forward also loaded its model or captured an inference tape,
@@ -476,26 +366,16 @@ class ForecastResponse:
         return self.error is None
 
 
-class _Pending:
-    """A submitted request waiting for the micro-batcher."""
-
-    __slots__ = ("request", "event", "response")
-
-    def __init__(self, request: ForecastRequest):
-        self.request = request
-        self.event = threading.Event()
-        self.response: Optional[ForecastResponse] = None
-
-
 # ----------------------------------------------------------------------
 # the service
 # ----------------------------------------------------------------------
 class ForecastService:
-    """Registry + cache + micro-batching behind one ``forecast`` call.
+    """Registry + cache + inference tapes behind one ``forecast`` call.
 
-    Thread-safe: concurrent callers (and the micro-batch thread) are
-    serialized around the registry/cache; the win from batching is one
-    model forward for many requests, not parallel forwards.
+    Each request runs on its own: validate the window, fetch the model,
+    answer from the cache or run one forward, check it finite, cache
+    it.  Thread-safe: concurrent callers are serialized around the
+    registry, the cache and the tapes.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None,
@@ -506,20 +386,16 @@ class ForecastService:
         self.telemetry = telemetry
         self.policy = policy
         self.registry = registry or ModelRegistry(self.config, telemetry)
-        self.cache = ResponseCache(
-            self.config.cache_size,
-            interval_minutes=self.config.cache_interval_minutes)
+        self.cache = ResponseCache(self.config.cache_size)
         self.requests = 0
         self._versions: Dict[ModelKey, tuple] = {}
         self._last: Dict[Tuple[ModelKey, int], np.ndarray] = {}
-        self._lock = threading.RLock()
-        self._batcher: Optional[_MicroBatcher] = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def register(self, key: ModelKey, checkpoint_path,
-                 builder: Callable[[], Module],
-                 warm: Optional[Tuple[int, int]] = None) -> None:
-        self.registry.register(key, checkpoint_path, builder, warm=warm)
+                 builder: Callable[[], Module]) -> None:
+        self.registry.register(key, checkpoint_path, builder)
 
     def forecast(self, key: ModelKey, sequence: ODTensorSequence, s: int,
                  horizon: int) -> np.ndarray:
@@ -532,104 +408,54 @@ class ForecastService:
 
     def forecast_one(self, request: ForecastRequest) -> ForecastResponse:
         """One request -> one response (errors reported, not raised)."""
-        return self.forecast_many([request])[0]
-
-    def forecast_many(self, requests: List[ForecastRequest]
-                      ) -> List[ForecastResponse]:
-        """Serve a batch: same-model misses coalesce into one forward.
-
-        Requests are grouped by (key, s, horizon, input shape/dtype);
-        within a group, cache hits are answered immediately and the
-        remaining histories are stacked into a single batched forward
-        and split back per caller.  Response order matches request
-        order.
-        """
         with self._lock:
-            return self._forecast_many(requests)
-
-    def _forecast_many(self, requests: List[ForecastRequest]
-                       ) -> List[ForecastResponse]:
-        responses: List[Optional[ForecastResponse]] = [None] * len(requests)
-        groups: Dict[tuple, List[tuple]] = {}
-        for i, request in enumerate(requests):
             self.requests += 1
-            start = time.perf_counter()
-            try:
-                history = latest_history(request.sequence, request.s,
-                                         self.policy)[None]
-            except (ValueError, ContractViolation) as exc:
-                responses[i] = self._done(request, ForecastResponse(
-                    request.key, request.horizon, None,
-                    seconds=time.perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}"))
-                continue
-            group = (request.key, request.s, request.horizon,
-                     history.shape, history.dtype.str)
-            groups.setdefault(group, []).append((i, start, history))
-        for (key, s, horizon, _, _), members in groups.items():
-            self._serve_group(key, s, horizon, members, requests,
-                              responses)
-        return responses
+            response = self._serve(request, time.perf_counter())
+            emit(self.telemetry, "serve_request", key=str(request.key),
+                 s=request.s, horizon=request.horizon,
+                 cache=response.cache, seconds=response.seconds,
+                 degraded=response.degraded, error=response.error)
+        return response
 
-    def _serve_group(self, key: ModelKey, s: int, horizon: int,
-                     members, requests, responses) -> None:
+    def _serve(self, request: ForecastRequest,
+               start: float) -> ForecastResponse:
+        key, horizon = request.key, request.horizon
+        try:
+            history = latest_history(request.sequence, request.s,
+                                     self.policy)[None]
+        except (ValueError, ContractViolation) as exc:
+            return ForecastResponse(
+                key, horizon, None, seconds=time.perf_counter() - start,
+                error=f"{type(exc).__name__}: {exc}")
+        signature = window_signature(history)
         loads = self.registry.loads
         try:
             loaded = self.registry.get(key)
         except ModelUnavailableError as exc:
-            for i, start, history in members:
-                responses[i] = self._degrade(
-                    requests[i], window_signature(history), start,
-                    str(exc))
-            return
+            return self._degrade(request, signature, start, str(exc))
         # A hot-reload changed the weights: answers cached from the
         # previous instance must never be served again.
         if self._versions.get(key) != loaded.fingerprint:
             self.cache.invalidate_model(key)
             self._versions[key] = loaded.fingerprint
-        misses: List[tuple] = []
-        for i, start, history in members:
-            signature = window_signature(history)
-            cached = self.cache.get((key, signature, horizon))
-            if cached is not None:
-                responses[i] = self._done(requests[i], ForecastResponse(
-                    key, horizon, cached, cache="hit",
-                    seconds=time.perf_counter() - start))
-            else:
-                misses.append((i, start, history, signature))
-        cold = self.registry.loads > loads
-        for chunk_start in range(0, len(misses), self.config.max_batch):
-            chunk = misses[chunk_start:chunk_start + self.config.max_batch]
-            self._forward_chunk(loaded, key, horizon, chunk, requests,
-                                responses, cold)
-            cold = False
-
-    def _forward_chunk(self, loaded: LoadedModel, key: ModelKey,
-                       horizon: int, chunk, requests, responses,
-                       cold: bool = False) -> None:
-        histories = np.concatenate([history for _, _, history, _ in chunk])
-        captures = 0 if loaded.engine is None else loaded.engine.captures
+        cached = self.cache.get((key, signature, horizon))
+        if cached is not None:
+            return ForecastResponse(key, horizon, cached, cache="hit",
+                                    seconds=time.perf_counter() - start)
+        captures = loaded.engine.captures
         try:
-            batch = loaded.predict(histories, horizon)
-            for row, (i, _, _, _) in enumerate(chunk):
-                check_finite(batch[row], "prediction", "serve",
-                             self.policy)
+            prediction = loaded.engine.predict(history, horizon)[0]
+            check_finite(prediction, "prediction", "serve", self.policy)
         except Exception as exc:    # noqa: BLE001 - degrade, don't die
-            for i, start, history, signature in chunk:
-                responses[i] = self._degrade(
-                    requests[i], signature, start,
-                    f"{type(exc).__name__}: {exc}")
-            return
-        if loaded.engine is not None and loaded.engine.captures > captures:
-            cold = True
-        for row, (i, start, history, signature) in enumerate(chunk):
-            prediction = np.array(batch[row], copy=True)
-            self.cache.put((key, signature, horizon), prediction)
-            self._last[(key, horizon)] = prediction
-            responses[i] = self._done(requests[i], ForecastResponse(
-                key, horizon, prediction, cache="miss",
-                seconds=time.perf_counter() - start, batch=len(chunk),
-                cold=cold))
+            return self._degrade(request, signature, start,
+                                 f"{type(exc).__name__}: {exc}")
+        self.cache.put((key, signature, horizon), prediction)
+        self._last[(key, horizon)] = prediction
+        cold = (self.registry.loads > loads
+                or loaded.engine.captures > captures)
+        return ForecastResponse(key, horizon, prediction, cache="miss",
+                                seconds=time.perf_counter() - start,
+                                cold=cold)
 
     def _degrade(self, request: ForecastRequest, signature: str,
                  start: float, error: str) -> ForecastResponse:
@@ -641,115 +467,24 @@ class ForecastService:
                 last = self._last.get((request.key, request.horizon))
                 stale = None if last is None else last.copy()
             if stale is not None:
-                return self._done(request, ForecastResponse(
+                return ForecastResponse(
                     request.key, request.horizon, stale, cache="stale",
-                    seconds=time.perf_counter() - start, degraded=True))
-        return self._done(request, ForecastResponse(
+                    seconds=time.perf_counter() - start, degraded=True)
+        return ForecastResponse(
             request.key, request.horizon, None,
-            seconds=time.perf_counter() - start, error=error))
-
-    def _done(self, request: ForecastRequest,
-              response: ForecastResponse) -> ForecastResponse:
-        emit(self.telemetry, "serve_request", key=str(request.key),
-             s=request.s, horizon=request.horizon, cache=response.cache,
-             seconds=response.seconds, batch=response.batch,
-             degraded=response.degraded, error=response.error)
-        return response
-
-    # ------------------------------------------------------------------
-    def submit(self, request: ForecastRequest) -> _Pending:
-        """Async entry: queue a request for micro-batched execution.
-
-        Concurrent submissions for the same model landing within
-        ``config.batch_window`` seconds run as one batched forward; the
-        returned handle resolves via :meth:`result`.
-        """
-        with self._lock:
-            if self._batcher is None:
-                self._batcher = _MicroBatcher(self)
-        return self._batcher.submit(request)
-
-    def result(self, pending: _Pending,
-               timeout: Optional[float] = None) -> ForecastResponse:
-        """Block until a submitted request is answered."""
-        if not pending.event.wait(timeout):
-            raise TimeoutError("forecast not ready within timeout")
-        return pending.response
+            seconds=time.perf_counter() - start, error=error)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        engines: Dict[str, object] = {}
-        for key, loaded in self.registry._loaded.items():
-            if loaded.engine is not None:
-                engines[str(key)] = loaded.engine.stats()
+        engines = {str(key): loaded.engine.stats()
+                   for key, loaded in self.registry._loaded.items()}
         return {"requests": self.requests, "cache": self.cache.stats(),
                 "registry": self.registry.stats(), "engines": engines}
 
     def close(self) -> None:
-        with self._lock:
-            batcher, self._batcher = self._batcher, None
-        if batcher is not None:
-            batcher.close()
-
-
-class _MicroBatcher:
-    """Coalesces concurrent submissions into batched forwards.
-
-    One daemon thread drains the submission queue: the first request
-    opens a window of ``batch_window`` seconds; everything arriving
-    before it closes (up to ``max_batch``) is served by a single
-    :meth:`ForecastService.forecast_many` call.
-    """
-
-    def __init__(self, service: ForecastService):
-        self.service = service
-        self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-serve-batcher", daemon=True)
-        self._thread.start()
-
-    def submit(self, request: ForecastRequest) -> _Pending:
-        pending = _Pending(request)
-        self._queue.put(pending)
-        return pending
-
-    def close(self) -> None:
-        self._queue.put(None)
-        self._thread.join(timeout=5.0)
-
-    def _loop(self) -> None:
-        config = self.service.config
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            batch = [item]
-            deadline = time.monotonic() + config.batch_window
-            stop = False
-            while len(batch) < config.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
-            try:
-                responses = self.service.forecast_many(
-                    [p.request for p in batch])
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                responses = [ForecastResponse(
-                    p.request.key, p.request.horizon, None,
-                    error=f"{type(exc).__name__}: {exc}") for p in batch]
-            for pending, response in zip(batch, responses):
-                pending.response = response
-                pending.event.set()
-            if stop:
-                return
+        """Nothing to release (no threads, no processes); kept so an
+        in-process service and a :class:`ForecastWorkerPool` shut down
+        alike."""
 
 
 # ----------------------------------------------------------------------
@@ -848,14 +583,13 @@ class ForecastWorkerPool:
 
     Reuses the fork-pool fault-isolation pattern of
     ``experiments.runner``: each worker is a forked process owning a
-    full :class:`ForecastService` (built by ``service_factory``).  With
-    ``affinity`` on (the default), requests for one model key always
-    land on ``crc32(key) % n_workers``, so each worker's registry,
-    inference tape, and response cache stay hot for the keys it owns
-    instead of every worker cold-loading every model; retries step to
-    the next slot so a wedged owner cannot blackhole its keys.
-    ``affinity=False`` restores round-robin dispatch.  Only the last
-    ``s`` intervals of the sequence are shipped (O(s) payload).
+    full :class:`ForecastService` (built by ``service_factory``).
+    Requests for one model key always land on ``crc32(key) %
+    n_workers``, so each worker's registry, inference tape, and response
+    cache stay hot for the keys it owns instead of every worker
+    cold-loading every model; retries step to the next slot so a wedged
+    owner cannot blackhole its keys.  Only the last ``s`` intervals of
+    the sequence are shipped (O(s) payload).
 
     **Data plane** (``transport="shm"``, the default): each worker owns
     a :class:`~repro.serve_shm.ShmRing` — request windows are written
@@ -885,7 +619,6 @@ class ForecastWorkerPool:
                  n_workers: int = 2,
                  request_timeout: Optional[float] = 30.0,
                  retries: int = 1, stale_ok: bool = True,
-                 affinity: bool = True,
                  transport: str = "shm",
                  slot_bytes: int = DEFAULT_SLOT_BYTES,
                  ring_slots: int = 2,
@@ -905,7 +638,6 @@ class ForecastWorkerPool:
         self.request_timeout = request_timeout
         self.retries = int(retries)
         self.stale_ok = bool(stale_ok)
-        self.affinity = bool(affinity)
         self.slot_bytes = int(slot_bytes)
         self.ring_slots = int(ring_slots)
         self.telemetry = telemetry
@@ -924,7 +656,6 @@ class ForecastWorkerPool:
                                               max_inflight=max_inflight)
         self._last: Dict[Tuple[ModelKey, int], np.ndarray] = {}
         self._request_ids = itertools.count(1)
-        self._next = 0
         self._workers: List[Optional[tuple]] = [None] * n_workers
         self._locks = [threading.Lock() for _ in range(n_workers)]
         self._closed = False
@@ -996,12 +727,7 @@ class ForecastWorkerPool:
         caches affinity exists to protect.  Retries walk to the
         neighbouring slots."""
         n = len(self._workers)
-        if not self.affinity:       # round-robin advances per attempt
-            slot = self._next
-            self._next = (self._next + 1) % n
-            return slot
-        base = zlib.crc32(str(key).encode()) % n
-        return (base + attempt) % n
+        return (zlib.crc32(str(key).encode()) + attempt) % n
 
     def _shed(self, request: ForecastRequest, slot: int,
               exc: ShedError) -> None:

@@ -14,47 +14,9 @@ This module provides a tiny, dependency-free event log:
   accept an optional hook without caring what is behind it.
 * :func:`read_events` loads a JSONL file back into dicts.
 
-Event schema (stable; documented in ``docs/CHECKPOINTING.md``)
---------------------------------------------------------------
-``fit_start``     ``epochs, n_train, n_val``
-``epoch``         ``epoch, train_loss, val_loss, lr, grad_norm,``
-                  ``seconds, peak_rss_mb`` (grad_norm = mean pre-clip
-                  global L2 norm over the epoch's batches)
-``checkpoint``    ``epoch, path``
-``early_stop``    ``epoch, stall``
-``divergence``    ``epoch, val_loss``
-``fit_end``       ``epochs_run, best_epoch, best_val_loss, seconds``
-``method_start``  ``method``
-``method_end``    ``method, fit_seconds, attempt``
-``method_fail``   ``method, error, attempt``
-``method_skip``   ``method, reason`` (artifact-dir resume)
-
-Robustness events (see ``docs/ROBUSTNESS.md``)
-----------------------------------------------
-``nonfinite_grad``       ``epoch, batch, grad_norm, action, lr``
-``checkpoint_fallback``  ``path, fallback, error`` (corrupt rolling
-                         checkpoint; resumed from best.npz or fresh)
-``contract_repair``      ``boundary, kind, ...`` (what a data contract
-                         fixed in place, e.g. ``n_cells`` renormalized)
-``contract_quarantine``  ``boundary, kind, n_cells`` (observed cells
-                         whose histograms were unusable; mask cleared)
-
-Serving events (see ``docs/SERVING.md``)
-----------------------------------------
-``serve_request``        ``key, s, horizon, cache, seconds, batch,``
-                         ``degraded, error``
-``worker_spawn``         ``slot, pid, transport`` / ``worker_death``
-                         adds ``reason``
-``serve_degraded``       ``key, horizon, error`` (stale answer served)
-``serve_shed``           ``key, slot, reason, queue_depth,``
-                         ``max_inflight, ewma_ms`` (admission control
-                         refused the request; ``ShedError`` raised)
-``transport_fallback``   ``slot, reason, direction`` (a payload rode
-                         the pickled pipe instead of the shm ring)
-``serve_queue_depth``    ``slot, depth`` (new per-worker high water)
-
-Unknown extra fields may be added over time; consumers should ignore
-fields they do not recognize, and treat the ones above as stable.
+Every event this library emits, with its fields, is listed in one
+table: ``docs/TELEMETRY.md``.  Consumers should ignore fields they do
+not recognize.
 """
 
 from __future__ import annotations

@@ -85,4 +85,4 @@ class TestServeCommand:
 
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.engine == "replay" and args.workers == 0
+        assert args.workers == 0 and not hasattr(args, "engine")

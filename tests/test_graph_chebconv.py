@@ -102,7 +102,7 @@ class TestGraphPool:
         """Mean pooling with count correction equals the true mean over
         real cluster members, despite fake padding."""
         c = coarsen_graph(weights, 1)
-        pool = GraphPool(c, levels=1, mode="mean")
+        pool = GraphPool(c, levels=1)
         x = np.arange(12, dtype=float).reshape(12, 1)
         out = pool(Tensor(x[None])).numpy()[0]
         perm = c.perm
@@ -116,9 +116,9 @@ class TestGraphPool:
     def test_chained_pooling_matches_single(self, weights, rng):
         """Pooling 1 level twice == pooling 2 levels once (mean mode)."""
         c = coarsen_graph(weights, 2)
-        single = GraphPool(c, levels=2, mode="mean")
-        first = GraphPool(c, levels=1, start_level=0, mode="mean")
-        second = GraphPool(c, levels=1, start_level=1, mode="mean")
+        single = GraphPool(c, levels=2)
+        first = GraphPool(c, levels=1, start_level=0)
+        second = GraphPool(c, levels=1, start_level=1)
         x = Tensor(rng.normal(size=(2, 12, 3)))
         combined = second(first(x)).numpy()
         direct = single(x).numpy()
@@ -126,11 +126,6 @@ class TestGraphPool:
         # but with the count correction both are exact when sizes are
         # powers of two; allow small tolerance for mixed-size clusters.
         assert combined.shape == direct.shape
-
-    def test_invalid_mode(self, weights):
-        c = coarsen_graph(weights, 1)
-        with pytest.raises(ValueError):
-            GraphPool(c, levels=1, mode="median")
 
     def test_levels_bounds(self, weights):
         c = coarsen_graph(weights, 1)

@@ -36,7 +36,7 @@ class TestNaiveCoarsening:
         """Mean pooling must average ids (2i, 2i+1) — the spatially
         arbitrary pairing the paper's §V-A2 warns about."""
         c = naive_coarsening(weights, 1)
-        pool = GraphPool(c, levels=1, mode="mean")
+        pool = GraphPool(c, levels=1)
         x = np.arange(13, dtype=float).reshape(13, 1)
         out = pool(Tensor(x[None])).numpy()[0]
         assert out[0, 0] == pytest.approx(0.5)    # mean(0, 1)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import repro.autodiff as autodiff
-from repro.autodiff import (CaptureMismatchWarning, InferenceEngine, Tensor,
-                            detect_anomaly, ops, profile)
+from repro.autodiff import (CaptureMismatchWarning, InferenceEngine, Module,
+                            Tensor, detect_anomaly, ops, profile)
+from repro.autodiff.tensor import _record
 from repro.core import AdvancedFramework, BasicFramework
 
 
@@ -155,30 +156,6 @@ class TestInferenceEngine:
         assert stats["captures"] == 3
         assert stats["replays"] == 0
 
-    def test_invalidate_forces_recapture(self):
-        model = _bf_model()
-        history = _history(np.random.default_rng(0))
-        engine = InferenceEngine(model)
-        engine.predict(history, 2)
-        engine.predict(history, 2)
-        engine.invalidate()
-        assert engine.stats()["tapes"] == 0
-        engine.predict(history, 2)
-        assert engine.stats()["captures"] == 2
-
-    def test_invalidate_tracks_reloaded_weights(self):
-        """The registry hot-reload path: new weights + invalidate must
-        serve the new model's prediction bit-identically."""
-        model = _bf_model()
-        history = _history(np.random.default_rng(0))
-        engine = InferenceEngine(model)
-        engine.predict(history, 2)
-        for parameter in model.parameters():
-            parameter.data = parameter.data + 0.01
-        engine.invalidate()
-        np.testing.assert_array_equal(engine.predict(history, 2),
-                                      self._eager(model, history))
-
     def test_declines_under_detect_anomaly(self):
         model = _bf_model()
         history = _history(np.random.default_rng(0))
@@ -226,6 +203,43 @@ class TestBitForBitParity:
         assert stats["captures"] == 1
         assert stats["replays"] == 2
         assert stats["eager_steps"] == 0
+
+    def test_replay_rounds_wider_thunk_output_to_captured_dtype(self):
+        """A thunk that computes in float64 under float32 must be rounded
+        back to float32 on replay, as ``Tensor._make`` rounds it on the
+        eager path; otherwise the replayed output, and every op after
+        it, drifts off the eager bits."""
+        third = np.float64(1.0) / 3.0
+
+        def widen(x):
+            # Test-local op: its thunk returns float64 whatever x holds.
+            def run():
+                return x.data.astype(np.float64) * third
+
+            out = Tensor._make(run(), (x,), None)
+            _record(out, run)
+            return out
+
+        class _Widening(Module):
+            def forward(self, histories, horizon):
+                return ops.sigmoid(widen(Tensor(histories))), None, None
+
+        autodiff.set_default_dtype(np.float32)
+        try:
+            model = _Widening()
+            history = _history(np.random.default_rng(0))
+            expected = np.array(model(history, 2)[0].data, copy=True)
+            engine = InferenceEngine(model)
+            outs = [engine.predict(history, 2) for _ in range(3)]
+        finally:
+            autodiff.set_default_dtype(np.float64)
+        assert expected.dtype == np.float32
+        for out in outs:
+            assert out.dtype == np.float32
+            np.testing.assert_array_equal(out, expected)
+        stats = engine.stats()
+        assert stats["captures"] == 1
+        assert stats["replays"] == 2
 
 
 class TestTapeLifecycle:

@@ -9,6 +9,7 @@ forward -> retry -> stale flagged answer -> error response) instead of
 taking the service down.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -46,8 +47,8 @@ def served(dataset, tmp_path_factory):
         builder=lambda: make_bf(data, BUDGET).model)
 
 
-def _service(served, key, telemetry=None, **config):
-    service = ForecastService(ServeConfig(**config), telemetry=telemetry)
+def _service(served, key):
+    service = ForecastService()
     service.register(key, served.path, served.builder)
     return service
 
@@ -150,8 +151,7 @@ class TestResponseCache:
         assert cache.get(("m", "0", 1)) is None          # evicted
         np.testing.assert_array_equal(cache.get(("m", "2", 1)),
                                       np.full(2, 2.0))
-        assert cache.stats() == {"entries": 2, "hits": 1, "misses": 1,
-                                 "expired": 0}
+        assert cache.stats() == {"entries": 2, "hits": 1, "misses": 1}
 
     def test_returns_copies_both_ways(self):
         cache = ResponseCache()
@@ -205,37 +205,21 @@ class TestForecastService:
         assert service.cache.stats()["hits"] == 1
         service.close()
 
-    def test_micro_batched_group_matches_single_requests(self, served):
-        """Same-model misses coalesce into one batched forward; each
-        row must match its own single forward to float-reduction noise
-        (batched matmuls reduce in a different order)."""
-        key = ModelKey("toy")
-        sequence = served.data.sequence
-        t = sequence.n_intervals
-        tails = [sequence.slice(0, t - i) for i in range(3)]
-        singles = [forecast_latest(served.forecaster, tail, S, H)
-                   for tail in tails]
-        service = _service(served, key)
-        responses = service.forecast_many(
-            [ForecastRequest(key, tail, S, H) for tail in tails])
-        assert [r.batch for r in responses] == [3, 3, 3]
-        for response, single in zip(responses, singles):
-            assert response.ok
-            np.testing.assert_allclose(response.prediction, single,
-                                       rtol=0, atol=1e-12)
-        service.close()
-
-    def test_mixed_batch_preserves_order_and_reports_errors(self, served):
+    def test_forecast_one_reports_errors(self, served):
+        """A window too short for ``s`` and an unknown key come back as
+        error responses, not exceptions."""
         key = ModelKey("toy")
         service = _service(served, key)
         sequence = served.data.sequence
-        good = ForecastRequest(key, sequence, S, H)
-        too_short = ForecastRequest(key, sequence.slice(0, 1), S, H)
-        unknown = ForecastRequest(ModelKey("nowhere"), sequence, S, H)
-        responses = service.forecast_many([good, too_short, unknown])
-        assert responses[0].ok and responses[0].prediction is not None
-        assert not responses[1].ok and "ValueError" in responses[1].error
-        assert not responses[2].ok and responses[2].prediction is None
+        good = service.forecast_one(ForecastRequest(key, sequence, S, H))
+        too_short = service.forecast_one(
+            ForecastRequest(key, sequence.slice(0, 1), S, H))
+        unknown = service.forecast_one(
+            ForecastRequest(ModelKey("nowhere"), sequence, S, H))
+        assert good.ok and good.prediction is not None
+        assert not too_short.ok and "ValueError" in too_short.error
+        assert too_short.prediction is None
+        assert not unknown.ok and unknown.prediction is None
         service.close()
 
     def test_hot_reload_never_serves_stale_cache(self, served, tmp_path):
@@ -312,25 +296,6 @@ class TestForecastService:
             service.forecast(key, sequence, S, H)
         service.close()
 
-    def test_submit_coalesces_concurrent_requests(self, served):
-        """Async submissions landing inside one batch window must be
-        answered by a single grouped forecast_many call."""
-        key = ModelKey("toy")
-        service = _service(served, key, batch_window=0.05)
-        sequence = served.data.sequence
-        t = sequence.n_intervals
-        tails = [sequence.slice(0, t - i) for i in range(4)]
-        pendings = [service.submit(ForecastRequest(key, tail, S, H))
-                    for tail in tails]
-        responses = [service.result(p, timeout=30.0) for p in pendings]
-        assert all(r.ok for r in responses)
-        assert max(r.batch for r in responses) > 1   # coalescing happened
-        for response, tail in zip(responses, tails):
-            direct = forecast_latest(served.forecaster, tail, S, H)
-            np.testing.assert_allclose(response.prediction, direct,
-                                       rtol=0, atol=1e-12)
-        service.close()
-
     def test_stats_shape(self, served):
         key = ModelKey("toy")
         service = _service(served, key)
@@ -342,11 +307,26 @@ class TestForecastService:
         assert stats["engines"][str(key)]["captures"] == 1
         service.close()
 
-    def test_engine_validation(self):
-        # A removed engine name must fail loudly, not fall back.
-        for engine in ("gpu", "lowered"):
-            with pytest.raises(ValueError, match="engine"):
-                ServeConfig(engine=engine)
+    def test_removed_options_raise_type_error(self, served):
+        """Removed serving options fail loudly instead of being
+        silently ignored."""
+        assert [f.name for f in dataclasses.fields(ServeConfig)] == \
+            ["max_models", "cache_size", "stale_ok"]
+        for option, value in [("engine", "eager"), ("batch_window", 0.01),
+                              ("max_batch", 4), ("request_timeout", 5.0),
+                              ("retries", 3),
+                              ("cache_interval_minutes", 15.0)]:
+            with pytest.raises(TypeError, match=option):
+                ServeConfig(**{option: value})
+        with pytest.raises(TypeError, match="interval_minutes"):
+            ResponseCache(interval_minutes=15.0)
+        # Argument binding fails before any worker is forked.
+        with pytest.raises(TypeError, match="affinity"):
+            ForecastWorkerPool(ForecastService, n_workers=1,
+                               affinity=False)
+        with pytest.raises(TypeError, match="warm"):
+            ForecastService().register(ModelKey("toy"), served.path,
+                                       served.builder, warm=(S, H))
 
 
 class TestForecastWorkerPool:
@@ -460,71 +440,13 @@ class TestResponseDataclass:
         assert good.ok and not bad.ok
 
 
-class TestResponseCacheTTL:
-    """Interval-aligned expiry: entries die at the 15-minute boundary
-    where the next interval's data can first exist."""
-
-    def _cache(self, start=1000.0, minutes=15.0):
-        now = [start]
-        cache = ResponseCache(interval_minutes=minutes,
-                              clock=lambda: now[0])
-        return cache, now
-
-    def test_hit_before_boundary_expired_after(self):
-        cache, now = self._cache(start=1000.0)    # boundary at 1800
-        cache.put(("m", "sig", 1), np.ones(2))
-        now[0] = 1799.9
-        assert cache.get(("m", "sig", 1)) is not None
-        now[0] = 1800.0
-        assert cache.get(("m", "sig", 1)) is None
-        stats = cache.stats()
-        assert stats["expired"] == 1
-        assert stats["entries"] == 0              # expired entry removed
-
-    def test_expiry_aligned_to_interval_not_sliding(self):
-        """Two entries cached at different moments of one interval die
-        at the same boundary — the clock is the data's interval clock,
-        not a per-entry TTL."""
-        cache, now = self._cache(start=950.0)     # boundary at 1800
-        cache.put(("m", "early", 1), np.ones(2))
-        now[0] = 1750.0
-        cache.put(("m", "late", 1), np.ones(2))
-        now[0] = 1799.0
-        assert cache.get(("m", "early", 1)) is not None
-        assert cache.get(("m", "late", 1)) is not None
-        now[0] = 1800.5
-        assert cache.get(("m", "early", 1)) is None
-        assert cache.get(("m", "late", 1)) is None
-        assert cache.stats()["expired"] == 2
-
-    def test_no_interval_means_no_expiry(self):
-        cache = ResponseCache()                   # default: no TTL
-        cache.put(("m", "sig", 1), np.ones(2))
-        assert cache.get(("m", "sig", 1)) is not None
-        assert cache.stats()["expired"] == 0
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError, match="interval_minutes"):
-            ResponseCache(interval_minutes=0)
-        with pytest.raises(ValueError, match="cache_interval_minutes"):
-            ServeConfig(cache_interval_minutes=-1.0)
-
-    def test_service_plumbs_interval_to_cache(self, served):
-        service = _service(served, ModelKey("toy"),
-                           cache_interval_minutes=15.0)
-        assert service.cache.interval_minutes == 15.0
-        service.close()
-
-
 class TestWorkerAffinity:
     """Per-key worker affinity: one key's requests land on one worker
     so its registry/tape/cache stay hot for the keys it owns."""
 
-    def _pool(self, n_workers=4, affinity=True):
+    def _pool(self, n_workers=4):
         pool = ForecastWorkerPool.__new__(ForecastWorkerPool)
-        pool.affinity = affinity
         pool._workers = [None] * n_workers
-        pool._next = 0
         return pool
 
     def test_slot_stable_per_key_and_process_independent(self):
@@ -542,11 +464,6 @@ class TestWorkerAffinity:
         assert pool._slot_for(key, 1) == (base + 1) % 4
         assert pool._slot_for(key, 2) == (base + 2) % 4
 
-    def test_affinity_off_restores_round_robin(self):
-        pool = self._pool(n_workers=3, affinity=False)
-        key = ModelKey("nyc")
-        assert [pool._slot_for(key, 0) for _ in range(4)] == [0, 1, 2, 0]
-
     def test_pool_with_affinity_serves_correctly(self, served):
         key = ModelKey("toy")
         path, builder = served.path, served.builder
@@ -559,58 +476,11 @@ class TestWorkerAffinity:
         sequence = served.data.sequence
         direct = forecast_latest(served.forecaster, sequence, S, H)
         with ForecastWorkerPool(service_factory, n_workers=2) as pool:
-            assert pool.affinity
             slots = {pool._slot_for(key, 0) for _ in range(4)}
             assert len(slots) == 1                # one owner worker
             response = pool.forecast(ForecastRequest(key, sequence, S, H))
             assert response.ok
             np.testing.assert_array_equal(response.prediction, direct)
-
-
-class TestModelWarmup:
-    def test_warm_captures_tape_at_load(self, served):
-        events = []
-        service = ForecastService(
-            ServeConfig(engine="replay"),
-            telemetry=lambda event, fields: events.append(event))
-        key = ModelKey("toy", "warm")
-        service.register(key, served.path, served.builder, warm=(S, H))
-        loaded = service.registry.get(key)
-        assert "model_warm" in events
-        assert loaded.engine.captures == 1
-        # A real request with the warm shape replays the warm tape.
-        prediction = service.forecast(key, served.data.sequence, S, H)
-        direct = forecast_latest(served.forecaster,
-                                 served.data.sequence, S, H)
-        np.testing.assert_array_equal(prediction, direct)
-        assert loaded.engine.captures == 1
-        assert loaded.engine.replays >= 1
-        service.close()
-
-    def test_warm_skipped_on_eager_engine(self, served):
-        events = []
-        service = ForecastService(
-            ServeConfig(engine="eager"),
-            telemetry=lambda event, fields: events.append(event))
-        key = ModelKey("toy", "eager")
-        service.register(key, served.path, served.builder, warm=(S, H))
-        loaded = service.registry.get(key)
-        assert loaded.engine is None
-        assert "model_warm" not in events
-        service.close()
-
-    def test_failed_warm_never_blocks_the_load(self, served):
-        events = []
-        service = ForecastService(
-            ServeConfig(engine="replay"),
-            telemetry=lambda event, fields: events.append(event))
-        key = ModelKey("toy", "badwarm")
-        service.register(key, served.path, served.builder, warm=(-1, H))
-        loaded = service.registry.get(key)     # must not raise
-        assert loaded.model is not None
-        assert "model_warm_error" in events
-        assert "model_warm" not in events
-        service.close()
 
 
 class TestShmTransport:
