@@ -15,11 +15,13 @@ non-zero if any fault class slips through:
 6.  bit-flipped checkpoint  -> same (SHA-256 integrity check)
 7.  killed roster worker    -> run_comparison retries and succeeds
 8.  detect_anomaly names the creating (fused) op
-9.  contract checks cost < 5% of a Trainer.fit epoch
+9.  contract checks cost < 5% of a Trainer.fit (median over
+    interleaved off/repair pairs)
 
 Usage: PYTHONPATH=src python3 benchmarks/chaos_smoke.py
 """
 
+import gc
 import os
 import sys
 import tempfile
@@ -245,29 +247,43 @@ def check_anomaly_naming():
             raise AssertionError("NaN forward undetected")
 
 
-@check("contract overhead < 5% of a Trainer.fit epoch")
+# The overhead gate times whole fits of this many epochs (~0.1 s each)
+# in interleaved off/repair pairs and takes the median of the pairs'
+# time ratios.  Fit times on a shared machine wander by ±20% from one
+# fit to the next; a pair runs back to back, so its ratio cancels the
+# slow part of that, and the median drops the pairs a burst of other
+# load split.
+OVERHEAD_EPOCHS = 4
+OVERHEAD_PAIRS = 21
+
+
+@check("contract overhead < 5% of a Trainer.fit")
 def check_overhead():
     sequence = _sequence()
     windows, split = _windows(sequence)
 
-    def epoch_seconds(mode):
-        best = float("inf")
-        for _ in range(5):
-            with contract_policy(mode):
-                trainer = _trainer(epochs=1)
-                start = time.perf_counter()
-                trainer.fit(windows, split, horizon=2)
-                best = min(best, time.perf_counter() - start)
-        return best
+    def fit_seconds(mode):
+        gc.collect()
+        with contract_policy(mode):
+            trainer = _trainer(epochs=OVERHEAD_EPOCHS)
+            start = time.perf_counter()
+            trainer.fit(windows, split, horizon=2)
+            return time.perf_counter() - start
 
-    epoch_seconds("off")                      # warm caches
-    off = epoch_seconds("off")
-    on = epoch_seconds("repair")
-    overhead = (on - off) / off
-    print(f"    (epoch {off * 1e3:.0f} ms off, {on * 1e3:.0f} ms repair, "
-          f"overhead {overhead:+.1%})")
+    fit_seconds("off")                        # warm caches
+    times = {"off": [], "repair": []}
+    for pair in range(OVERHEAD_PAIRS):
+        # Alternate which policy runs first, so neither always runs
+        # second.
+        order = ("off", "repair") if pair % 2 == 0 else ("repair", "off")
+        for mode in order:
+            times[mode].append(fit_seconds(mode))
+    off = np.array(times["off"])
+    overhead = float(np.median(np.array(times["repair"]) / off)) - 1.0
+    print(f"    (median fit {np.median(off) * 1e3:.0f} ms off, median "
+          f"pair overhead {overhead:+.1%})")
     assert overhead < 0.05, \
-        f"contract checks cost {overhead:.1%} of an epoch (budget 5%)"
+        f"contract checks cost {overhead:.1%} of a fit (budget 5%)"
 
 
 def main() -> int:

@@ -139,7 +139,7 @@ def check_parity():
         "weights_bit_identical": weights_equal,
         "rng_bit_identical": rng_equal,
         "train_losses": dense_result.train_losses,
-        "units": len(execution.data_parallel_units()),
+        "units": plan.n_origin_shards + plan.n_dest_shards,
     }
     return section, failures
 

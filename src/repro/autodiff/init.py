@@ -24,17 +24,6 @@ def xavier_uniform(shape, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape, rng: np.random.Generator,
-                  gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    if len(shape) == 1:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in, fan_out = shape[-2], shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def orthogonal(shape, rng: np.random.Generator,
                gain: float = 1.0) -> np.ndarray:
     """Orthogonal initialization (recommended for recurrent weights)."""

@@ -251,25 +251,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def abs_(x: Tensor) -> Tensor:
-    """Elementwise absolute value (sign subgradient at 0)."""
-    x = _ensure_tensor(x)
-    sign = None
-
-    def run() -> np.ndarray:
-        nonlocal sign
-        sign = np.sign(x.data)
-        return np.abs(x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * sign)
-
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
-
-
 def clip_min(x: Tensor, minimum: float) -> Tensor:
     """Lower-clip; gradient passes only where ``x > minimum``."""
     x = _ensure_tensor(x)
@@ -484,14 +465,6 @@ _COL_TILE = 32
 _ROW_TILE = 1024
 
 
-def _stack_lap(lap: np.ndarray) -> np.ndarray:
-    """Drop a stacked Laplacian's broadcast batch axis: ``(…, 1, N, N)``
-    → ``(…, N, N)``, one matrix per leading stack entry."""
-    if lap.ndim > 2:
-        return lap.reshape(lap.shape[:-3] + lap.shape[-2:])
-    return lap
-
-
 def _padded(cols: int) -> int:
     """``cols`` rounded up to a multiple of :data:`_COL_TILE`."""
     return -(-cols // _COL_TILE) * _COL_TILE
@@ -509,33 +482,12 @@ def _node_major(signal: np.ndarray) -> np.ndarray:
     """``(…, B, N, C)`` signal → zero-padded node-major ``(…, N, P)``:
     column ``b*C + c`` holds slice ``b``, channel ``c``, and ``P`` is
     ``B·C`` rounded up to a multiple of :data:`_COL_TILE`.
-
-    A signal that is already the slice-major view of such a buffer (what
-    the factorizer's stage ops return) is not copied: the buffer itself
-    is returned.
     """
     b, n, c = signal.shape[-3:]
-    base = signal.base
-    if isinstance(base, np.ndarray) and base.flags.c_contiguous \
-            and base.dtype == signal.dtype \
-            and base.shape == signal.shape[:-3] + (n, _padded(b * c)):
-        view = _slice_major(base, b, c)
-        if view.strides == signal.strides \
-                and view.ctypes.data == signal.ctypes.data:
-            return base
     buf = _scratch(signal.shape[:-3] + (n, _padded(b * c)), signal.dtype,
                    pad_from=b * c)
     _slice_major(buf, b, c)[...] = signal
     return buf
-
-
-def _rows(signal: np.ndarray) -> np.ndarray:
-    """``(…, B, N, C)`` signal → node-major rows ``(…, N, B·C)``: a view
-    when the signal is node-major in memory (padded or not), else a
-    copy."""
-    b, n, c = signal.shape[-3:]
-    return np.swapaxes(signal, -3, -2).reshape(
-        signal.shape[:-3] + (n, b * c))
 
 
 def _slice_major(buf: np.ndarray, b: int, c: int) -> np.ndarray:
@@ -548,12 +500,12 @@ def _cheb_terms(lap: np.ndarray, signal: np.ndarray,
                 order: int) -> list:
     """Chebyshev terms of a batched graph signal (raw numpy).
 
-    ``signal (…, B, N, C)`` → list of ``order`` arrays, each
-    ``(…, B, N, C)``, from ``T_s = 2·L·T_{s-1} − T_{s-2}``.  The signal
-    is relaid once into a padded node-major ``(…, N, P)`` buffer; each
-    term is then one Laplacian GEMM against every slice's columns (one
-    per leading stack entry), and terms ``1..`` come back as slice-major
-    views of those buffers (term 0 is ``signal`` itself).
+    ``signal (B, N, C)`` → list of ``order`` arrays, each ``(B, N, C)``,
+    from ``T_s = 2·L·T_{s-1} − T_{s-2}``.  The signal is relaid once
+    into a padded node-major ``(N, P)`` buffer; each term is then one
+    Laplacian GEMM against every slice's columns, and terms ``1..`` come
+    back as slice-major views of those buffers (term 0 is ``signal``
+    itself).
 
     A slice's terms do not depend on which other slices are in the
     batch, bit for bit, because every column sits in a full
@@ -561,8 +513,7 @@ def _cheb_terms(lap: np.ndarray, signal: np.ndarray,
     """
     if order == 1:
         return [signal]
-    b, _, c = signal.shape[-3:]
-    lap = _stack_lap(lap)
+    b, _, c = signal.shape
     terms = [_node_major(signal)]
     terms.append(np.matmul(lap, terms[0]))
     for _ in range(2, order):
@@ -578,41 +529,34 @@ def _cheb_feats(terms: list, order: int) -> np.ndarray:
 
     Feature column ``c*order + s`` matches ChebConv's weight-row layout,
     so the forward mix, the weight gradient, and the adjoint seed are
-    each one full-weight GEMM against this matrix.  Terms may carry
-    leading stack axes: ``(..., B, N, C)`` → ``(..., B·N, C·S)``
-    (batched GEMMs against stacked weights).
+    each one full-weight GEMM against this matrix.
     """
-    shape = terms[0].shape
-    c = shape[-1]
-    rows = shape[:-3] + (shape[-3] * shape[-2],)
+    b, n, c = terms[0].shape
     if order == 1:
-        return terms[0].reshape(rows + (c,))
-    out = np.empty(shape + (order,), dtype=terms[0].dtype)
+        return terms[0].reshape(b * n, c)
+    out = np.empty((b, n, c, order), dtype=terms[0].dtype)
     for s, term in enumerate(terms):
         out[..., s] = term
-    return out.reshape(rows + (c * order,))
+    return out.reshape(b * n, c * order)
 
 
 def _cheb_adjoint(lap_t: np.ndarray, dmixed: np.ndarray,
                   weight: np.ndarray, shape: tuple,
                   order: int) -> np.ndarray:
     """Signal adjoint of mix∘terms: ``dmixed (B·N, Q)`` → ``shape``
-    (the forward signal's shape, e.g. ``(B, N, C)``).
+    (the forward signal's shape ``(B, N, C)``).
 
     Seeds every term's adjoint with one GEMM ``dmixed · Wᵀ`` (splitting
     the interleaved columns per term), then runs the Chebyshev
     recursion's adjoint (sweeping the term index down,
     ``a_{s-1} += 2 Lᵀ a_s``, ``a_{s-2} -= a_s``) node-major, as
     :func:`_cheb_terms` does.  Term 0 only takes elementwise updates, so
-    it stays slice-major.  Leading stack axes on
-    ``dmixed``/``weight``/``lap_t``/``shape`` broadcast through.
+    it stays slice-major.
     """
-    dfull = np.matmul(dmixed, np.swapaxes(weight, -1, -2)).reshape(
-        shape + (order,))
+    dfull = np.matmul(dmixed, weight.T).reshape(shape + (order,))
     if order == 1:
         return dfull[..., 0]
-    b, _, c = shape[-3:]
-    lap_t = _stack_lap(lap_t)
+    b, _, c = shape
     adj = [dfull[..., 0]]
     adj += list(_node_major(np.moveaxis(dfull[..., 1:], -1, 0)))
     for s in range(order - 1, 1, -1):
@@ -712,11 +656,11 @@ def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
 # Node-major GCNN factorizer (paper §V-A: ChebConv + ReLU + pooling,
 # then the latent head)
 # ----------------------------------------------------------------------
-# Activations stay node-major, zero-padded ``(…, N, P)`` buffers (any
-# leading stack axes broadcast through), from the factorizer's input to
-# its latent head (docs/AUTODIFF.md, "The node-major factorizer").  The
-# fused ops and shardexec's chunk loop, which the AF's dense and sharded
-# stage 1 both run, share these kernels.
+# Activations stay node-major, zero-padded ``(N, P)`` buffers from the
+# factorizer's input to its latent head (docs/AUTODIFF.md, "The
+# node-major factorizer").  These kernels are stage 1's only
+# implementation: core/shardexec.py's chunk loop runs them for the AF's
+# dense and sharded stage 1 and for a single SpatialFactorizer call.
 class _Pool:
     """One stage's cluster pooling, as row operations on the node axis.
 
@@ -749,12 +693,15 @@ class _Pool:
             if stride > 1 else None
 
 
-def _row_buffer(lead: tuple, rows: int, cols: int, dtype) -> np.ndarray:
-    """A ``(…, rows, cols)`` working array padded to whole
-    :data:`_ROW_TILE` row tiles; the pad rows are zero."""
+def _row_buffer(rows: int, cols: int, dtype,
+                terms: int = None) -> np.ndarray:
+    """A ``(rows, cols)`` working array, or ``terms`` of them stacked,
+    padded to whole :data:`_ROW_TILE` row tiles; the pad rows are
+    zero."""
     tiled = -(-rows // _ROW_TILE) * _ROW_TILE
-    buf = _scratch(lead + (tiled * cols,), dtype, pad_from=rows * cols)
-    return _view(buf, lead + (-1, cols))
+    stack = () if terms is None else (terms,)
+    buf = _scratch(stack + (tiled * cols,), dtype, pad_from=rows * cols)
+    return _view(buf, stack + (-1, cols))
 
 
 def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -765,18 +712,16 @@ def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _tile_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``out = a @ b`` for a row buffer ``a (…, R, K)`` of whole
+    """``out = a @ b`` for a row buffer ``a (R, K)`` of whole
     :data:`_ROW_TILE` tiles: one GEMM per tile.
 
     On OpenBLAS a row's result can depend on how many rows share the
     call (the small-matrix kernel, the micro-kernel's row tail); with
     every call exactly ``_ROW_TILE`` rows it depends on the row alone.
     """
-    lead = a.shape[:-2]
-    tiles = a.shape[-2] // _ROW_TILE
-    np.matmul(_view(a, lead + (tiles, _ROW_TILE, a.shape[-1])),
-              b[..., None, :, :],
-              out=_view(out, lead + (tiles, _ROW_TILE, out.shape[-1])))
+    tiles = a.shape[0] // _ROW_TILE
+    np.matmul(_view(a, (tiles, _ROW_TILE, a.shape[1])), b,
+              out=_view(out, (tiles, _ROW_TILE, out.shape[1])))
 
 
 def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
@@ -784,23 +729,22 @@ def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
                         batch: int, pool: _Pool):
     """One factorizer stage on node-major signals (raw numpy).
 
-    ``x (…, N, P)`` is a padded node-major signal of ``batch`` slices,
-    ``lap (…, N, N)`` the scaled Laplacian, ``weight (…, C·order, Q)``
-    and ``bias (…, Q)`` the Cheby-Net parameters.  Returns ``(out,
-    cache)``: ``out (…, N', P')`` is the padded node-major pooled
-    activation of ``Q`` channels and ``cache`` is what
-    :func:`_gcnn_stage_backward` reads: each term's features ``(…, M,
-    B, C)`` and the activation ``(…, M, B, Q)``, in cluster order (see
-    :class:`_Pool`), with the slice axis second to last.
+    ``x (N, P)`` is a padded node-major signal of ``batch`` slices,
+    ``lap (N, N)`` the scaled Laplacian, ``weight (C·order, Q)`` and
+    ``bias (Q,)`` the Cheby-Net parameters.  Returns ``(out, cache)``:
+    ``out (N', P')`` is the padded node-major pooled activation of ``Q``
+    channels and ``cache`` is what :func:`_gcnn_stage_backward` reads:
+    each term's features ``(M, B, C)`` and the activation ``(M, B, Q)``,
+    in cluster order (see :class:`_Pool`), with the slice axis second to
+    last.
     """
-    lead = x.shape[:-2]
-    c = weight.shape[-2] // order
-    q = weight.shape[-1]
+    c = weight.shape[0] // order
+    q = weight.shape[1]
     m = pool.rows
     rows = m * batch
     bc, bq = batch * c, batch * q
     dtype = x.dtype
-    feats = _row_buffer((order,) + lead, rows, c, dtype)
+    feats = _row_buffer(rows, c, dtype, terms=order)
     terms = np.empty((order - 1,) + x.shape, dtype=dtype)
     prev2, prev = None, x
     for s in range(order):
@@ -812,45 +756,40 @@ def _gcnn_stage_forward(lap: np.ndarray, x: np.ndarray,
                 np.multiply(term, 2.0, out=term)
                 np.subtract(term, prev2, out=term)
             prev2, prev = prev, term
-        # The term's real columns as (M·B, C) rows, in cluster order
-        # (gathered one pair entry at a time, into contiguous blocks).
-        dest = _view(feats[s][..., :rows, :], lead + (m, bc))
+        # The term's real columns as (M·B, C) rows, in cluster order.
+        dest = _view(feats[s][:rows], (m, bc))
         if pool.src is None:
-            np.copyto(dest, term[..., :bc])
-            continue
-        real = _view(term[..., :bc], (-1, term.shape[-2], bc))
-        for pair, block in enumerate(_view(dest, (-1, m, bc))):
-            np.take(real[pair], pool.src, axis=0, out=block, mode="clip")
-        dest[..., pool.fake, :] = 0.0
+            np.copyto(dest, term[:, :bc])
+        else:
+            np.take(term[:, :bc], pool.src, axis=0, out=dest, mode="clip")
+            dest[pool.fake] = 0.0
     # act = Σ_s T_s @ W_s, bias, ReLU, one row tile at a time so the
     # partial products stay in cache.
-    weights = [weight[..., s::order, :] for s in range(order)]
-    shift = bias[..., None, :]
-    act = _row_buffer(lead, rows, q, dtype)
-    part = np.empty(lead + (_ROW_TILE, q), dtype=dtype)
-    for r0 in range(0, act.shape[-2], _ROW_TILE):
-        tile = slice(r0, r0 + _ROW_TILE)
-        block = act[..., tile, :]
-        np.matmul(feats[0][..., tile, :], weights[0], out=block)
+    weights = [weight[s::order] for s in range(order)]
+    act = _row_buffer(rows, q, dtype)
+    part = np.empty((_ROW_TILE, q), dtype=dtype)
+    for r0 in range(0, act.shape[0], _ROW_TILE):
+        block = act[r0:r0 + _ROW_TILE]
+        np.matmul(feats[0][r0:r0 + _ROW_TILE], weights[0], out=block)
         for s in range(1, order):
-            np.matmul(feats[s][..., tile, :], weights[s], out=part)
+            np.matmul(feats[s][r0:r0 + _ROW_TILE], weights[s], out=part)
             np.add(block, part, out=block)
-        np.add(block, shift, out=block)
+        np.add(block, bias, out=block)
         np.maximum(block, 0.0, out=block)
-    act = _view(act[..., :rows, :], lead + (m, batch, q))
+    act = _view(act[:rows], (m, batch, q))
     if pool.fake is not None:
-        act[..., pool.fake, :, :] = 0.0
-    out = _scratch(lead + (pool.size, _padded(bq)), dtype, pad_from=bq)
-    pooled = out[..., :bq]
-    clusters = _view(act, lead + (pool.size, pool.stride, bq))
+        act[pool.fake] = 0.0
+    out = _scratch((pool.size, _padded(bq)), dtype, pad_from=bq)
+    pooled = out[:, :bq]
+    clusters = _view(act, (pool.size, pool.stride, bq))
     if pool.stride == 1:
-        np.copyto(pooled, clusters[..., 0, :])
+        np.copyto(pooled, clusters[:, 0])
     else:
-        np.add(clusters[..., 0, :], clusters[..., 1, :], out=pooled)
+        np.add(clusters[:, 0], clusters[:, 1], out=pooled)
         for j in range(2, pool.stride):
-            np.add(pooled, clusters[..., j, :], out=pooled)
+            np.add(pooled, clusters[:, j], out=pooled)
         np.multiply(pooled, pool.scale, out=pooled)
-    return out, tuple(_view(f[..., :rows, :], lead + (m, batch, c))
+    return out, tuple(_view(f[:rows], (m, batch, c))
                       for f in feats) + (act,)
 
 
@@ -859,51 +798,48 @@ def _gcnn_stage_backward(grad: np.ndarray, cache, lap_t: np.ndarray,
                          need_dx: bool = True):
     """Adjoint of :func:`_gcnn_stage_forward`.
 
-    ``grad (…, N', ≥B·Q)`` holds node-major rows of the output gradient
+    ``grad (N', ≥B·Q)`` holds node-major rows of the output gradient
     (a padded buffer or a plain row block).  Returns ``(dweight, dbias,
-    dx)``; ``dx`` is the padded node-major ``(…, N, P)`` input gradient,
+    dx)``; ``dx`` is the padded node-major ``(N, P)`` input gradient,
     or ``None`` when ``need_dx`` is false.
     """
     *feats, act = cache
     order = len(feats)
-    m, batch, q = act.shape[-3:]
-    lead = act.shape[:-3]
+    m, batch, q = act.shape
     c = feats[0].shape[-1]
     rows = m * batch
     bc, bq = batch * c, batch * q
     dtype = act.dtype
-    g = grad[..., :bq]
+    g = grad[:, :bq]
     if pool.scale is not None:
         g = np.multiply(g, pool.scale, out=np.empty(g.shape, dtype=dtype))
     # Unpooling repeats each cluster's row over its ``stride`` rows;
     # the ReLU mask (zero on fake rows) applies on the way.
     live = np.greater(act, 0)
-    gm = _row_buffer(lead, rows, q, dtype)
-    shape = lead + (pool.size, pool.stride, bq)
-    np.multiply(g[..., None, :], _view(live, shape),
-                out=_view(gm[..., :rows, :], shape))
+    gm = _row_buffer(rows, q, dtype)
+    shape = (pool.size, pool.stride, bq)
+    np.multiply(g[:, None, :], _view(live, shape),
+                out=_view(gm[:rows], shape))
     dweight = np.empty(weight.shape, dtype=dtype)
     for s in range(order):
-        part = _view(feats[s], lead + (rows, c))
-        np.matmul(np.swapaxes(part, -1, -2), gm[..., :rows, :],
-                  out=dweight[..., s::order, :])
-    dbias = np.matmul(np.ones(rows, dtype=dtype), gm[..., :rows, :])
+        part = _view(feats[s], (rows, c))
+        np.matmul(part.T, gm[:rows], out=dweight[s::order])
+    dbias = np.matmul(np.ones(rows, dtype=dtype), gm[:rows])
     if not need_dx:
         return dweight, dbias, None
     # Seed every term's adjoint (gm @ W_sᵀ, back in node order) in a
     # padded node-major buffer, then run the recursion's adjoint
     # (a_{s-1} += 2 Lᵀ a_s, a_{s-2} -= a_s).
     n = lap_t.shape[-1]
-    adj = _scratch((order,) + lead + (n, _padded(bc)), dtype, pad_from=bc)
-    seed = _row_buffer(lead, rows, c, dtype)
+    adj = _scratch((order, n, _padded(bc)), dtype, pad_from=bc)
+    seed = _row_buffer(rows, c, dtype)
     for s, a in enumerate(adj):
-        _tile_matmul(gm, np.swapaxes(weight[..., s::order, :], -1, -2),
-                     seed)
-        seed_rows = _view(seed[..., :rows, :], lead + (m, bc))
+        _tile_matmul(gm, weight[s::order].T, seed)
+        seed_rows = _view(seed[:rows], (m, bc))
         if pool.position is not None:
-            seed_rows = np.take(seed_rows, pool.position, axis=-2,
+            seed_rows = np.take(seed_rows, pool.position, axis=0,
                                 mode="clip")
-        np.copyto(a[..., :bc], seed_rows)
+        np.copyto(a[:, :bc], seed_rows)
     if order > 1:
         prop = np.empty(adj[0].shape, dtype=dtype)
     for s in range(order - 1, 1, -1):
@@ -922,170 +858,64 @@ def _latent_head_forward(x: np.ndarray, w_buckets: np.ndarray,
                          b_latent: np.ndarray, batch: int):
     """The factorizer's latent head on node-major rows (raw numpy).
 
-    ``x (…, P, ≥B·C)`` holds the last stage's node-major rows (``P``
+    ``x (P, ≥B·C)`` holds the last stage's node-major rows (``P``
     pooled clusters).  The bucket projection ``(P·B, C) @ (C, K)`` and
     the cluster→rank projection, one GEMM ``W_latᵀ (R, P) @ (P, B·K)``,
     both run node-major; the result is relaid to slice-major only here,
-    at the factorizer's exit.  Returns ``(out (…, B, R, K), cache)``
-    with ``cache = (xs (…, P, B, C), t (…, P, B, K))``.
+    at the factorizer's exit.  Returns ``(out (B, R, K), cache)`` with
+    ``cache = (xs (P, B, C), t (P, B, K))``.
     """
-    lead, p = x.shape[:-2], x.shape[-2]
-    c, k = w_buckets.shape[-2:]
-    rank = w_latent.shape[-1]
+    p = x.shape[0]
+    c, k = w_buckets.shape
+    rank = w_latent.shape[1]
     rows = p * batch
     bk = batch * k
     dtype = x.dtype
-    xs = _row_buffer(lead, rows, c, dtype)
-    np.copyto(_view(xs[..., :rows, :], lead + (p, batch * c)),
-              x[..., :batch * c])
-    t = _row_buffer(lead, rows, k, dtype)
+    xs = _row_buffer(rows, c, dtype)
+    np.copyto(_view(xs[:rows], (p, batch * c)), x[:, :batch * c])
+    t = _row_buffer(rows, k, dtype)
     _tile_matmul(xs, w_buckets, t)
-    t = t[..., :rows, :]
-    np.add(t, b_buckets[..., None, :], out=t)
-    t_pad = _scratch(lead + (p, _padded(bk)), dtype, pad_from=bk)
-    np.copyto(t_pad[..., :bk], _view(t, lead + (p, bk)))
-    z = np.matmul(np.swapaxes(w_latent, -1, -2), t_pad)
-    out = np.empty(lead + (batch, rank, k), dtype=dtype)
-    np.add(np.swapaxes(_view(z[..., :bk], lead + (rank, batch, k)), -3, -2),
-           b_latent[..., None, :, None], out=out)
-    return out, (_view(xs[..., :rows, :], lead + (p, batch, c)),
-                 _view(t, lead + (p, batch, k)))
+    t = t[:rows]
+    np.add(t, b_buckets, out=t)
+    t_pad = _scratch((p, _padded(bk)), dtype, pad_from=bk)
+    np.copyto(t_pad[:, :bk], _view(t, (p, bk)))
+    z = np.matmul(w_latent.T, t_pad)
+    out = np.empty((batch, rank, k), dtype=dtype)
+    np.add(np.swapaxes(_view(z[:, :bk], (rank, batch, k)), 0, 1),
+           b_latent[:, None], out=out)
+    return out, (_view(xs[:rows], (p, batch, c)), _view(t, (p, batch, k)))
 
 
 def _latent_head_backward(grad: np.ndarray, cache, w_buckets: np.ndarray,
                           w_latent: np.ndarray, need_dx: bool = True):
-    """Adjoint of :func:`_latent_head_forward`: ``grad (…, B, R, K)`` →
+    """Adjoint of :func:`_latent_head_forward`: ``grad (B, R, K)`` →
     ``(dw_buckets, db_buckets, dw_latent, db_latent, dx)`` with ``dx``
-    the node-major ``(…, P, B·C)`` input gradient (``None`` unless
+    the node-major ``(P, B·C)`` input gradient (``None`` unless
     ``need_dx``)."""
     xs, t = cache
-    p, batch, c = xs.shape[-3:]
-    lead = xs.shape[:-3]
+    p, batch, c = xs.shape
     k = t.shape[-1]
-    rank = w_latent.shape[-1]
+    rank = w_latent.shape[1]
     rows = p * batch
     bk = batch * k
     dtype = t.dtype
-    gz = _scratch(lead + (rank, _padded(bk)), dtype, pad_from=bk)
-    gz_rows = gz[..., :bk]
-    np.copyto(_view(gz_rows, lead + (rank, batch, k)),
-              np.swapaxes(grad, -3, -2))
-    dw_latent = np.matmul(_view(t, lead + (p, bk)),
-                          np.swapaxes(gz_rows, -1, -2))
+    gz = _scratch((rank, _padded(bk)), dtype, pad_from=bk)
+    gz_rows = gz[:, :bk]
+    np.copyto(_view(gz_rows, (rank, batch, k)), np.swapaxes(grad, 0, 1))
+    dw_latent = np.matmul(_view(t, (p, bk)), gz_rows.T)
     db_latent = np.add.reduce(gz_rows, axis=-1)
     dt_pad = np.matmul(w_latent, gz)
-    dt = _row_buffer(lead, rows, k, dtype)
-    np.copyto(_view(dt[..., :rows, :], lead + (p, bk)), dt_pad[..., :bk])
-    x_rows = _view(xs, lead + (rows, c))
-    dw_buckets = np.matmul(np.swapaxes(x_rows, -1, -2), dt[..., :rows, :])
-    db_buckets = np.matmul(np.ones(rows, dtype=dtype), dt[..., :rows, :])
+    dt = _row_buffer(rows, k, dtype)
+    np.copyto(_view(dt[:rows], (p, bk)), dt_pad[:, :bk])
+    x_rows = _view(xs, (rows, c))
+    dw_buckets = np.matmul(x_rows.T, dt[:rows])
+    db_buckets = np.matmul(np.ones(rows, dtype=dtype), dt[:rows])
     dx = None
     if need_dx:
-        dx = _row_buffer(lead, rows, c, dtype)
-        _tile_matmul(dt, np.swapaxes(w_buckets, -1, -2), dx)
-        dx = _view(dx[..., :rows, :], lead + (p, batch * c))
+        dx = _row_buffer(rows, c, dtype)
+        _tile_matmul(dt, w_buckets.T, dx)
+        dx = _view(dx[:rows], (p, batch * c))
     return dw_buckets, db_buckets, dw_latent, db_latent, dx
-
-
-def _factorizer_node(label: str, x: Tensor, params: Sequence[Tensor],
-                     forward, backward, stage: bool) -> Tensor:
-    """One node-major factorizer kernel as a single graph node.
-
-    ``forward(x_in, params)`` and ``backward(grad, cache, params,
-    need_dx)`` are the kernels with the op's constants bound.  A
-    ``stage`` returns the slice-major view of its node-major output,
-    which the next stage takes back without a copy; the latent head
-    returns slice-major data.  The closures carry ``label``, the public
-    op's name, which the op profiler sees.
-    """
-    batch, channels = x.shape[-3], x.shape[-1]
-    values = cache = None
-
-    def run() -> np.ndarray:
-        nonlocal values, cache
-        values = [p.data for p in params]
-        out, cache = forward(_node_major(x.data) if stage else _rows(x.data),
-                             values)
-        return _slice_major(out, batch, params[0].shape[-1]) if stage \
-            else out
-
-    def backward_(grad: np.ndarray) -> None:
-        *grads, dx = backward(_rows(grad) if stage else grad, cache, values,
-                              x.requires_grad)
-        for param, value in zip(params, grads):
-            if param.requires_grad:
-                param._accumulate(value)
-        if dx is not None:
-            x._accumulate(_slice_major(dx, batch, channels))
-
-    run.__qualname__ = f"{label}.<locals>.run"
-    backward_.__qualname__ = f"{label}.<locals>.backward"
-    out = Tensor._make(_run_forward(run), (x,) + tuple(params), backward_)
-    _record(out, run)
-    return out
-
-
-def _gcnn_stage_node(label: str, lap, x: Tensor, params, order: int,
-                     stride: int, perm, inv_counts) -> Tensor:
-    lap = _constant_array(lap)
-    lap_t = np.swapaxes(lap, -1, -2)
-    batch, n = x.shape[-3:-1]
-    pool = _Pool(n, stride, perm, inv_counts, x.data.dtype)
-    return _factorizer_node(
-        label, x, params,
-        lambda x_in, values: _gcnn_stage_forward(
-            lap, x_in, *values, order, batch, pool),
-        lambda grad, cache, values, need_dx: _gcnn_stage_backward(
-            grad, cache, lap_t, values[0], pool, need_dx),
-        stage=True)
-
-
-def _latent_head_node(label: str, x: Tensor, params) -> Tensor:
-    batch = x.shape[-3]
-    return _factorizer_node(
-        label, x, params,
-        lambda x_in, values: _latent_head_forward(x_in, *values, batch),
-        lambda grad, cache, values, need_dx: _latent_head_backward(
-            grad, cache, values[0], values[2], need_dx),
-        stage=False)
-
-
-def fused_gcnn_stage(lap: Union[Tensor, np.ndarray], x: Tensor,
-                     weight: Tensor, bias: Tensor, order: int,
-                     stride: int = 1, perm: np.ndarray = None,
-                     inv_counts: np.ndarray = None) -> Tensor:
-    """One factorizer stage — conv, ReLU, cluster pooling — as one node.
-
-    ``x (B, N, C)`` runs through a Cheby-Net convolution (Eq. 5), ReLU,
-    an optional pad-and-permute into cluster order (``perm``, the
-    coarsening's padded permutation), and mean pooling over
-    non-overlapping windows of ``stride`` nodes scaled by ``inv_counts``
-    (1 / real nodes per cluster, 0 for all-fake clusters).  ``stride=1``
-    skips pooling.  This is :class:`repro.core.spatial.SpatialFactorizer`'s
-    hot path, run node-major (:func:`_gcnn_stage_forward`).
-    """
-    x = _ensure_tensor(x)
-    if x.ndim != 3:
-        raise ValueError(f"fused_gcnn_stage expects (batch, N, C) input, "
-                         f"got shape {x.shape}")
-    return _gcnn_stage_node("fused_gcnn_stage", lap, x, (weight, bias),
-                            order, stride, perm, inv_counts)
-
-
-def fused_latent_head(x: Tensor, w_buckets: Tensor, b_buckets: Tensor,
-                      w_latent: Tensor, b_latent: Tensor) -> Tensor:
-    """The factorizer's two-GEMM latent head as one node.
-
-    ``x (B, P, C)`` → bucket projection on the channel axis
-    (``w_buckets (C, K)``), transpose, latent projection on the cluster
-    axis (``w_latent (P, R)``), transpose back → ``(B, R, K)`` — the
-    linear → transpose → linear → transpose tail of
-    :class:`repro.core.spatial.SpatialFactorizer`, run node-major by
-    :func:`_latent_head_forward`.
-    """
-    return _latent_head_node(
-        "fused_latent_head", _ensure_tensor(x),
-        (w_buckets, b_buckets, w_latent, b_latent))
 
 
 # ----------------------------------------------------------------------

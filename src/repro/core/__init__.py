@@ -9,8 +9,7 @@ from .config import (PaperHyperParameters, PracticalHyperParameters,
 from .losses import (af_loss, bf_loss, factor_dirichlet, factor_frobenius,
                      masked_frobenius)
 from .recovery import recover
-from .shardexec import (DataParallelUnit, ShardedExecution,
-                        ShardMemoryBudgetError)
+from .shardexec import ShardedExecution, ShardMemoryBudgetError
 from .spatial import (DEFAULT_BLOCKS, GCNNBlock, SpatialFactorizer,
                       factorize_tensor_batch)
 from .trainer import NonFiniteGradError, TrainConfig, Trainer, TrainResult
@@ -21,7 +20,7 @@ __all__ = [
     "TemporalAttention", "AttentiveSeq2Seq",
     "SpatialFactorizer", "GCNNBlock", "DEFAULT_BLOCKS",
     "factorize_tensor_batch",
-    "ShardedExecution", "ShardMemoryBudgetError", "DataParallelUnit",
+    "ShardedExecution", "ShardMemoryBudgetError",
     "recover",
     "masked_frobenius", "bf_loss", "af_loss",
     "factor_frobenius", "factor_dirichlet",

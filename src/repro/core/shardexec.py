@@ -73,8 +73,7 @@ from ..autodiff.ops import (_Pool, _gcnn_stage_backward, _gcnn_stage_forward,
 from ..autodiff.tensor import Tensor, _record, _run_forward
 from ..graph.sharding import Shard, ShardPlan
 
-__all__ = ["ShardedExecution", "ShardMemoryBudgetError",
-           "DataParallelUnit", "dense_factorize"]
+__all__ = ["ShardedExecution", "ShardMemoryBudgetError", "dense_factorize"]
 
 # Bytes of one chunk's first-stage (M·B, C) feature block.  Swept on a
 # 2 MiB-L2 core, stage-1 forward + backward, float64, one BLAS thread:
@@ -102,40 +101,8 @@ class ShardMemoryBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class DataParallelUnit:
-    """One schedulable unit of sharded stage-1 work.
-
-    A unit is (side, shard): the slices of one origin shard encoded
-    over the destination graph (side ``"r"``), or one destination
-    shard's slices over the origin graph (side ``"c"``).  Units share
-    parameters and reduce gradients into them; they own disjoint slice
-    rows, so any subset can run on any worker in any order (the
-    reduction order is fixed for determinism).
-    """
-
-    side: str
-    shard: Shard
-    slices_per_sample: int
-    graph_nodes: int
-
-    @property
-    def index(self) -> int:
-        return self.shard.index
-
-    def slice_rows(self, batch: int) -> np.ndarray:
-        """Rows of this unit in the flattened ``(B·N, nodes, K)`` slice
-        batch (slice ``b·N + region`` for each owned region)."""
-        return _shard_slices(self.shard, batch,
-                             self.slices_per_sample_total)
-
-    # Total slices per sample on this side (the shard axis length);
-    # set post-construction by the execution that builds the unit.
-    slices_per_sample_total: int = 0
-
-
 # ----------------------------------------------------------------------
-# Per-stage execution constants (the fused ops' arguments, per side)
+# Per-stage execution constants (the stage kernels' arguments, per side)
 # ----------------------------------------------------------------------
 @dataclass
 class _Stage:
@@ -151,11 +118,11 @@ def _side_stages(factorizer) -> Tuple[List[_Stage], Tuple[Tensor, ...]]:
     """Derive the per-stage constants from a SpatialFactorizer.
 
     Returns the stages and the latent head's parameters ``(w_buckets,
-    b_buckets, w_latent, b_latent)``; ``factorizer._fused_specs`` is the
-    same per-stage constant set the fused kernels use.
+    b_buckets, w_latent, b_latent)``; ``factorizer._pool_specs`` holds
+    each stage's pooling constants.
     """
     stages: List[_Stage] = []
-    for conv, spec in zip(factorizer.convs, factorizer._fused_specs):
+    for conv, spec in zip(factorizer.convs, factorizer._pool_specs):
         lap = conv._scaled_lap.data
         stages.append(_Stage(
             lap=lap, lap_t=lap.T, weight=conv.weight, bias=conv.bias,
@@ -223,8 +190,8 @@ def _chunks(slices: np.ndarray, limit: int) -> List[np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Raw-array forward / backward over a chunk of slices: the fused ops'
-# node-major stage and head helpers, run on the chunk's columns.  A
+# Raw-array forward / backward over a chunk of slices: the node-major
+# stage and head kernels, run on the chunk's columns.  A
 # slice's outputs, caches and input gradient are bit-identical to its
 # part of any other chunking (see the module docstring).
 # ----------------------------------------------------------------------
@@ -321,6 +288,11 @@ def _dense_forward(od, side, stages, head, n_side, out, state) -> None:
                   lambda slices, caches: chunks.append((slices, caches)))
 
 
+# The op label the profiler books a dense side under (e2ebench maps it to
+# core.factorize).
+_DENSE_LABELS = ("fused_gcnn_stage", "fused_gcnn_stage")
+
+
 def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
                forward, labels: Tuple[str, str]) -> Tensor:
     """One side's stage 1 over ``tensors (B, N, N', K)`` as one graph
@@ -391,7 +363,7 @@ def dense_factorize(factorizer_r, factorizer_c,
     """Both sides' stage 1 over every slice, one side at a time, in
     chunks: ``(B, N, N', K)`` → ``R (B, N, β, K)``, ``C (B, β, N', K)``."""
     return _factorize(factorizer_r, factorizer_c, tensors, _dense_forward,
-                      ("fused_gcnn_stage", "fused_gcnn_stage"))
+                      _DENSE_LABELS)
 
 
 # ----------------------------------------------------------------------
@@ -409,8 +381,8 @@ class ShardedExecution:
         reduction; memory bounded, deterministic, float-level parity).
     memory_budget_bytes:
         Optional hard cap on one shard's incremental working set,
-        enforced with tracemalloc on profiled forwards (the first
-        forward after construction or :meth:`arm_profile`).
+        enforced with tracemalloc on the first forward after
+        construction (the profiled forward).
     """
 
     MODES = ("exact", "blocked")
@@ -446,27 +418,6 @@ class ShardedExecution:
                 f"{self.plan.n_destinations} regions but the model has "
                 f"{model.n_origins}x{model.n_destinations}")
         return True, "ok"
-
-    def data_parallel_units(self) -> List[DataParallelUnit]:
-        """The schedulable (side, shard) units this plan defines."""
-        units = []
-        for shard in self.plan.origin_shards:
-            units.append(DataParallelUnit(
-                side="r", shard=shard,
-                slices_per_sample=shard.size,
-                graph_nodes=self.plan.n_destinations,
-                slices_per_sample_total=self.plan.n_origins))
-        for shard in self.plan.dest_shards:
-            units.append(DataParallelUnit(
-                side="c", shard=shard,
-                slices_per_sample=shard.size,
-                graph_nodes=self.plan.n_origins,
-                slices_per_sample_total=self.plan.n_destinations))
-        return units
-
-    def arm_profile(self) -> None:
-        """Profile (and budget-check) the next forward's shards."""
-        self._profile_pending = True
 
     @property
     def max_shard_peak_bytes(self) -> int:

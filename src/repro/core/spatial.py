@@ -17,13 +17,12 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..autodiff import ops
 from ..autodiff.layers import Linear
 from ..autodiff.module import Module
-from ..autodiff.tensor import Tensor
+from ..autodiff.tensor import Tensor, _ensure_tensor
 from ..graph.chebconv import ChebConv, GraphPool
 from ..graph.coarsening import coarsen_graph, naive_coarsening
-from .shardexec import dense_factorize
+from . import shardexec
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,9 @@ class SpatialFactorizer(Module):
                              if self.pools[-1] is not None
                              else self._coarsening.graphs[level].shape[0])
         self.latent_proj = Linear(self._pooled_size, rank, rng)
-        # Per-stage constants for the fused conv+ReLU+pool kernel
-        # (ops.fused_gcnn_stage).
-        self._fused_specs = [
+        # Per-stage pooling constants for the node-major stage kernel
+        # (ops._Pool), read by core/shardexec.py's chunk loop.
+        self._pool_specs = [
             dict(stride=1, perm=None, inv_counts=None) if pool is None
             else dict(stride=pool.stride, perm=pool._perm,
                       inv_counts=pool._mean_scale / pool.stride)
@@ -123,16 +122,16 @@ class SpatialFactorizer(Module):
 
         ``slices`` is ``(B*, nodes, K)`` — any number of tensor slices
         flattened into the leading axis.  Returns ``(B*, rank, K)``.
+        The slices run through stage 1's chunk loop as the origin rows
+        of a one-sample batch, the same path the AF's stage 1 takes.
         """
-        # Each conv+ReLU+pool stage and the two-projection tail are
-        # single fused graph nodes.
-        x = slices
-        for conv, spec in zip(self.convs, self._fused_specs):
-            x = ops.fused_gcnn_stage(conv._scaled_lap, x, conv.weight,
-                                     conv.bias, conv.order, **spec)
-        return ops.fused_latent_head(
-            x, self.to_buckets.weight, self.to_buckets.bias,
-            self.latent_proj.weight, self.latent_proj.bias)
+        slices = _ensure_tensor(slices)
+        if slices.ndim != 3:
+            raise ValueError(f"SpatialFactorizer expects (batch, nodes, K) "
+                             f"input, got shape {slices.shape}")
+        return shardexec._side_node(
+            slices.reshape((1,) + slices.shape), self, "r", slices.shape[0],
+            shardexec._dense_forward, shardexec._DENSE_LABELS)
 
 
 def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
@@ -151,4 +150,4 @@ def factorize_tensor_batch(factorizer_r: SpatialFactorizer,
     """
     if execution is not None:
         return execution.factorize(factorizer_r, factorizer_c, tensors)
-    return dense_factorize(factorizer_r, factorizer_c, tensors)
+    return shardexec.dense_factorize(factorizer_r, factorizer_c, tensors)

@@ -153,18 +153,6 @@ class Trainer:
                                    every=self.config.decay_every)
 
     # ------------------------------------------------------------------
-    def data_parallel_units(self):
-        """The sharded (side, shard) work units of this run's stage 1.
-
-        Empty without sharding.  Each unit owns a disjoint set of slice
-        rows and shares parameters with the rest — see
-        :class:`repro.core.shardexec.DataParallelUnit`.
-        """
-        if self.sharding is None:
-            return []
-        return self.sharding.data_parallel_units()
-
-    # ------------------------------------------------------------------
     def fit(self, dataset: WindowDataset, split: Split, horizon: int,
             checkpoint_dir: Optional[str] = None,
             checkpoint_every: int = 1, resume: bool = False,
@@ -210,8 +198,9 @@ class Trainer:
              start_epoch=start_epoch, n_train=len(split.train),
              n_val=len(split.val))
         if self.sharding is not None:
+            plan = self.sharding.plan
             emit(telemetry, "sharding",
-                 units=len(self.data_parallel_units()),
+                 units=plan.n_origin_shards + plan.n_dest_shards,
                  **self.sharding.describe())
         contracts = get_contract_policy()
         # One parameter-list walk per fit, not one per batch: the

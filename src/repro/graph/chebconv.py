@@ -156,10 +156,6 @@ class GraphPool(Module):
     def output_size(self) -> int:
         return self._n_padded // self.stride
 
-    @property
-    def output_level(self) -> int:
-        return self.start_level + self.levels
-
     def forward(self, x: Tensor) -> Tensor:
         axis = self.node_axis % x.ndim
         if x.shape[axis] != self._in_size:

@@ -135,19 +135,6 @@ class Coarsening:
     def padded_size(self, level: int = 0) -> int:
         return self.graphs[level].shape[0]
 
-    def permute_signal(self, signal: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Numpy helper: pad with zeros and reorder ``signal`` along ``axis``."""
-        signal = np.asarray(signal)
-        n = signal.shape[axis]
-        if n != self.n_original:
-            raise ValueError(
-                f"signal has {n} nodes, coarsening built for "
-                f"{self.n_original}")
-        m = len(self.perm)
-        pad = [(0, 0)] * signal.ndim
-        pad[axis] = (0, m - n)
-        padded = np.pad(signal, pad)
-        return np.take(padded, self.perm, axis=axis)
 
 
 def naive_coarsening(weights: np.ndarray, levels: int) -> Coarsening:

@@ -236,22 +236,6 @@ class BlockSparseODTensor:
             mask[sel] = self.mask_blocks[(bi, bj)][start:stop]
         return tensors, mask
 
-    def row_stripe(self, bi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(T, rows_bi, N', K)`` stripe of one block row — what
-        the R side of one origin shard consumes."""
-        row_ids = self.row_blocks[bi]
-        tensors = np.zeros((self.n_intervals, row_ids.size,
-                            self.n_destinations, self.n_buckets))
-        mask = np.zeros((self.n_intervals, row_ids.size,
-                         self.n_destinations), dtype=bool)
-        for (i, bj), payload in self.blocks.items():
-            if i != bi:
-                continue
-            cols = self.col_blocks[bj]
-            tensors[:, :, cols] = payload
-            mask[:, :, cols] = self.mask_blocks[(i, bj)]
-        return tensors, mask
-
     def occupancy(self) -> dict:
         """Sparsity summary for telemetry / benchmark reports."""
         return {"block_rows": self.n_block_rows,

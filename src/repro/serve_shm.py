@@ -193,10 +193,6 @@ class ShmRing:
         if slot not in self._free:
             self._free.append(slot)
 
-    @property
-    def free_slots(self) -> int:
-        return len(self._free)
-
     # ------------------------------------------------------------------
     def write(self, slot: int, arrays: Sequence[np.ndarray],
               request_id: int, deadline: Optional[float] = None) -> int:

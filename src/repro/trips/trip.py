@@ -10,7 +10,6 @@ arrays, with :class:`Trip` as the per-record view for ergonomic access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -93,15 +92,6 @@ class TripTable:
         return TripTable(self.origin_xy[index], self.dest_xy[index],
                          self.departure_min[index], self.distance_km[index],
                          self.duration_min[index])
-
-    def iter_trips(self) -> Iterator[Trip]:
-        """Row-wise view as :class:`Trip` objects (for small tables)."""
-        for i in range(len(self)):
-            yield Trip(origin=tuple(self.origin_xy[i]),
-                       destination=tuple(self.dest_xy[i]),
-                       departure_min=float(self.departure_min[i]),
-                       distance_km=float(self.distance_km[i]),
-                       duration_min=float(self.duration_min[i]))
 
     @staticmethod
     def concatenate(tables: list) -> "TripTable":

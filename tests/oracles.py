@@ -185,9 +185,10 @@ def factorize_tensor_batch(factorizer_r, factorizer_c, tensors: Tensor,
 
 
 #: The fused entry points of :mod:`repro.autodiff.ops` that have an
-#: oracle here under the same name.
-OPS_KERNELS = ("cheb_conv", "fused_gcnn_stage", "fused_latent_head",
-               "fused_gru_gates", "fused_cnrnn_cell",
+#: oracle here under the same name.  ``fused_gcnn_stage`` and
+#: ``fused_latent_head`` are references for the stage-1 kernels
+#: (``ops._gcnn_stage_*``/``_latent_head_*``), which have no public op.
+OPS_KERNELS = ("cheb_conv", "fused_gru_gates", "fused_cnrnn_cell",
                "fused_softmax_recovery", "fused_masked_frobenius")
 
 

@@ -121,80 +121,6 @@ class TestChebConv:
             set_default_dtype(np.float64)
 
 
-class TestGcnnStage:
-    def test_parity_no_pool(self, rng):
-        lap = rng.normal(size=(6, 6))
-        order = 3
-        x = rng.normal(size=(3, 6, 4))
-        weight = rng.normal(size=(4 * order, 5))
-        bias = rng.normal(size=(5,))
-        assert_parity(
-            lambda t, w, b: ops.fused_gcnn_stage(lap, t, w, b, order),
-            lambda t, w, b: oracles.fused_gcnn_stage(
-                lap, t, w, b, order),
-            [x, weight, bias], seed=3)
-
-    def test_parity_with_real_pooling(self, rng):
-        # Pull perm/inv_counts from a real factorizer's coarsening so
-        # the padded-permute + cluster-mean path is exercised exactly as
-        # the model uses it.
-        w = _random_proximity(12, rng)
-        factorizer = SpatialFactorizer(w, 4, 3, np.random.default_rng(7))
-        conv = factorizer.convs[0]
-        spec = factorizer._fused_specs[0]
-        assert spec["stride"] > 1 and spec["perm"] is not None
-        lap = conv._scaled_lap.data
-        order = conv.order
-        x = rng.normal(size=(2, 12, 4))
-        weight = rng.normal(size=conv.weight.shape)
-        bias = rng.normal(size=conv.bias.shape)
-        assert_parity(
-            lambda t, wt, b: ops.fused_gcnn_stage(
-                lap, t, wt, b, order, **spec),
-            lambda t, wt, b: oracles.fused_gcnn_stage(
-                lap, t, wt, b, order, **spec),
-            [x, weight, bias], seed=4)
-
-    def test_gradcheck_with_pooling(self, rng):
-        w = _random_proximity(12, rng)
-        factorizer = SpatialFactorizer(w, 4, 3, np.random.default_rng(7))
-        conv = factorizer.convs[0]
-        spec = factorizer._fused_specs[0]
-        lap = conv._scaled_lap.data
-        x = Tensor(rng.normal(size=(2, 12, 4)), requires_grad=True)
-        weight = Tensor(rng.normal(size=conv.weight.shape),
-                        requires_grad=True)
-        bias = Tensor(rng.normal(size=conv.bias.shape), requires_grad=True)
-        check_gradients(
-            lambda t, wt, b: (ops.fused_gcnn_stage(
-                lap, t, wt, b, conv.order, **spec) ** 2).sum(),
-            [x, weight, bias])
-
-    def test_shape_error(self, rng):
-        with pytest.raises(ValueError):
-            ops.fused_gcnn_stage(np.eye(4), Tensor(np.zeros((4, 3))),
-                                 Tensor(np.zeros((6, 2))),
-                                 Tensor(np.zeros(2)), 2)
-
-
-class TestLatentHead:
-    def test_parity(self, rng):
-        x = rng.normal(size=(3, 7, 5))          # (B, beta', C)
-        w_buckets = rng.normal(size=(5, 4))
-        b_buckets = rng.normal(size=(4,))
-        w_latent = rng.normal(size=(7, 3))
-        b_latent = rng.normal(size=(3,))
-        assert_parity(ops.fused_latent_head, oracles.fused_latent_head,
-                      [x, w_buckets, b_buckets, w_latent, b_latent], seed=5)
-
-    def test_gradcheck(self, rng):
-        tensors = _params([rng.normal(size=(2, 4, 3)),
-                           rng.normal(size=(3, 2)), rng.normal(size=(2,)),
-                           rng.normal(size=(4, 3)), rng.normal(size=(3,))])
-        check_gradients(
-            lambda *a: (ops.fused_latent_head(*a) ** 2).sum(), tensors)
-
-
 class TestGruGates:
     def test_parity(self, rng):
         hidden, inputs = 5, 3

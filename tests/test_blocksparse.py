@@ -103,14 +103,6 @@ class TestWindows:
         with pytest.raises(ValueError, match="window"):
             sparse.window(0, sparse.n_intervals + 1)
 
-    def test_row_stripe_matches_dense(self, sparse, sequence):
-        for bi, row_ids in enumerate(sparse.row_blocks):
-            tensors, mask = sparse.row_stripe(bi)
-            np.testing.assert_array_equal(tensors,
-                                          sequence.tensors[:, row_ids])
-            np.testing.assert_array_equal(mask,
-                                          sequence.mask[:, row_ids])
-
 
 class TestWindowDatasetParity:
     def test_same_length_and_samples(self, sparse, windows):

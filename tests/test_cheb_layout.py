@@ -5,9 +5,9 @@ The shared Cheby-Net helpers in :mod:`repro.autodiff.ops`
 node-major: one Laplacian GEMM per term against every slice's columns
 at once.
 
-Exact-mode sharding (dense ≡ sharded), the blocked forward and the
-metro inference twin run a shard's slices through the same helpers the
-dense path runs on all slices, and must agree **bit for bit**.  That
+Exact-mode sharding (dense ≡ sharded) and the blocked forward run a
+shard's slices through the same helpers the dense path runs on all
+slices, and must agree **bit for bit**.  That
 needs a slice's result not to depend on which other slices share its
 GEMM.  On OpenBLAS this does not hold for an arbitrary column count: a
 column in a partial micro-kernel tile, or a call small enough for the
@@ -27,7 +27,7 @@ it exactly.
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, ops, set_default_dtype
+from repro.autodiff import Tensor, set_default_dtype
 from repro.autodiff.ops import (_Pool, _cheb_adjoint, _cheb_feats,
                                 _cheb_terms, _gcnn_stage_backward,
                                 _gcnn_stage_forward, _latent_head_backward,
@@ -89,8 +89,11 @@ DTYPES = [np.float64, np.float32]
 
 def _case(stacked, n, batch, channels, order, dtype, seed=0):
     """``(lap, lap_t, signal, weight, dmixed)`` as a call site builds
-    them: a plain ``(N, N)`` Laplacian, or the twin kernels'
-    ``(2, 1, N, N)`` stack, with ``lap_t`` a transposed view."""
+    them, with a plain ``(N, N)`` Laplacian and ``lap_t`` a transposed
+    view.  A stacked case draws two such problems on a leading axis (two
+    graphs, as the AF's two factorizer sides have; the Laplacians as
+    ``(2, 1, N, N)`` so the oracle broadcasts them over the slices), and
+    the helpers run each problem in its own call (:func:`_restack`)."""
     rng = np.random.default_rng(seed)
     lead = (2,) if stacked else ()
     # Deliberately non-symmetric so the adjoint really uses Lᵀ.
@@ -109,7 +112,20 @@ def _case(stacked, n, batch, channels, order, dtype, seed=0):
     return lap, lap_t, signal, weight, dmixed
 
 
+def _restack(runs):
+    """Per-problem results (arrays, or tuples/lists of them) stacked on a
+    new leading axis, the layout of a stacked case's inputs."""
+    first = runs[0]
+    if isinstance(first, (tuple, list)):
+        return type(first)(_restack(parts) for parts in zip(*runs))
+    return np.stack(runs)
+
+
 def _helpers(lap, lap_t, signal, weight, dmixed, order):
+    if signal.ndim == 4:
+        return _restack([
+            _helpers(*problem, order) for problem in
+            zip(lap[:, 0], lap_t[:, 0], signal, weight, dmixed)])
     terms = _cheb_terms(lap, signal, order)
     assert len(terms) == order
     feats = _cheb_feats(terms, order)
@@ -287,8 +303,15 @@ def _stage_case(n, batch, c, q, order, kind, stacked, dtype, seed=0):
 
 
 def _run_stage(case, pick=None):
-    """Output (slice-major), caches and input gradient of the slices in
-    ``pick`` (all by default)."""
+    """Output (slice-major), caches, input gradient and weight and bias
+    gradients of the slices in ``pick`` (all by default)."""
+    if case["signal"].ndim == 4:
+        return _restack([
+            _run_stage(dict(case, lap=lap, signal=signal, weight=weight,
+                            bias=bias, grad=grad), pick)
+            for lap, signal, weight, bias, grad in zip(
+                case["lap"], case["signal"], case["weight"], case["bias"],
+                case["grad"])])
     signal, grad = case["signal"], case["grad"]
     if pick is not None:
         signal = signal[..., pick, :, :]
@@ -302,7 +325,7 @@ def _run_stage(case, pick=None):
         _node_major(grad), cache, lap_t, case["weight"], case["pool"])
     c = signal.shape[-1]
     return (np.array(_slice_major(out, batch, q)), cache,
-            np.array(_slice_major(dx, batch, c)))
+            np.array(_slice_major(dx, batch, c)), dweight, dbias)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
@@ -312,9 +335,9 @@ def _run_stage(case, pick=None):
 def test_stage_slices_independent_of_batch_partners(n, batch, c, q, kind,
                                                     stacked, dtype):
     case = _stage_case(n, batch, c, q, 3, kind, stacked, dtype)
-    out, cache, dx = _run_stage(case)
+    out, cache, dx = _run_stage(case)[:3]
     for pick in _subsets(batch, seed=n + batch):
-        sub_out, sub_cache, sub_dx = _run_stage(case, pick)
+        sub_out, sub_cache, sub_dx = _run_stage(case, pick)[:3]
         what = f"slices {pick.tolist()} of {batch}"
         _assert_bit_equal(sub_out, out[..., pick, :, :], f"output, {what}")
         for index, (got, full) in enumerate(zip(sub_cache, cache)):
@@ -335,7 +358,8 @@ def _assert_close(got, want, dtype, what):
                                atol=_tolerance(dtype) * scale, err_msg=what)
 
 
-def _op_grads(op, arrays, grad, dtype):
+def _oracle_grads(op, arrays, grad, dtype):
+    """Output and input gradients of an oracle under ``grad``."""
     previous = set_default_dtype(dtype)
     try:
         tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -350,13 +374,12 @@ def _op_grads(op, arrays, grad, dtype):
 @pytest.mark.parametrize("n,batch,c,q,kind", STAGE_CASES)
 def test_stage_matches_reference(n, batch, c, q, kind, dtype):
     case = _stage_case(n, batch, c, q, 3, kind, False, dtype, seed=1)
-    arrays = [case["signal"], case["weight"], case["bias"]]
-    results = [
-        _op_grads(lambda x, w, b, op=op: op(case["lap"], x, w, b, 3,
-                                            **case["spec"]),
-                  arrays, case["grad"], dtype)
-        for op in (ops.fused_gcnn_stage, oracles.fused_gcnn_stage)]
-    (out, grads), (ref_out, ref_grads) = results
+    out, _, *grads = _run_stage(case)
+    ref_out, ref_grads = _oracle_grads(
+        lambda x, w, b: oracles.fused_gcnn_stage(case["lap"], x, w, b, 3,
+                                                 **case["spec"]),
+        [case["signal"], case["weight"], case["bias"]], case["grad"],
+        dtype)
     _assert_close(out, ref_out, dtype, "output")
     for name, got, want in zip(("x", "weight", "bias"), grads, ref_grads):
         _assert_close(got, want, dtype, f"{name} gradient")
@@ -381,6 +404,12 @@ def _head_case(p, batch, c, k, rank, stacked, dtype, seed=0):
 
 
 def _run_head(case, pick=None):
+    """Output, caches, input gradient and parameter gradients of the
+    slices in ``pick`` (all by default)."""
+    if case["x"].ndim == 4:
+        return _restack([
+            _run_head(dict(zip(case, problem)), pick)
+            for problem in zip(*case.values())])
     x, grad = case["x"], case["grad"]
     if pick is not None:
         x, grad = x[..., pick, :, :], grad[..., pick, :, :]
@@ -388,9 +417,10 @@ def _run_head(case, pick=None):
     out, cache = _latent_head_forward(
         _node_major(x), case["w_buckets"], case["b_buckets"],
         case["w_latent"], case["b_latent"], batch)
-    dx = _latent_head_backward(grad, cache, case["w_buckets"],
-                               case["w_latent"])[4]
-    return out, cache, np.array(_slice_major(dx, batch, c))
+    *grads, dx = _latent_head_backward(grad, cache, case["w_buckets"],
+                                       case["w_latent"])
+    return (out, cache, np.array(_slice_major(dx, batch, c))) \
+        + tuple(grads)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
@@ -400,9 +430,9 @@ def _run_head(case, pick=None):
 def test_head_slices_independent_of_batch_partners(p, batch, c, k, rank,
                                                    stacked, dtype):
     case = _head_case(p, batch, c, k, rank, stacked, dtype)
-    out, cache, dx = _run_head(case)
+    out, cache, dx = _run_head(case)[:3]
     for pick in _subsets(batch, seed=p + batch):
-        sub_out, sub_cache, sub_dx = _run_head(case, pick)
+        sub_out, sub_cache, sub_dx = _run_head(case, pick)[:3]
         what = f"slices {pick.tolist()} of {batch}"
         _assert_bit_equal(sub_out, out[..., pick, :, :], f"output, {what}")
         for index, (got, full) in enumerate(zip(sub_cache, cache)):
@@ -418,9 +448,9 @@ def test_head_matches_reference(p, batch, c, k, rank, dtype):
     case = _head_case(p, batch, c, k, rank, False, dtype, seed=2)
     arrays = [case[name] for name in ("x", "w_buckets", "b_buckets",
                                       "w_latent", "b_latent")]
-    (out, grads), (ref_out, ref_grads) = [
-        _op_grads(op, arrays, case["grad"], dtype)
-        for op in (ops.fused_latent_head, oracles.fused_latent_head)]
+    out, _, *grads = _run_head(case)
+    ref_out, ref_grads = _oracle_grads(oracles.fused_latent_head, arrays,
+                                       case["grad"], dtype)
     _assert_close(out, ref_out, dtype, "output")
     for index, (got, want) in enumerate(zip(grads, ref_grads)):
         _assert_close(got, want, dtype, f"gradient {index}")

@@ -96,20 +96,6 @@ class TestCoarsenGraph:
             if i < n and j < n:
                 assert weights[i, j] > 0
 
-    def test_permute_signal_roundtrip_mean(self, weights, rng):
-        """Mean over real slots of the permuted signal equals the
-        original mean (fake slots are zero)."""
-        c = coarsen_graph(weights, 2)
-        x = rng.normal(size=(len(weights), 3))
-        permuted = c.permute_signal(x, axis=0)
-        assert permuted.shape == (c.padded_size(0), 3)
-        assert permuted.sum() == pytest.approx(x.sum())
-
-    def test_permute_signal_wrong_size(self, weights):
-        c = coarsen_graph(weights, 1)
-        with pytest.raises(ValueError):
-            c.permute_signal(np.zeros((len(weights) + 1, 2)))
-
     def test_negative_levels_rejected(self, weights):
         with pytest.raises(ValueError):
             coarsen_graph(weights, -1)

@@ -94,7 +94,7 @@ class TestShmRing:
         assert ring.acquire() == 1
         ring.release(1)
         ring.release(1)                            # double release is safe
-        assert ring.free_slots == 1
+        assert ring._free == [1]
 
     def test_close_unlink_removes_segment(self):
         ring = ShmRing(slot_bytes=4096, n_slots=1)

@@ -20,6 +20,7 @@ from repro.core import (AdvancedFramework, BasicFramework,
                         ShardedExecution, ShardMemoryBudgetError,
                         TrainConfig, Trainer, af_loss,
                         factorize_tensor_batch)
+from repro.core.shardexec import _shard_slices
 from repro.graph import chebyshev_hops, plan_shards
 
 N_SHARDS = 4
@@ -78,23 +79,6 @@ class TestPlanner:
         assert plan.validate() is plan
         for shard in plan.origin_shards + plan.dest_shards:
             assert np.intersect1d(shard.owned, shard.halo).size == 0
-            assert np.array_equal(shard.with_halo(),
-                                  np.sort(np.concatenate(
-                                      [shard.owned, shard.halo])))
-
-    def test_exchange_lists_cover_halos_from_owners(self, plan):
-        for side, shards in (("origin", plan.origin_shards),
-                             ("dest", plan.dest_shards)):
-            exchanges = plan.exchange_lists(side)
-            for shard, peers in zip(shards, exchanges):
-                received = np.concatenate(
-                    [ids for _, ids in peers]) if peers else \
-                    np.empty(0, dtype=np.int64)
-                assert np.array_equal(np.sort(received), shard.halo)
-                for peer_index, ids in peers:
-                    peer = shards[peer_index]
-                    assert peer_index != shard.index
-                    assert np.isin(ids, peer.owned).all()
 
     def test_planning_is_deterministic(self, proximity):
         a = plan_shards(proximity, n_shards=N_SHARDS, hops=HOPS)
@@ -331,16 +315,16 @@ class TestMemoryBudget:
             ShardedExecution(plan, memory_budget_bytes=0)
 
 
-class TestDataParallelUnits:
-    def test_units_cover_both_sides(self, plan):
-        execution = ShardedExecution(plan)
-        units = execution.data_parallel_units()
-        assert len(units) == plan.n_origin_shards + plan.n_dest_shards
-        r_units = [u for u in units if u.side == "r"]
+class TestShardSlices:
+    def test_shards_cover_every_slice(self, plan):
+        """Each side's shards own every slice of a batch exactly once."""
         batch = 3
-        rows = np.concatenate([u.slice_rows(batch) for u in r_units])
-        assert np.array_equal(np.sort(rows),
-                              np.arange(batch * plan.n_origins))
+        for shards, n_side in ((plan.origin_shards, plan.n_origins),
+                               (plan.dest_shards, plan.n_destinations)):
+            rows = np.concatenate([_shard_slices(shard, batch, n_side)
+                                   for shard in shards])
+            assert np.array_equal(np.sort(rows),
+                                  np.arange(batch * n_side))
 
 
 class TestTrainerIntegration:

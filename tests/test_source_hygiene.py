@@ -6,6 +6,9 @@
 * Every field of :class:`~repro.serve.ServeConfig` and
   :class:`~repro.core.trainer.TrainConfig` is read somewhere in
   ``src/``: an option nothing reads silently does nothing.
+* Every function, class and method defined in ``src/repro`` is named
+  somewhere else in ``src/``, or is on an allowlist: a definition only
+  the tests call is a code path the program does not run.
 """
 
 import ast
@@ -142,3 +145,109 @@ def test_every_config_field_is_read(config):
     unread = [f.name for f in dataclasses.fields(config)
               if f.name not in reads]
     assert unread == [], f"{config.__name__} fields nothing reads"
+
+
+# ----------------------------------------------------------------------
+# Reference scan
+# ----------------------------------------------------------------------
+#: Definitions nothing in ``src/`` names, with the caller outside
+#: ``src/`` or the doc that publishes each (the file must name it).
+PUBLISHED = {
+    "repro.autodiff.module.Module.num_parameters":
+        "benchmarks/test_table1_configs.py",
+    "repro.histograms.blocksparse.BlockSparseODTensor.from_dense":
+        "docs/SHARDING.md",
+    "repro.histograms.blocksparse.BlockSparseODTensor.to_dense":
+        "benchmarks/shard_smoke.py",
+    "repro.histograms.histogram.HistogramSpec.mean_speed":
+        "examples/travel_time_reservation.py",
+    "repro.serve.ForecastWorkerPool.segment_names":
+        "benchmarks/serve_smoke.py",
+    "repro.trips.traffic.LatentTrafficField.context_series":
+        "docs/PAPER_MAPPING.md",
+    "repro.viz.histogram_bars": "examples/quickstart.py",
+}
+
+#: Definitions that only tests call.  Each is the next candidate for
+#: deletion with its tests; the list may only shrink (see ROADMAP,
+#: "Delete the paths the defaults do not reach").
+UNCALLED = {
+    "repro.autodiff.init.orthogonal",
+    "repro.autodiff.ops.clip_min",
+    "repro.autodiff.tensor.Tensor.detach",
+    "repro.core.spatial.SpatialFactorizer.pooled_size",
+    "repro.experiments.runner.ComparisonResult.compare_methods",
+    "repro.graph.coarsening.Coarsening.padded_size",
+    "repro.histograms.travel_time.TravelTimeDistribution.reservation_gap",
+    "repro.metrics.bootstrap.BootstrapResult.significant",
+    "repro.persistence.import_comparison_rows",
+    "repro.regions.geometry.BoundingBox.contains",
+    "repro.regions.partition.GridPartition.cell_area",
+    "repro.serve.ModelRegistry.keys",
+    "repro.trips.trip.Trip.speed_kmh",
+    "repro.trips.trip.TripTable.speed_kmh",
+    "repro.viz.heatmap",
+    "repro.viz.learning_curve",
+}
+
+
+def _definitions(tree, prefix):
+    """``(qualified name, name)`` of every function, class and method in
+    a module (nested ones included), dunder methods excepted."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            qualname = f"{prefix}.{node.name}"
+            if not (node.name.startswith("__")
+                    and node.name.endswith("__")):
+                yield qualname, node.name
+            yield from _definitions(node, qualname)
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _names(tree):
+    """Every name a module uses: identifiers, attributes, imported
+    names and identifier-like strings (``__all__``, ``getattr``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def _unreferenced():
+    """Qualified names of the definitions nothing in ``src/`` names."""
+    defined, used = [], set()
+    for path, tree in _trees():
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        defined.extend(_definitions(tree, module))
+        used.update(_names(tree))
+    return {qualname for qualname, name in defined if name not in used}
+
+
+class TestReferenceScan:
+    def test_every_definition_is_named_in_src_or_allowlisted(self):
+        unlisted = sorted(_unreferenced() - set(PUBLISHED) - UNCALLED)
+        assert unlisted == [], (
+            "defined in src/repro but named nowhere else in src/; call "
+            "it, delete it, or allowlist it with its outside caller")
+
+    def test_allowlists_are_current(self):
+        """An entry whose definition is gone or now has a caller in
+        ``src/`` is stale; a published entry's file must name it."""
+        unreferenced = _unreferenced()
+        stale = sorted((set(PUBLISHED) | UNCALLED) - unreferenced)
+        assert stale == [], "allowlist entries to remove"
+        for qualname, where in PUBLISHED.items():
+            name = qualname.rsplit(".", 1)[-1]
+            assert re.search(rf"\b{name}\b", (ROOT / where).read_text()), (
+                f"{where} does not name {qualname}")

@@ -54,13 +54,6 @@ class TestTripTable:
         assert len(fast) < len(table)
         assert (fast.speed_ms > np.median(table.speed_ms)).all()
 
-    def test_iter_trips_matches_columns(self):
-        table = _table(4)
-        trips = list(table.iter_trips())
-        assert len(trips) == 4
-        assert trips[2].distance_km == pytest.approx(table.distance_km[2])
-        assert trips[2].speed_ms == pytest.approx(table.speed_ms[2])
-
     def test_concatenate(self):
         a, b = _table(3, seed=1), _table(4, seed=2)
         combined = TripTable.concatenate([a, b])
