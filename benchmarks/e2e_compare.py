@@ -15,10 +15,17 @@ It exits non-zero when any metric moves past its bound, when more of
 the change's runs fail their output checks than the base's, or when a
 larger share of the change's operations fails.
 
+``--claim METRIC@WORKLOAD`` (repeatable) also judges a claimed gain: it
+holds only when the change wins at least 9 of every 10 pairs run (a tie
+counts for neither side, a pair missing a value is not a win) and its
+median beats the base's by more than the base's interquartile range.
+A claim that does not hold fails the comparison too.
+
 Usage (from the repository root)::
 
     python3 benchmarks/e2e_compare.py BASE CHANGE --pairs 10 \\
-        --workload pipeline-paper --json /tmp/compare.json
+        --workload pipeline-paper --json /tmp/compare.json \\
+        --claim train_windows_per_s@pipeline-paper
 
 ``BASE`` and ``CHANGE`` are any git revisions (``HEAD~1``, a sha, a
 branch).  Each is extracted with ``git archive``, so the runs see
@@ -159,6 +166,58 @@ def judge(end_to_end: List[dict], base: List[Optional[dict]],
             "passed": not problems}
 
 
+# A claimed gain must win this share of the pairs run.
+CLAIM_WIN_SHARE = 0.9
+
+
+def judge_claim(spec: dict, base: List[Optional[dict]],
+                change: List[Optional[dict]]) -> dict:
+    """Judge a claimed gain on one ``BENCHMARK.json`` metric ``spec``
+    over the parsed results of the pairs (``None`` for a crashed run).
+
+    The claim holds when the change is strictly better at matching
+    seeds in at least :data:`CLAIM_WIN_SHARE` of the pairs run and its
+    median is better than the base's by more than the base's IQR.
+    """
+    name, better = spec["name"], spec["better"]
+    pairs = [(_value(b, name), _value(c, name))
+             for b, c in zip(base, change)]
+    wins = sum(1 for b, c in pairs if b is not None and c is not None
+               and (c > b if better == "higher" else c < b))
+    row = {"name": name, "better": better, "pairs": len(pairs),
+           "wins": wins}
+    base_values = [b for b, _ in pairs if b is not None]
+    change_values = [c for _, c in pairs if c is not None]
+    if not base_values or not change_values:
+        row.update(passed=False, reason="no values on one side")
+        return row
+    row["base_median"], row["base_iqr"] = _quartiles(base_values)
+    row["change_median"], _ = _quartiles(change_values)
+    gain = row["change_median"] - row["base_median"]
+    row["gain"] = gain if better == "higher" else -gain
+    reasons = []
+    if wins < CLAIM_WIN_SHARE * len(pairs):
+        reasons.append(f"won {wins} of {len(pairs)} pairs")
+    if row["gain"] <= row["base_iqr"]:
+        reasons.append("median gain not beyond the base's IQR")
+    row["passed"] = not reasons
+    if reasons:
+        row["reason"] = "; ".join(reasons)
+    return row
+
+
+def format_claim(workload: str, row: dict) -> str:
+    """One line stating a claim's win count and verdict."""
+    head = (f"claim {row['name']}@{workload}: change wins {row['wins']}/"
+            f"{row['pairs']} pairs")
+    if "base_median" in row:
+        head += (f", median {row['base_median']:.5g} -> "
+                 f"{row['change_median']:.5g} (gain {row['gain']:+.4g}, "
+                 f"base IQR {row['base_iqr']:.4g})")
+    status = "HOLDS" if row["passed"] else f"FAILS ({row['reason']})"
+    return f"{head}  {status}"
+
+
 def format_verdict(workload: str, verdict: dict) -> str:
     """A fixed-width table of one workload's verdict."""
     lines = [f"== {workload}",
@@ -251,6 +310,9 @@ def main(argv=None) -> int:
                                                  / "compare"),
                         help="where the revisions are extracted")
     parser.add_argument("--json", help="write runs and verdicts here")
+    parser.add_argument("--claim", action="append", default=[],
+                        metavar="METRIC@WORKLOAD",
+                        help="judge a claimed gain (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -262,6 +324,15 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json "
                      f"lists {known}")
+    metric_specs = {m["name"]: m for m in spec["end_to_end"]}
+    claims: Dict[str, List[dict]] = {}
+    for claim in args.claim:
+        metric, _, workload = claim.partition("@")
+        if metric not in metric_specs or workload not in workloads:
+            parser.error(f"--claim {claim!r}: need METRIC@WORKLOAD with "
+                         f"an end-to-end metric of BENCHMARK.json and a "
+                         f"workload that runs ({workloads})")
+        claims.setdefault(workload, []).append(metric_specs[metric])
     seconds = int(spec["run_seconds"])
     timeout = 60.0 * seconds + 600.0
     names = [m["name"] for m in spec["end_to_end"]]
@@ -285,10 +356,20 @@ def main(argv=None) -> int:
                 run["seed"] = seed
                 runs[side].append(run)
                 print(_run_line(side, seed, run, names), flush=True)
-        verdict = judge(spec["end_to_end"],
-                        [r["result"] for r in runs["base"]],
-                        [r["result"] for r in runs["change"]])
+        base_results = [r["result"] for r in runs["base"]]
+        change_results = [r["result"] for r in runs["change"]]
+        verdict = judge(spec["end_to_end"], base_results, change_results)
+        verdict["claims"] = [judge_claim(metric, base_results,
+                                         change_results)
+                             for metric in claims.get(workload, [])]
+        for row in verdict["claims"]:
+            if not row["passed"]:
+                verdict["problems"].append(
+                    f"claimed gain in {row['name']}: {row['reason']}")
+                verdict["passed"] = False
         print(format_verdict(workload, verdict), flush=True)
+        for row in verdict["claims"]:
+            print(format_claim(workload, row), flush=True)
         report[workload] = {"runs": runs, "verdict": verdict}
 
     passed = all(entry["verdict"]["passed"] for entry in report.values())

@@ -12,15 +12,29 @@ through the node-major stage and head kernels
 node-major ``(N, P)`` signal.  A chunk holds at most as many slices as
 keep its first-stage ``(M·B, C)`` feature block within
 :data:`_CHUNK_BYTES`, so its working set is a few MiB, near a core's L2,
-instead of every stage streaming all slices through memory; the
-schedule depends on shapes only, so inference tapes stay valid.
+instead of every stage streaming all slices through memory.
 
-The dense path (:func:`dense_factorize`) is one run of every slice.  A
-:class:`~repro.graph.sharding.ShardPlan` splits the R side along origin
-clusters and the C side along destination clusters, and
-:class:`ShardedExecution` runs one shard's slices at a time through the
-same chunk loop, with a strict per-shard memory budget measured by
-tracemalloc.  A shard larger than one chunk is split like the dense run.
+**Empty-slice fold.**  OD tensors are sparse: at paper scale about 30%
+of the slices hold no trips at all.  Every empty slice has the same
+(zero) input, hence the same outputs and caches, so a side runs only
+its occupied slices plus its first empty slice, the representative
+(:func:`_fold`).  The representative's output rows are copied to every
+other empty slice, and the backward seeds the representative with the
+sum of all empty slices' output gradients — exact by linearity, since
+the backward is linear in the output gradient given the shared caches.
+The fold is computed inside the node's forward thunk, from the data
+it runs on, so the chunk schedule depends on occupancy, and a replayed
+inference tape stays exact on a window with a different zero pattern.
+An input that requires a gradient is not folded: every slice runs, so
+each gets its own input gradient.
+
+The dense path (:func:`dense_factorize`) is one run of the folded
+slices.  A :class:`~repro.graph.sharding.ShardPlan` splits the R side
+along origin clusters and the C side along destination clusters, and
+:class:`ShardedExecution` runs one shard's folded slices at a time
+through the same chunk loop, with a strict per-shard memory budget
+measured by tracemalloc.  A shard larger than one chunk is split like
+the dense run.
 
 Because the graph convolutions propagate along the *other* side's
 graph, slicing the shard axis never crosses a convolution.  Every
@@ -30,28 +44,23 @@ cannot see the other slices' positions: the Laplacian terms are
 channel mixes and head projections run over rows in full fixed-size row
 tiles (``ops._ROW_TILE``).  On OpenBLAS a partial tile in either
 direction breaks this (``tests/test_cheb_layout.py``).  So outputs and
-input gradients are bit-identical however the slices are chunked.  The
-weight gradients are per-chunk partials summed in fixed chunk order;
-they depend on the chunking in the last bits, which motivates the two
-sharded modes:
+input gradients are bit-identical however the slices are chunked or
+folded.  The weight gradients are per-chunk partials summed in fixed
+chunk order; they depend on the chunking in the last bits, which
+motivates the two sharded modes:
 
 ``exact``
-    Per-shard forward, but the caches are scattered into full
-    dense-order buffers and the backward runs the dense chunk schedule
-    over them.  Bit-identical losses, gradients, weights and RNG versus
-    the dense path — the parity mode the benchmark gate verifies — at
-    the price of dense-sized caches.
+    Per-shard forward, but the caches are scattered into dense-order
+    buffers of the folded slices and the backward runs the dense chunk
+    schedule over them.  Bit-identical losses, gradients, weights and
+    RNG versus the dense path — the parity mode the benchmark gate
+    verifies — at the price of dense-sized caches.
 
 ``blocked``
-    Per-shard backward, plus **zero-slice collapse**: at metro scale
-    most OD slices are entirely empty, all empty slices share one
-    forward state (the bias response), so they are computed once
-    forward and their output gradients are summed into a single
-    pseudo-shard backward — exact by linearity.  Deterministic
-    run-to-run, memory bounded by the occupied slices of one shard,
-    and the source of the wall-clock win on sparse cities; weight
-    gradients match dense to float round-off (not bitwise) because
-    the chunks differ.
+    Per-shard backward: each shard's chunks are reduced in fixed
+    shard-then-chunk order.  Deterministic run-to-run, memory bounded
+    by the folded slices of one shard; weight gradients match dense to
+    float round-off (not bitwise) because the chunks differ.
 
 The plan's halos stay empty-handed here — they document what a
 graph-axis sharding *would* exchange.
@@ -69,7 +78,7 @@ import numpy as np
 
 from ..autodiff.ops import (_Pool, _gcnn_stage_backward, _gcnn_stage_forward,
                             _latent_head_backward, _latent_head_forward,
-                            _node_major, _padded, _slice_major)
+                            _node_major, _slice_major)
 from ..autodiff.tensor import Tensor, _record, _run_forward
 from ..graph.sharding import Shard, ShardPlan
 
@@ -150,6 +159,20 @@ def _shard_slices(shard: Shard, batch: int, n_side: int) -> np.ndarray:
 def _occupied(tensors: np.ndarray, side: str) -> np.ndarray:
     """Which of one side's slices hold any trips, in slice order."""
     return tensors.any(axis=(2, 3) if side == "r" else (1, 3)).ravel()
+
+
+def _fold(occupied: np.ndarray,
+          foldable: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(slices, empty)``: the slices a side runs, in slice order, and
+    the empty slices folded onto the first of them, the representative
+    (``None`` when nothing folds: no slice is empty, or not
+    ``foldable``)."""
+    empty = np.flatnonzero(~occupied)
+    if not foldable or empty.size == 0:
+        return np.arange(occupied.size), None
+    keep = occupied.copy()
+    keep[empty[0]] = True
+    return np.flatnonzero(keep), empty
 
 
 def _chunk_input(tensors: np.ndarray, side: str, slices: np.ndarray,
@@ -280,11 +303,11 @@ def _forward_runs(od: np.ndarray, side: str, stages, head, n_side: int,
         measure(index, forward_run)
 
 
-def _dense_forward(od, side, stages, head, n_side, out, state) -> None:
-    """Every slice of a side as one run."""
+def _dense_forward(od, side, stages, head, n_side, slices, out,
+                   state) -> None:
+    """A side's folded slices as one run."""
     chunks = state["chunks"] = []
-    _forward_runs(od, side, stages, head, n_side,
-                  [(0, np.arange(out.shape[0]))], out,
+    _forward_runs(od, side, stages, head, n_side, [(0, slices)], out,
                   lambda slices, caches: chunks.append((slices, caches)))
 
 
@@ -294,16 +317,20 @@ _DENSE_LABELS = ("fused_gcnn_stage", "fused_gcnn_stage")
 
 
 def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
-               forward, labels: Tuple[str, str]) -> Tensor:
+               forward, labels: Tuple[str, str],
+               occupancy: Optional[dict] = None) -> Tensor:
     """One side's stage 1 over ``tensors (B, N, N', K)`` as one graph
     node: ``(B·n_side, R, K)``.
 
-    ``forward(od, side, stages, head, n_side, out, state)`` fills
-    ``out`` and leaves ``state["chunks"]``, the ``(slices, caches)``
-    chunks the backward runs in order (and, for the zero-slice
-    collapse, ``state["empty"]``/``state["caches_zero"]``).  The run and
-    backward closures carry ``labels``, the names the op profiler
-    books.
+    The forward thunk folds the empty slices (:func:`_fold`; not for an
+    input that requires a gradient) and leaves the fold in
+    ``state["fold"]``.  ``forward(od, side, stages, head, n_side,
+    slices, out, state)`` then fills ``out`` at ``slices``, the folded
+    slice set, and leaves ``state["chunks"]``, the ``(slices, caches)``
+    chunks the backward runs in order.  ``occupancy``, when given,
+    receives the side's slice and occupied-slice counts on every
+    forward.  The run and backward closures carry ``labels``, the names
+    the op profiler books.
     """
     stages, head = _side_stages(factorizer)
     params = [p for st in stages for p in (st.weight, st.bias)]
@@ -313,11 +340,28 @@ def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
 
     def run() -> np.ndarray:
         od = tensors.data
-        out = np.empty((od.shape[0] * n_side, rank, k), dtype=od.dtype)
-        forward(od, side, stages, head, n_side, out, state)
+        occupied = _occupied(od, side)
+        slices, empty = _fold(occupied, not tensors.requires_grad)
+        state["fold"] = empty
+        if occupancy is not None:
+            occupancy[side] = {"slices": int(occupied.size),
+                               "occupied": int(occupied.sum()),
+                               "occupancy": float(occupied.mean())}
+        out = np.empty((occupied.size, rank, k), dtype=od.dtype)
+        forward(od, side, stages, head, n_side, slices, out, state)
+        if empty is not None:
+            out[empty[1:]] = out[empty[0]]
         return out
 
     def backward(grad: np.ndarray) -> None:
+        empty = state.pop("fold")
+        if empty is not None:
+            # Every empty slice shares the representative's caches, and
+            # the backward is linear in the output gradient given those
+            # caches, so one backward of the summed gradient equals the
+            # sum of their backwards.
+            grad = grad.copy()
+            grad[empty[0]] = grad[empty].sum(axis=0)
         sink = _GradSink()
         dx = np.empty(tensors.shape, dtype=tensors.data.dtype) \
             if tensors.requires_grad else None
@@ -326,16 +370,6 @@ def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
                                 need_input_grad=dx is not None)
             if dx is not None:
                 _scatter_input_grad(dx, side, slices, n_side, g)
-        empty = state.pop("empty", None)
-        caches_zero = state.pop("caches_zero", None)
-        if empty is not None and empty.any():
-            # The collapse pseudo-shard: every empty slice has the same
-            # forward caches, and the backward is linear in the output
-            # gradient given those caches, so one backward of the
-            # summed gradient equals the sum of backwards.
-            _backward_chunk(grad[empty].sum(axis=0, keepdims=True),
-                            caches_zero, stages, head, sink,
-                            need_input_grad=False)
         sink.flush()
         if dx is not None:
             tensors._accumulate(dx)
@@ -349,10 +383,13 @@ def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
 
 
 def _factorize(factorizer_r, factorizer_c, tensors: Tensor, forward,
-               labels: Tuple[str, str]) -> Tuple[Tensor, Tensor]:
+               labels: Tuple[str, str],
+               occupancy: Optional[dict] = None) -> Tuple[Tensor, Tensor]:
     batch, n_origins, n_dests, k = tensors.shape
-    r = _side_node(tensors, factorizer_r, "r", n_origins, forward, labels)
-    c = _side_node(tensors, factorizer_c, "c", n_dests, forward, labels)
+    r = _side_node(tensors, factorizer_r, "r", n_origins, forward, labels,
+                   occupancy)
+    c = _side_node(tensors, factorizer_c, "c", n_dests, forward, labels,
+                   occupancy)
     r = r.reshape(batch, n_origins, factorizer_r.rank, k)
     c = c.reshape(batch, n_dests, factorizer_c.rank, k)
     return r, c.transpose((0, 2, 1, 3))
@@ -360,8 +397,9 @@ def _factorize(factorizer_r, factorizer_c, tensors: Tensor, forward,
 
 def dense_factorize(factorizer_r, factorizer_c,
                     tensors: Tensor) -> Tuple[Tensor, Tensor]:
-    """Both sides' stage 1 over every slice, one side at a time, in
-    chunks: ``(B, N, N', K)`` → ``R (B, N, β, K)``, ``C (B, β, N', K)``."""
+    """Both sides' stage 1 over their folded slices, one side at a time,
+    in chunks: ``(B, N, N', K)`` → ``R (B, N, β, K)``,
+    ``C (B, β, N', K)``."""
     return _factorize(factorizer_r, factorizer_c, tensors, _dense_forward,
                       _DENSE_LABELS)
 
@@ -377,8 +415,8 @@ class ShardedExecution:
         shards drive the R side, destination shards the C side.
     mode:
         ``"exact"`` (bit-identical to dense; dense-sized backward
-        caches) or ``"blocked"`` (zero-slice collapse + per-shard
-        reduction; memory bounded, deterministic, float-level parity).
+        caches) or ``"blocked"`` (per-shard reduction; memory bounded,
+        deterministic, float-level parity).
     memory_budget_bytes:
         Optional hard cap on one shard's incremental working set,
         enforced with tracemalloc on the first forward after
@@ -447,8 +485,8 @@ class ShardedExecution:
         if self.mode == "blocked" and tensors.requires_grad:
             raise NotImplementedError(
                 "blocked mode does not propagate gradients into the "
-                "history input (zero-slice collapse shares forward "
-                "state); use mode='exact' or detach the input")
+                "history input (only weight gradients reduce per "
+                "shard); use mode='exact' or detach the input")
         if self.mode == "exact":
             forward, labels = self._exact_forward, ("_exact_run",
                                                     "_exact_backward")
@@ -465,7 +503,7 @@ class ShardedExecution:
                 tracemalloc.start()
         try:
             return _factorize(factorizer_r, factorizer_c, tensors, forward,
-                              labels)
+                              labels, self.last_occupancy)
         finally:
             if profiled:
                 self._profiling = False
@@ -489,30 +527,30 @@ class ShardedExecution:
         if budget is not None and used > budget:
             raise ShardMemoryBudgetError(side, shard_index, used, budget)
 
-    def _shard_runs(self, side: str, n_side: int, batch: int,
-                    occupied: Optional[np.ndarray] = None) -> list:
-        """``(shard index, slices)`` per shard of ``side`` (only the
-        ``occupied`` slices when given; shards left empty are
-        skipped)."""
+    def _shard_runs(self, side: str, n_side: int, slices: np.ndarray,
+                    batch: int) -> list:
+        """``(shard index, slices)`` per shard of ``side``, restricted to
+        the folded ``slices``; shards left empty are skipped."""
         shards = self.plan.origin_shards if side == "r" \
             else self.plan.dest_shards
+        keep = np.zeros(batch * n_side, dtype=bool)
+        keep[slices] = True
         runs = []
         for shard in shards:
-            slices = _shard_slices(shard, batch, n_side)
-            if occupied is not None:
-                slices = slices[occupied[slices]]
-                if slices.size == 0:
-                    if self._profiling:
-                        self.shard_peaks[side].append(0)
-                    continue
-            runs.append((shard.index, slices))
+            owned = _shard_slices(shard, batch, n_side)
+            owned = owned[keep[owned]]
+            if owned.size == 0:
+                if self._profiling:
+                    self.shard_peaks[side].append(0)
+                continue
+            runs.append((shard.index, owned))
         return runs
 
-    def _run_shards(self, od, side, stages, head, n_side, out, consume,
-                    occupied=None) -> None:
+    def _run_shards(self, od, side, stages, head, n_side, slices, out,
+                    consume) -> None:
         _forward_runs(
             od, side, stages, head, n_side,
-            self._shard_runs(side, n_side, od.shape[0], occupied), out,
+            self._shard_runs(side, n_side, slices, od.shape[0]), out,
             consume,
             lambda index, fn: self._measure(side, index, fn))
 
@@ -520,47 +558,38 @@ class ShardedExecution:
     # exact mode: per-shard forward, dense-order caches, backward over
     # the dense chunk schedule
     # ------------------------------------------------------------------
-    def _exact_forward(self, od, side, stages, head, n_side, out,
+    def _exact_forward(self, od, side, stages, head, n_side, slices, out,
                        state) -> None:
-        total = out.shape[0]
         full: list = []
 
-        def scatter(slices, caches) -> None:
+        def scatter(chunk, caches) -> None:
             if not full:
                 full.extend(
-                    tuple(np.empty(a.shape[:-2] + (total, a.shape[-1]),
+                    tuple(np.empty(a.shape[:-2] + (slices.size,
+                                                   a.shape[-1]),
                                    dtype=a.dtype) for a in cache)
                     for cache in caches)
+            at = np.searchsorted(slices, chunk)
             for dense, part in zip(full, caches):
-                for array, chunk in zip(dense, part):
-                    array[..., slices, :] = chunk
+                for array, values in zip(dense, part):
+                    array[..., at, :] = values
 
-        self._run_shards(od, side, stages, head, n_side, out, scatter)
+        self._run_shards(od, side, stages, head, n_side, slices, out,
+                         scatter)
         # Each dense chunk's caches, copied out of dense order when the
         # backward reaches it: the same arrays a dense forward keeps.
         state["chunks"] = (
-            (slices, [tuple(np.ascontiguousarray(a[..., slices, :])
-                            for a in cache) for cache in full])
-            for slices in _chunks(np.arange(total),
-                                  _chunk_slices(stages, od.dtype)))
+            (slices[at], [tuple(np.ascontiguousarray(a[..., at, :])
+                                for a in cache) for cache in full])
+            for at in _chunks(np.arange(slices.size),
+                              _chunk_slices(stages, od.dtype)))
 
     # ------------------------------------------------------------------
-    # blocked mode: zero-slice collapse + per-shard backward reduction
+    # blocked mode: per-shard backward reduction
     # ------------------------------------------------------------------
-    def _blocked_forward(self, od, side, stages, head, n_side, out,
+    def _blocked_forward(self, od, side, stages, head, n_side, slices, out,
                          state) -> None:
-        occupied = _occupied(od, side)
-        zero = np.zeros((stages[0].lap.shape[0], _padded(od.shape[-1])),
-                        dtype=od.dtype)
-        out[~occupied], state["caches_zero"] = _forward_chunk(
-            zero, 1, stages, head)
         chunks = state["chunks"] = []
         self._run_shards(
-            od, side, stages, head, n_side, out,
-            lambda slices, caches: chunks.append((slices, caches)),
-            occupied)
-        empty = state["empty"] = ~occupied
-        self.last_occupancy[side] = {
-            "slices": int(empty.size),
-            "occupied": int(empty.size - empty.sum()),
-            "occupancy": float(1.0 - empty.mean())}
+            od, side, stages, head, n_side, slices, out,
+            lambda chunk, caches: chunks.append((chunk, caches)))

@@ -100,10 +100,10 @@ class SpatialFactorizer(Module):
                 self.pools.append(None)
             in_channels = block.filters
         self.to_buckets = Linear(in_channels, n_buckets, rng)
-        self._pooled_size = (self.pools[-1].output_size
-                             if self.pools[-1] is not None
-                             else self._coarsening.graphs[level].shape[0])
-        self.latent_proj = Linear(self._pooled_size, rank, rng)
+        pooled_size = (self.pools[-1].output_size
+                       if self.pools[-1] is not None
+                       else self._coarsening.graphs[level].shape[0])
+        self.latent_proj = Linear(pooled_size, rank, rng)
         # Per-stage pooling constants for the node-major stage kernel
         # (ops._Pool), read by core/shardexec.py's chunk loop.
         self._pool_specs = [
@@ -111,11 +111,6 @@ class SpatialFactorizer(Module):
             else dict(stride=pool.stride, perm=pool._perm,
                       inv_counts=pool._mean_scale / pool.stride)
             for pool in self.pools]
-
-    @property
-    def pooled_size(self) -> int:
-        """Number of spatial clusters before the rank projection (β')."""
-        return self._pooled_size
 
     def forward(self, slices: Tensor) -> Tensor:
         """Encode graph slices.

@@ -190,9 +190,6 @@ class ModelRegistry:
         self._registered[key] = (Path(checkpoint_path), builder)
         self._loaded.pop(key, None)
 
-    def keys(self) -> List[ModelKey]:
-        return list(self._registered)
-
     # ------------------------------------------------------------------
     @staticmethod
     def _fingerprint(path: Path) -> Tuple[int, int, int]:

@@ -40,7 +40,8 @@ class TestPaperHyperParameters:
         city = toy_city(seed=0, n_regions=40)
         weights = city.proximity()
         model = paper_af(weights, weights)
-        assert model.factor_r.pooled_size <= max(40 // 16 + 2, 3) + 2
+        pooled_size = model.factor_r.latent_proj.weight.shape[0]
+        assert pooled_size <= max(40 // 16 + 2, 3) + 2
 
 
 class TestPracticalConstructors:

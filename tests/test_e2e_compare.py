@@ -144,3 +144,68 @@ class TestJudge:
             assert name in table
         assert "bit-equal 3/3" in table
         assert "PROBLEM" not in table
+
+
+TRAIN = END_TO_END[0]
+RSS = END_TO_END[1]
+
+
+def _pairs(base_train, change_train, rss=800.0):
+    """Base and change runs of ``len(base_train)`` pairs."""
+    return (_runs(*[_line(t, rss, 3.9) for t in base_train]),
+            _runs(*[_line(t, rss, 3.9) for t in change_train]))
+
+
+class TestClaim:
+    BASE_TRAIN = [16.0, 15.0, 17.0, 16.5, 15.5, 16.0, 14.0, 18.0, 16.2,
+                  15.8]
+
+    def test_nine_wins_beyond_iqr_holds(self):
+        change = [t + 4.0 for t in self.BASE_TRAIN]
+        change[3] = 16.0                          # one loss: 9/10 wins
+        row = compare.judge_claim(TRAIN, *_pairs(self.BASE_TRAIN, change))
+        assert (row["wins"], row["pairs"]) == (9, 10)
+        assert row["passed"], row.get("reason")
+        assert row["gain"] > row["base_iqr"]
+        assert "wins 9/10 pairs" in compare.format_claim("paper", row)
+        assert "HOLDS" in compare.format_claim("paper", row)
+
+    def test_eight_wins_fails(self):
+        change = [t + 4.0 for t in self.BASE_TRAIN]
+        change[3] = change[6] = 13.0
+        row = compare.judge_claim(TRAIN, *_pairs(self.BASE_TRAIN, change))
+        assert row["wins"] == 8
+        assert not row["passed"]
+        assert "won 8 of 10" in row["reason"]
+
+    def test_ties_count_for_neither_side(self):
+        change = [t + 4.0 for t in self.BASE_TRAIN]
+        change[0] = self.BASE_TRAIN[0]
+        change[1] = self.BASE_TRAIN[1]
+        row = compare.judge_claim(TRAIN, *_pairs(self.BASE_TRAIN, change))
+        assert row["wins"] == 8
+        assert not row["passed"]
+
+    def test_every_pair_won_within_iqr_fails(self):
+        change = [t + 0.1 for t in self.BASE_TRAIN]
+        row = compare.judge_claim(TRAIN, *_pairs(self.BASE_TRAIN, change))
+        assert row["wins"] == 10
+        assert not row["passed"]
+        assert "IQR" in row["reason"]
+
+    def test_lower_is_better(self):
+        base, change = (_runs(*[_line(16.0, rss, 3.9) for rss in values])
+                        for values in ([800.0, 805.0, 810.0],
+                                       [700.0, 706.0, 709.0]))
+        row = compare.judge_claim(RSS, base, change)
+        assert row["wins"] == 3 and row["passed"]
+        row = compare.judge_claim(RSS, change, base)
+        assert row["wins"] == 0 and not row["passed"]
+
+    def test_crashed_change_run_is_not_a_win(self):
+        base, change = _pairs(self.BASE_TRAIN,
+                              [t + 4.0 for t in self.BASE_TRAIN])
+        change[0] = change[1] = None
+        row = compare.judge_claim(TRAIN, base, change)
+        assert (row["wins"], row["pairs"]) == (8, 10)
+        assert not row["passed"]

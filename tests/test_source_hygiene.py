@@ -175,7 +175,6 @@ UNCALLED = {
     "repro.autodiff.init.orthogonal",
     "repro.autodiff.ops.clip_min",
     "repro.autodiff.tensor.Tensor.detach",
-    "repro.core.spatial.SpatialFactorizer.pooled_size",
     "repro.experiments.runner.ComparisonResult.compare_methods",
     "repro.graph.coarsening.Coarsening.padded_size",
     "repro.histograms.travel_time.TravelTimeDistribution.reservation_gap",
@@ -183,7 +182,6 @@ UNCALLED = {
     "repro.persistence.import_comparison_rows",
     "repro.regions.geometry.BoundingBox.contains",
     "repro.regions.partition.GridPartition.cell_area",
-    "repro.serve.ModelRegistry.keys",
     "repro.trips.trip.Trip.speed_kmh",
     "repro.trips.trip.TripTable.speed_kmh",
     "repro.viz.heatmap",
