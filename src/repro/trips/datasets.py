@@ -69,7 +69,7 @@ def metro_dataset(n_regions: int = 500, n_intervals: int = 10,
     (generation is limited to ``n_intervals`` so a 500+-region smoke
     run stays cheap).  Even thousands of trips per interval leave the
     vast majority of the ``N²`` OD slices empty — the sparsity the
-    zero-slice collapse in :mod:`repro.core.shardexec` exploits and
+    empty-slice fold in :mod:`repro.core.shardexec` exploits and
     :class:`repro.histograms.blocksparse.BlockSparseODTensor` stores.
     """
     city = metro_like(seed=seed, n_regions=n_regions)
