@@ -33,7 +33,8 @@ python3 benchmarks/serve_smoke.py || exit 1
 # Sharding gate: a short AF fit under exact-mode sharded execution must
 # be bit-identical to dense (losses, weights, RNG), and a 500-region
 # metro city must train a smoke epoch through the block-sparse blocked
-# path under the per-shard memory budget in less wall-clock than dense.
+# path under the per-shard memory budget, with the dense epoch taking
+# no more wall-clock than the blocked one.
 # Writes BENCH_SHARD.json at the repo root (see docs/SHARDING.md).
 python3 benchmarks/shard_smoke.py || exit 1
 

@@ -20,8 +20,8 @@ from .layers import (MLP, Activation, Dropout, Embedding, LayerNorm,
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
-from .replay import CaptureMismatchWarning, InferenceEngine
-from .rnn import GRU, GRUCell, LSTMCell, Seq2Seq
+from .replay import InferenceEngine
+from .rnn import GRU, GRUCell, Seq2Seq
 from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
                      get_default_dtype, ones, set_default_dtype, tensor,
                      zeros)
@@ -34,9 +34,9 @@ __all__ = [
     "Module", "Parameter",
     "Linear", "Dropout", "Sequential", "Activation", "MLP", "Embedding",
     "LayerNorm",
-    "GRUCell", "GRU", "LSTMCell", "Seq2Seq",
+    "GRUCell", "GRU", "Seq2Seq",
     "Optimizer", "SGD", "Adam", "StepDecay", "clip_grad_norm",
-    "InferenceEngine", "CaptureMismatchWarning",
+    "InferenceEngine",
     "profile", "OpProfiler",
     "check_gradients", "numerical_gradient",
 ]

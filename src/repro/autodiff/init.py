@@ -24,20 +24,5 @@ def xavier_uniform(shape, rng: np.random.Generator,
     return rng.uniform(-bound, bound, size=shape)
 
 
-def orthogonal(shape, rng: np.random.Generator,
-               gain: float = 1.0) -> np.ndarray:
-    """Orthogonal initialization (recommended for recurrent weights)."""
-    if len(shape) < 2:
-        raise ValueError("orthogonal init needs at least 2 dimensions")
-    rows = shape[0]
-    cols = int(np.prod(shape[1:]))
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q *= np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    return gain * q[:rows, :cols].reshape(shape)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape)

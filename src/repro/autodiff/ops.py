@@ -6,9 +6,10 @@ models need (sigmoid/tanh gates, per-cell softmax recovery, concatenation
 of graph-convolution slices, dropout regularization, ...).
 
 Like the ``Tensor`` operators, every op here wraps its forward math in a
-local ``run()`` thunk and registers it with :func:`~repro.autodiff.tensor._record`
-so the inference tapes can re-execute a recorded forward without
-rebuilding the graph (docs/EXECUTION.md).  Thunks rebind — via
+local ``run()`` thunk and ends with ``return Tensor._make(run, parents,
+backward)``, which runs the thunk and records it on an active inference
+tape, so a tape can re-execute a recorded forward without rebuilding the
+graph (docs/EXECUTION.md).  Thunks rebind — via
 ``nonlocal`` — every intermediate their backward closure reads, and
 re-read parameter arrays (``p.data``) on each run so weight updates and
 checkpoint restores are always picked up.  Data-dependent *validation*
@@ -22,8 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .tensor import (Tensor, _ensure_tensor, _record, _run_forward,
-                     _unbroadcast)
+from .tensor import Tensor, _ensure_tensor, _unbroadcast
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -55,9 +55,7 @@ def exp(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * out_data)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -73,8 +71,9 @@ def log(x: Tensor) -> Tensor:
         raise ValueError(
             f"log: input contains {n_bad} zero/negative value(s) "
             f"(min {x.data.min():.6g}, shape {x.shape}); this would "
-            f"silently propagate -inf/nan through the tape — clamp with "
-            f"ops.clip_min(x, eps) or add a positive offset first")
+            f"silently propagate -inf/nan through the tape — clip to a "
+            f"positive floor with ops.maximum(x, eps) or add a positive "
+            f"offset first")
 
     def run() -> np.ndarray:
         return np.log(x.data)
@@ -83,9 +82,7 @@ def log(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad / x.data)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -102,9 +99,7 @@ def sqrt(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * 0.5 / out_data)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -121,9 +116,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * out_data * (1.0 - out_data))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -140,9 +133,7 @@ def tanh(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * (1.0 - out_data ** 2))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -159,9 +150,7 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * mask)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -186,9 +175,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
             x._accumulate(out_data * (grad - dot))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -207,9 +194,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 tensor_i._accumulate(grad[tuple(index)])
 
-    out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -225,9 +210,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if tensor_i.requires_grad:
                 tensor_i._accumulate(slab)
 
-    out = Tensor._make(_run_forward(run), tuple(tensors), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, tuple(tensors), backward)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -246,28 +229,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * (~a_wins), b.shape))
 
-    out = Tensor._make(_run_forward(run), (a, b), backward)
-    _record(out, run)
-    return out
-
-
-def clip_min(x: Tensor, minimum: float) -> Tensor:
-    """Lower-clip; gradient passes only where ``x > minimum``."""
-    x = _ensure_tensor(x)
-    mask = None
-
-    def run() -> np.ndarray:
-        nonlocal mask
-        mask = x.data > minimum
-        return np.where(mask, x.data, minimum)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * mask)
-
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (a, b), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
@@ -297,9 +259,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
         if x.requires_grad:
             x._accumulate(grad * mask)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -316,9 +276,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * (~condition), b.shape))
 
-    out = Tensor._make(_run_forward(run), (a, b), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (a, b), backward)
 
 
 def pad_axis(x: Tensor, axis: int, before: int, after: int,
@@ -342,9 +300,7 @@ def pad_axis(x: Tensor, axis: int, before: int, after: int,
             index[axis] = slice(before, before + n)
             x._accumulate(grad[tuple(index)])
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def take_axis(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
@@ -373,9 +329,7 @@ def take_axis(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
                 np.add.at(full, tuple(index), grad)
             x._accumulate(full)
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def mean_pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
@@ -408,9 +362,7 @@ def _pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
         expanded = np.repeat(gmoved, stride, axis=0) / stride
         x._accumulate(np.moveaxis(expanded.reshape(moved_shape), 0, axis))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 # ======================================================================
@@ -647,9 +599,7 @@ def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
                 x._accumulate(_cheb_adjoint(
                     lap_t, gm, weight.data, (batch, n, channels), order))
 
-    out = Tensor._make(_run_forward(run), (x, weight, bias), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x, weight, bias), backward)
 
 
 # ----------------------------------------------------------------------
@@ -985,9 +935,7 @@ def fused_gru_gates(x: Tensor, h: Tensor,
             if b_cand.requires_grad:
                 b_cand._accumulate(dpre_c.sum(axis=lead))
 
-    out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x, h) + params, backward)
 
 
 # ----------------------------------------------------------------------
@@ -1072,9 +1020,7 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
         if x.requires_grad:
             x._accumulate(drhx[..., hidden:] + dhx[..., hidden:])
 
-    out = Tensor._make(_run_forward(run), (x, h) + params, backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x, h) + params, backward)
 
 
 # ----------------------------------------------------------------------
@@ -1121,9 +1067,7 @@ def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
             c._accumulate(
                 _unbroadcast(np.moveaxis(dc, -3, -1), c.shape))
 
-    out = Tensor._make(_run_forward(run), (r, c), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (r, c), backward)
 
 
 # ----------------------------------------------------------------------
@@ -1161,7 +1105,5 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
                 (float(grad) * 2.0 / observed) * diff * weights,
                 prediction.shape))
 
-    out = Tensor._make(_run_forward(run), (prediction,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (prediction,), backward)
 

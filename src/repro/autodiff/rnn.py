@@ -121,20 +121,11 @@ class Seq2Seq(Module):
     def _project(self, h: Tensor) -> Tensor:
         return h.matmul(self.proj_weight) + self.proj_bias
 
-    def forward(self, history: Tensor, horizon: int,
-                targets: Optional[Tensor] = None,
-                teacher_forcing: float = 0.0,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, history: Tensor, horizon: int) -> Tensor:
         """Forecast ``horizon`` steps from ``history (batch, s, input)``.
 
-        When ``targets`` is provided and ``teacher_forcing > 0``, each
-        decoder input is, with that probability, the ground-truth previous
-        frame instead of the model's own prediction (scheduled sampling is
-        the caller's responsibility).
         Returns ``(batch, horizon, output)``.
         """
-        if teacher_forcing > 0.0 and targets is None:
-            raise ValueError("teacher forcing requires targets")
         _, states = self.encoder(history)
         batch = history.shape[0]
         # GO frame: the most recent observation, projected if sizes differ.
@@ -143,67 +134,12 @@ class Seq2Seq(Module):
         else:
             step_input = Tensor(np.zeros((batch, self.output_size)))
         predictions = []
-        for j in range(horizon):
+        for _ in range(horizon):
             layer_input = step_input
             for i, cell in enumerate(self.decoder.cells):
                 states[i] = cell(layer_input, states[i])
                 layer_input = states[i]
-            prediction = self._project(layer_input)
-            predictions.append(prediction)
-            use_truth = (teacher_forcing > 0.0 and rng is not None
-                         and rng.random() < teacher_forcing
-                         and j < horizon - 1)
-            step_input = targets[:, j] if use_truth else prediction
+            step_input = self._project(layer_input)
+            predictions.append(step_input)
         return ops.stack(predictions, axis=1)
 
-
-class LSTMCell(Module):
-    """Long short-term memory cell.
-
-    The paper chose GRUs for the frameworks (§IV-C, citing efficiency);
-    LSTM is provided as the standard alternative so the choice can be
-    ablated.  Standard formulation with forget-gate bias initialized to
-    1 (the usual trick for gradient flow early in training)::
-
-        f = sigmoid([h, x] W_f + b_f)
-        i = sigmoid([h, x] W_i + b_i)
-        o = sigmoid([h, x] W_o + b_o)
-        g = tanh([h, x] W_g + b_g)
-        c' = f * c + i * g
-        h' = o * tanh(c')
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        joint = input_size + hidden_size
-        self.w_forget = Parameter(init.xavier_uniform((joint, hidden_size),
-                                                      rng))
-        self.b_forget = Parameter(np.ones(hidden_size))
-        self.w_input = Parameter(init.xavier_uniform((joint, hidden_size),
-                                                     rng))
-        self.b_input = Parameter(np.zeros(hidden_size))
-        self.w_output = Parameter(init.xavier_uniform((joint, hidden_size),
-                                                      rng))
-        self.b_output = Parameter(np.zeros(hidden_size))
-        self.w_cell = Parameter(init.xavier_uniform((joint, hidden_size),
-                                                    rng))
-        self.b_cell = Parameter(np.zeros(hidden_size))
-
-    def forward(self, x: Tensor, state: tuple) -> tuple:
-        """One step; ``state`` is ``(h, c)``; returns the new ``(h, c)``."""
-        h, c = state
-        hx = ops.concat([h, x], axis=-1)
-        forget = ops.sigmoid(hx.matmul(self.w_forget) + self.b_forget)
-        input_gate = ops.sigmoid(hx.matmul(self.w_input) + self.b_input)
-        output_gate = ops.sigmoid(hx.matmul(self.w_output) + self.b_output)
-        candidate = ops.tanh(hx.matmul(self.w_cell) + self.b_cell)
-        c_new = forget * c + input_gate * candidate
-        h_new = output_gate * ops.tanh(c_new)
-        return h_new, c_new
-
-    def initial_state(self, batch: int) -> tuple:
-        zeros_state = np.zeros((batch, self.hidden_size))
-        return Tensor(zeros_state.copy()), Tensor(zeros_state.copy())

@@ -17,19 +17,21 @@ Design notes
   reduced back to the original shape by :func:`_unbroadcast`.
 * Graphs are freed after ``backward()`` unless ``retain_graph=True``.
 * Every op packages its forward computation as a local ``run()`` thunk that
-  (re)binds, via ``nonlocal``, any intermediate the backward closure needs.
-  Eager mode simply calls the thunk once; the inference tapes
-  (:mod:`repro.autodiff.replay`) record ``(output, thunk)`` pairs and later
-  re-execute the thunks directly — same arrays, same closures, no new
-  Tensors — which is what makes a replayed forward bit-for-bit identical
-  to eager execution (see docs/EXECUTION.md).
+  (re)binds, via ``nonlocal``, any intermediate the backward closure needs,
+  and ends with ``return Tensor._make(run, parents, backward)``.  ``_make``
+  is the one place an op output is created: it runs the thunk and, under
+  an inference tape (:mod:`repro.autodiff.replay`), records the
+  ``(output, thunk)`` pair.  A replay re-executes the thunks directly —
+  same arrays, same closures, no new Tensors — which is what makes a
+  replayed forward bit-for-bit identical to eager execution (see
+  docs/EXECUTION.md).
 """
 
 from __future__ import annotations
 
 import contextlib
 from time import perf_counter as _perf_counter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,19 +82,17 @@ _ANOMALY_ENABLED = False
 # ----------------------------------------------------------------------
 # Capture and profiling hooks
 # ----------------------------------------------------------------------
-# _TAPE, when set, is a recorder with an ``entries`` list and a ``made``
-# counter: every op appends its (output Tensor, forward thunk) pair and
-# Tensor._make increments ``made``.  The inference engine compares the two
-# to prove the capture covered every op (a custom op missing the thunk
-# protocol would otherwise replay stale values).  _PROFILER, when set,
-# receives exact per-op forward/backward timings.  Both cost one global
-# read per op when inactive.
+# _TAPE, when set, is a list: Tensor._make appends every op's (output
+# Tensor, forward thunk) pair to it.  _PROFILER, when set, receives exact
+# per-op forward/backward timings.  Both cost one global read per op when
+# inactive.
 _TAPE = None
 _PROFILER = None
 
 
 def _set_tape(tape):
-    """Install ``tape`` as the active op recorder; returns the previous."""
+    """Install the list ``tape`` as the active op recorder; returns the
+    previous one."""
     global _TAPE
     previous = _TAPE
     _TAPE = tape
@@ -105,23 +105,6 @@ def _set_profiler(profiler):
     previous = _PROFILER
     _PROFILER = profiler
     return previous
-
-
-def _active_profiler():
-    """The currently-installed op profiler, or ``None``.
-
-    Accessor for sibling modules: the package ``__init__`` rebinds the
-    ``tensor`` attribute to the constructor function, so they cannot
-    read this module's globals through ``from . import tensor``.
-    """
-    return _PROFILER
-
-
-def _record(out: "Tensor", run: Callable[[], np.ndarray]) -> None:
-    """Register an op's (output, forward thunk) pair with the active tape."""
-    tape = _TAPE
-    if tape is not None:
-        tape.entries.append((out, run))
 
 
 def _run_forward(run: Callable[[], np.ndarray]) -> np.ndarray:
@@ -273,10 +256,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
         self._grad_borrowed = False
@@ -285,20 +264,26 @@ class Tensor:
     # graph construction helper
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data: np.ndarray, parents: Iterable["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create an op-output tensor, recording the graph edge if needed."""
-        parents = tuple(parents)
+    def _make(run: Callable[[], np.ndarray], parents: tuple,
+              backward: Optional[Callable[[np.ndarray], None]]) -> "Tensor":
+        """Create an op's output tensor from its forward thunk ``run``.
+
+        Runs the thunk (timed under a profiler), checks its output under
+        anomaly mode, links the graph edge when a parent requires a
+        gradient, and appends ``(out, run)`` to the active tape, so the
+        thunk a tape replays is always the one that made its output.
+        """
+        data = _run_forward(run)
         if _ANOMALY_ENABLED:
             _anomaly_forward_check(np.asarray(data), parents, backward)
-        tape = _TAPE
-        if tape is not None:
-            tape.made += 1
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents
             out._backward = backward
+        tape = _TAPE
+        if tape is not None:
+            tape.append((out, run))
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -424,9 +409,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self, other), backward)
 
     __radd__ = __add__
 
@@ -438,9 +421,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
@@ -454,9 +435,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self, other), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return _ensure_tensor(other).__sub__(self)
@@ -473,9 +452,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -501,9 +478,7 @@ class Tensor:
                 other._accumulate(_unbroadcast(
                     -grad * self.data / (other.data ** 2), other.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return _ensure_tensor(other).__truediv__(self)
@@ -519,9 +494,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
@@ -556,9 +529,7 @@ class Tensor:
                     gb = np.swapaxes(a.data, -1, -2) @ grad
                 b._accumulate(_unbroadcast(gb, b.shape))
 
-        out = Tensor._make(_run_forward(run), (self, other), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self, other), backward)
 
     # ------------------------------------------------------------------
     # reductions
@@ -575,9 +546,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -609,9 +578,7 @@ class Tensor:
                 else mask.sum()
             self._accumulate(mask * g / counts)
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -628,9 +595,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(original))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
         if axes is None:
@@ -649,9 +614,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -678,9 +641,7 @@ class Tensor:
                     np.add.at(full, index, grad)
                 self._accumulate(full)
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def expand_dims(self, axis: int) -> "Tensor":
         def run() -> np.ndarray:
@@ -690,9 +651,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.squeeze(grad, axis=axis))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
     def squeeze(self, axis: int) -> "Tensor":
         def run() -> np.ndarray:
@@ -702,9 +661,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.expand_dims(grad, axis=axis))
 
-        out = Tensor._make(_run_forward(run), (self,), backward)
-        _record(out, run)
-        return out
+        return Tensor._make(run, (self,), backward)
 
 
 def _ensure_tensor(value: ArrayLike) -> Tensor:

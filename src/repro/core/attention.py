@@ -14,8 +14,6 @@ instead of relying on the last encoder state alone.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..autodiff import init, ops
@@ -66,13 +64,8 @@ class AttentiveSeq2Seq(Module):
         self.input_size = input_size
         self.output_size = output_size
 
-    def forward(self, history: Tensor, horizon: int,
-                targets: Optional[Tensor] = None,
-                teacher_forcing: float = 0.0,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, history: Tensor, horizon: int) -> Tensor:
         """``(B, s, input)`` → ``(B, horizon, output)``."""
-        if teacher_forcing > 0.0 and targets is None:
-            raise ValueError("teacher forcing requires targets")
         encoder_outputs, states = self.encoder(history)
         batch = history.shape[0]
         if self.input_size == self.output_size:
@@ -80,17 +73,13 @@ class AttentiveSeq2Seq(Module):
         else:
             step_input = Tensor(np.zeros((batch, self.output_size)))
         predictions = []
-        for j in range(horizon):
+        for _ in range(horizon):
             layer_input = step_input
             for i, cell in enumerate(self.decoder.cells):
                 states[i] = cell(layer_input, states[i])
                 layer_input = states[i]
             context = self.attention(layer_input, encoder_outputs)
             combined = ops.concat([layer_input, context], axis=-1)
-            prediction = combined.matmul(self.proj_weight) + self.proj_bias
-            predictions.append(prediction)
-            use_truth = (teacher_forcing > 0.0 and rng is not None
-                         and rng.random() < teacher_forcing
-                         and j < horizon - 1)
-            step_input = targets[:, j] if use_truth else prediction
+            step_input = combined.matmul(self.proj_weight) + self.proj_bias
+            predictions.append(step_input)
         return ops.stack(predictions, axis=1)

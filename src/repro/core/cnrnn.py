@@ -9,7 +9,7 @@ preserved through time.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -88,10 +88,7 @@ class GraphSeq2Seq(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
 
-    def forward(self, history: Tensor, horizon: int,
-                targets: Optional[Tensor] = None,
-                teacher_forcing: float = 0.0,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, history: Tensor, horizon: int) -> Tensor:
         """Forecast: ``(B, s, N, C_in)`` → ``(B, h, N, C_out)``."""
         if history.ndim != 4:
             raise ValueError(
@@ -110,16 +107,11 @@ class GraphSeq2Seq(Module):
             step_input = Tensor(np.zeros(
                 (batch, history.shape[2], self.out_channels)))
         predictions = []
-        for j in range(horizon):
+        for _ in range(horizon):
             layer_input = step_input
             for i, cell in enumerate(self.decoder_cells):
                 states[i] = cell(layer_input, states[i])
                 layer_input = states[i]
-            prediction = self.proj(layer_input)
-            predictions.append(prediction)
-            use_truth = (teacher_forcing > 0.0 and targets is not None
-                         and rng is not None
-                         and rng.random() < teacher_forcing
-                         and j < horizon - 1)
-            step_input = targets[:, j] if use_truth else prediction
+            step_input = self.proj(layer_input)
+            predictions.append(step_input)
         return ops.stack(predictions, axis=1)

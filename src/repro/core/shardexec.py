@@ -79,7 +79,7 @@ import numpy as np
 from ..autodiff.ops import (_Pool, _gcnn_stage_backward, _gcnn_stage_forward,
                             _latent_head_backward, _latent_head_forward,
                             _node_major, _slice_major)
-from ..autodiff.tensor import Tensor, _record, _run_forward
+from ..autodiff.tensor import Tensor
 from ..graph.sharding import Shard, ShardPlan
 
 __all__ = ["ShardedExecution", "ShardMemoryBudgetError", "dense_factorize"]
@@ -376,10 +376,7 @@ def _side_node(tensors: Tensor, factorizer, side: str, n_side: int,
 
     run.__qualname__ = f"{labels[0]}.<locals>.run"
     backward.__qualname__ = f"{labels[1]}.<locals>.backward"
-    out = Tensor._make(_run_forward(run), (tensors,) + tuple(params),
-                       backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (tensors,) + tuple(params), backward)
 
 
 def _factorize(factorizer_r, factorizer_c, tensors: Tensor, forward,

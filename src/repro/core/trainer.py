@@ -166,7 +166,8 @@ class Trainer:
         picks up from the rolling checkpoint (if present) and produces
         bit-identical final weights and loss curves versus a run that
         was never interrupted; a corrupt rolling checkpoint falls back
-        to ``best.npz`` with a warning instead of crashing.
+        to ``best.npz``, or to a fresh start when that is missing or
+        corrupt too, with a warning instead of crashing.
         ``telemetry`` receives the per-epoch events documented in
         :mod:`repro.telemetry`.  ``after_backward(model, epoch, batch)``
         is called after each backward pass, before gradient clipping —
@@ -346,9 +347,9 @@ class Trainer:
         A corrupt rolling checkpoint (truncated or bit-flipped on disk)
         does not kill the run: training falls back to the ``best.npz``
         weights if present — restarting the epoch count, since optimizer
-        and curve state died with the checkpoint — or to a fresh start,
-        each with a warning and a ``checkpoint_fallback`` telemetry
-        event.
+        and curve state died with the checkpoint — or to a fresh start
+        when ``best.npz`` is missing or corrupt too, each with a warning
+        and a ``checkpoint_fallback`` telemetry event.
         """
         from ..persistence import CheckpointCorruptError, load_checkpoint
         try:
@@ -356,16 +357,19 @@ class Trainer:
                                          optimizer=self.optimizer,
                                          scheduler=self.scheduler)
         except CheckpointCorruptError as exc:
-            fallback = "fresh start"
+            fallback, error = "fresh start", str(exc)
             if best_path is not None and best_path.exists():
                 from ..persistence import load_model
-                load_model(self.model, best_path)
-                fallback = f"best weights from {best_path.name}"
+                try:
+                    load_model(self.model, best_path)
+                    fallback = f"best weights from {best_path.name}"
+                except CheckpointCorruptError as best_exc:
+                    error = f"{error}; {best_exc}"
             warnings.warn(
-                f"rolling checkpoint {path} is corrupt ({exc}); "
+                f"rolling checkpoint {path} is corrupt ({error}); "
                 f"resuming from {fallback} at epoch 1", RuntimeWarning)
             emit(telemetry, "checkpoint_fallback", path=str(path),
-                 fallback=fallback, error=str(exc))
+                 fallback=fallback, error=error)
             return 0, self.model.state_dict(), 0
         if checkpoint.rng_state is not None:
             rng.bit_generator.state = checkpoint.rng_state

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff.tensor import Tensor, _record, _run_forward
+from ..autodiff.tensor import Tensor
 from .laplacian import laplacian
 
 
@@ -61,9 +61,7 @@ def dirichlet_energy(x: Tensor, weights: np.ndarray,
         x._accumulate(np.moveaxis(
             dflat.reshape(moved_shape), 0, axis))
 
-    out = Tensor._make(_run_forward(run), (x,), backward)
-    _record(out, run)
-    return out
+    return Tensor._make(run, (x,), backward)
 
 
 def dirichlet_energy_numpy(x: np.ndarray, weights: np.ndarray,

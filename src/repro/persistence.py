@@ -110,11 +110,11 @@ def load_model(model: Module, path: PathLike) -> Module:
     """Load weights saved by :func:`save_model` into ``model`` (strict).
 
     The module must already be constructed with matching architecture;
-    returns the same module for chaining.
+    returns the same module for chaining.  An unreadable archive
+    (truncated, bit-flipped) raises :class:`CheckpointCorruptError`
+    before any weight is applied.
     """
-    with np.load(str(path)) as archive:
-        state = {name: archive[name] for name in archive.files}
-    model.load_state_dict(state)
+    model.load_state_dict(_read_npz_entries(path, "model archive"))
     return model
 
 

@@ -1,7 +1,6 @@
 """Tests for weight initializers."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import init
 
@@ -28,27 +27,6 @@ class TestXavier:
         w = init.xavier_uniform((5, 30, 40), rng)
         bound = np.sqrt(6.0 / 70)
         assert np.abs(w).max() <= bound + 1e-12
-
-
-class TestOrthogonal:
-    def test_orthogonal_rows(self, rng):
-        w = init.orthogonal((6, 10), rng)
-        gram = w @ w.T
-        assert np.allclose(gram, np.eye(6), atol=1e-8)
-
-    def test_orthogonal_columns_when_tall(self, rng):
-        w = init.orthogonal((10, 6), rng)
-        gram = w.T @ w
-        assert np.allclose(gram, np.eye(6), atol=1e-8)
-
-    def test_gain(self, rng):
-        w = init.orthogonal((4, 4), rng, gain=3.0)
-        gram = w @ w.T
-        assert np.allclose(gram, 9.0 * np.eye(4), atol=1e-8)
-
-    def test_requires_2d(self, rng):
-        with pytest.raises(ValueError):
-            init.orthogonal((5,), rng)
 
 
 class TestZeros:

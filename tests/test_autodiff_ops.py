@@ -37,10 +37,6 @@ class TestElementwise:
         assert (ops.relu(Tensor([-1.0, 2.0])).data == [0.0, 2.0]).all()
         check_gradients(lambda x: (ops.relu(x) * 3.0).sum(), [x])
 
-    def test_clip_min(self):
-        clipped = ops.clip_min(Tensor([-2.0, 0.5]), 0.0)
-        assert (clipped.data == [0.0, 0.5]).all()
-
     def test_maximum(self, rng):
         a = Tensor(rng.normal(size=(4,)), requires_grad=True)
         b = Tensor(rng.normal(size=(4,)), requires_grad=True)

@@ -72,12 +72,6 @@ class TestSeq2Seq:
         out = model(Tensor(rng.normal(size=(2, 5, 4))), horizon=3)
         assert out.shape == (2, 3, 9)
 
-    def test_teacher_forcing_requires_targets(self, rng):
-        model = Seq2Seq(4, 6, 4, rng)
-        with pytest.raises(ValueError):
-            model(Tensor(rng.normal(size=(2, 5, 4))), horizon=2,
-                  teacher_forcing=0.5)
-
     def test_learns_constant_sequence(self, rng):
         """A seq2seq should learn to forecast a repeating pattern."""
         model = Seq2Seq(2, 16, 2, rng)
@@ -106,60 +100,3 @@ class TestSeq2Seq:
         (out ** 2).sum().backward()
         missing = [n for n, p in model.named_parameters() if p.grad is None]
         assert not missing
-
-
-class TestLSTMCell:
-    def test_state_shapes(self, rng):
-        from repro.autodiff import LSTMCell
-        cell = LSTMCell(3, 5, rng)
-        h, c = cell(Tensor(rng.normal(size=(2, 3))), cell.initial_state(2))
-        assert h.shape == (2, 5) and c.shape == (2, 5)
-
-    def test_hidden_bounded(self, rng):
-        from repro.autodiff import LSTMCell
-        cell = LSTMCell(2, 4, rng)
-        state = cell.initial_state(1)
-        for _ in range(40):
-            state = cell(Tensor(rng.normal(size=(1, 2)) * 4), state)
-        h, c = state
-        assert np.abs(h.data).max() <= 1.0 + 1e-9
-
-    def test_forget_bias_initialized_to_one(self, rng):
-        from repro.autodiff import LSTMCell
-        cell = LSTMCell(2, 4, rng)
-        assert np.allclose(cell.b_forget.data, 1.0)
-
-    def test_gradients_flow_through_time(self, rng):
-        from repro.autodiff import LSTMCell
-        cell = LSTMCell(2, 3, rng)
-        x = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-        state = cell.initial_state(1)
-        for _ in range(5):
-            state = cell(x, state)
-        (state[0] ** 2).sum().backward()
-        assert x.grad is not None and np.abs(x.grad).sum() > 0
-
-    def test_learns_memory_task(self, rng):
-        """LSTM can learn to remember the first input of a sequence."""
-        from repro.autodiff import Adam, LSTMCell, Linear
-        cell = LSTMCell(1, 8, rng)
-        head = Linear(8, 1, rng)
-        params = cell.parameters() + head.parameters()
-        opt = Adam(params, lr=0.02)
-        first = None
-        for step in range(120):
-            batch_rng = np.random.default_rng(step)
-            targets = batch_rng.choice([-1.0, 1.0], size=(16, 1))
-            state = cell.initial_state(16)
-            state = cell(Tensor(targets), state)
-            for _ in range(4):
-                state = cell(Tensor(np.zeros((16, 1))), state)
-            out = head(state[0])
-            loss = ((out - Tensor(targets)) ** 2).mean()
-            if first is None:
-                first = loss.item()
-            for p in params:
-                p.grad = None
-            loss.backward()
-            opt.step()
-        assert loss.item() < first * 0.2

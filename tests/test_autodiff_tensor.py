@@ -26,12 +26,6 @@ class TestConstruction:
         assert ones((2, 3)).data.sum() == 6
         assert tensor([1.0]).shape == (1,)
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = (a * 2.0).detach()
-        assert not b.requires_grad
-        assert np.allclose(b.data, [2.0, 4.0])
-
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
         assert "requires_grad" not in repr(Tensor([1.0]))

@@ -282,6 +282,35 @@ class TestCorruptCheckpoint:
         fallbacks = [f for e, f in events if e == "checkpoint_fallback"]
         assert fallbacks and "best.npz" in fallbacks[0]["fallback"]
 
+    @pytest.mark.parametrize("mode", ["truncate", "bitflip"])
+    def test_trainer_starts_fresh_when_best_npz_is_corrupt_too(
+            self, tmp_path, windows, split, mode):
+        directory = tmp_path / "run"
+        cfg = dict(batch_size=8, max_train_batches=4, patience=10, seed=3)
+        trainer = Trainer(_make_model(), _loss,
+                          TrainConfig(epochs=2, **cfg))
+        trainer.fit(windows, split, horizon=2, checkpoint_dir=directory)
+        for name in ("checkpoint.npz", "best.npz"):
+            corrupt_file(directory / name, seed=2, mode=mode, n_bits=64)
+
+        resumed = Trainer(_make_model(), _loss,
+                          TrainConfig(epochs=2, **cfg))
+        events = []
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            result = resumed.fit(
+                windows, split, horizon=2, checkpoint_dir=directory,
+                resume=True,
+                telemetry=lambda e, f: events.append((e, f)))
+        fallbacks = [f for e, f in events if e == "checkpoint_fallback"]
+        assert [f["fallback"] for f in fallbacks] == ["fresh start"]
+        # A fresh start is the uninterrupted run: no corrupt weight was
+        # applied before the fallback.
+        fresh = Trainer(_make_model(), _loss,
+                        TrainConfig(epochs=2, **cfg)).fit(
+                            windows, split, horizon=2)
+        assert result.val_losses == fresh.val_losses
+        assert result.train_losses == fresh.train_losses
+
 
 class TestKillAndResume:
     """Interrupting fit after a checkpoint must not change the outcome."""

