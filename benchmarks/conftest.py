@@ -10,19 +10,14 @@ Scale control
     tens of minutes on one core.
 ``REPRO_BENCH_SCALE=smoke`` — 12-region toy cities and tiny budgets for
     a fast end-to-end check of the harness itself (~2 minutes).
-
-Benchmarks run in float32: it halves memory traffic and doubles BLAS
-throughput, and forecast quality is unaffected at histogram scale.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
-import repro.autodiff as autodiff
 from repro.experiments import (MethodBudget, full_roster, prepare,
                                run_comparison)
 from repro.trips import chengdu_like_dataset, nyc_like_dataset, toy_dataset
@@ -33,13 +28,6 @@ SMOKE = SCALE == "smoke"
 
 def pytest_report_header(config):
     return f"repro benchmarks: scale={SCALE}"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def float32_mode():
-    autodiff.set_default_dtype(np.float32)
-    yield
-    autodiff.set_default_dtype(np.float64)
 
 
 @pytest.fixture(scope="session")

@@ -16,15 +16,12 @@ import sys
 
 import numpy as np
 
-import repro.autodiff as autodiff
 from repro import nyc_like_dataset, prepare, run_comparison
 from repro.experiments import (MethodBudget, make_af, make_bf, make_fc,
                                make_nh, time_of_day_analysis)
 
 
 def main(quick: bool) -> None:
-    autodiff.set_default_dtype(np.float32)   # 2x faster full-city training
-
     n_days = 3 if quick else 8
     budget = MethodBudget(epochs=3 if quick else 10, batch_size=16,
                           max_train_batches=6 if quick else 16,

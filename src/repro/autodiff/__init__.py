@@ -15,8 +15,8 @@ The deep-learning stack the paper builds on, reimplemented from scratch:
 
 from . import init, ops
 from .gradcheck import check_gradients, numerical_gradient
-from .layers import (MLP, Activation, Dropout, Embedding, LayerNorm,
-                     Linear, Sequential)
+from .layers import (MLP, Activation, Dropout, Embedding, Linear,
+                     Sequential)
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
@@ -33,7 +33,6 @@ __all__ = [
     "ops", "init",
     "Module", "Parameter",
     "Linear", "Dropout", "Sequential", "Activation", "MLP", "Embedding",
-    "LayerNorm",
     "GRUCell", "GRU", "Seq2Seq",
     "Optimizer", "SGD", "Adam", "StepDecay", "clip_grad_norm",
     "InferenceEngine",

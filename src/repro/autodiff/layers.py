@@ -128,33 +128,3 @@ class Embedding(Module):
         if (ids < 0).any() or (ids >= self.num_embeddings).any():
             raise IndexError("embedding id out of range")
         return self.weight[ids]
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis.
-
-    Normalizes each feature vector to zero mean / unit variance and
-    applies a learned affine map.  Provided as substrate (useful when
-    stacking deeper graph-recurrent models); the paper's models do not
-    use it.
-    """
-
-    def __init__(self, normalized_size: int, eps: float = 1e-5):
-        super().__init__()
-        if normalized_size < 1:
-            raise ValueError("normalized_size must be >= 1")
-        self.normalized_size = normalized_size
-        self.eps = eps
-        self.gain = Parameter(np.ones(normalized_size))
-        self.bias = Parameter(np.zeros(normalized_size))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.normalized_size:
-            raise ValueError(
-                f"last axis {x.shape[-1]} != normalized_size "
-                f"{self.normalized_size}")
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        inv_std = (variance + self.eps) ** -0.5
-        return centered * inv_std * self.gain + self.bias

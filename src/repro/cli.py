@@ -72,8 +72,8 @@ def cmd_compare(args) -> int:
                               run_comparison)
     from .persistence import export_comparison
 
-    if args.float32:
-        autodiff.set_default_dtype(np.float32)
+    if args.float64:
+        autodiff.set_default_dtype(np.float64)
     dataset = _build_dataset(args)
     data = prepare(dataset, s=args.s, h=args.h)
     budget = MethodBudget(epochs=args.epochs, batch_size=args.batch_size,
@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--batch-size", type=int, default=16)
     compare.add_argument("--max-batches", type=int, default=12)
     compare.add_argument("--max-test-windows", type=int, default=32)
-    compare.add_argument("--float32", action="store_true",
-                         help="train in float32 (2x faster)")
+    compare.add_argument("--float64", action="store_true",
+                         help="train in float64 (about 2x slower than "
+                              "the float32 default)")
     compare.add_argument("--out", default=None,
                          help="write the result rows as JSON")
     compare.add_argument("--telemetry", default=None, metavar="FILE",

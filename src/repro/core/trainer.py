@@ -29,6 +29,7 @@ from ..contracts import check_finite, get_contract_policy
 from ..histograms.windows import Split, WindowDataset
 from ..telemetry import TelemetrySink, emit, peak_rss_mb
 from .losses import masked_frobenius
+from .recovery import publish
 
 LossFn = Callable[[Tensor, np.ndarray, np.ndarray,
                    Optional[Tensor], Optional[Tensor]], Tensor]
@@ -409,14 +410,15 @@ class Trainer:
     # ------------------------------------------------------------------
     def predict(self, dataset: WindowDataset, indices: np.ndarray,
                 horizon: int) -> np.ndarray:
-        """Forecast tensors for the given windows, ``(B, h, N, N', K)``."""
+        """Forecast tensors for the given windows, ``(B, h, N, N', K)``,
+        published as float64 histograms (:func:`~.recovery.publish`)."""
         was_training = self.model.training
         self.model.eval()
         outputs = []
         for histories, _, _ in dataset.batches(indices,
                                                self.config.batch_size):
             prediction, _, _ = self.model(histories, horizon)
-            outputs.append(prediction.numpy())
+            outputs.append(publish(prediction.numpy()))
         if was_training:
             self.model.train()
         return np.concatenate(outputs, axis=0)

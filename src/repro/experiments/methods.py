@@ -153,15 +153,3 @@ def full_roster(budget: MethodBudget = QUICK_BUDGET,
         "bf": lambda data: make_bf(data, budget),
         "af": lambda data: make_af(data, af_budget),
     }
-
-
-def deep_roster(budget: MethodBudget = QUICK_BUDGET,
-                af_budget: Optional[MethodBudget] = None
-                ) -> Dict[str, MethodFactory]:
-    """The three deep methods compared in the paper's figures (FC/BF/AF)."""
-    af_budget = af_budget or budget
-    return {
-        "fc": lambda data: make_fc(data, budget),
-        "bf": lambda data: make_bf(data, budget),
-        "af": lambda data: make_af(data, af_budget),
-    }

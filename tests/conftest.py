@@ -9,10 +9,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autodiff import get_default_dtype, set_default_dtype
 from repro.histograms import WindowDataset, build_od_tensors, chronological_split
 from repro.regions import toy_city
 from repro.trips import toy_dataset
 from tests import oracles
+
+
+@pytest.fixture(autouse=True)
+def _default_dtype_unchanged():
+    """Fail any test that leaves the library dtype other than it found
+    it: a leaked switch would run the rest of the session in it."""
+    found = get_default_dtype()
+    yield
+    left = get_default_dtype()
+    if left is not found:
+        set_default_dtype(found)
+        pytest.fail(f"test left the default dtype at {np.dtype(left).name}, "
+                    f"found {np.dtype(found).name}")
+
+
+@pytest.fixture
+def float64():
+    """Run a test in float64: the numerical gradient checks and the
+    parity tests with float64 tolerances need it."""
+    previous = set_default_dtype(np.float64)
+    yield
+    set_default_dtype(previous)
 
 
 @pytest.fixture(scope="session")

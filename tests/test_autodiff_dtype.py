@@ -1,4 +1,4 @@
-"""Tests for the global dtype switch (float32 training mode)."""
+"""Tests for the global dtype switch (float32 by default)."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,24 @@ from repro.autodiff import (Tensor, get_default_dtype, ops,
 
 @pytest.fixture
 def float32_mode():
-    set_default_dtype(np.float32)
+    previous = set_default_dtype(np.float32)
     yield
-    set_default_dtype(np.float64)
+    set_default_dtype(previous)
 
 
 class TestDtypeSwitch:
-    def test_default_is_float64(self):
-        assert get_default_dtype() is np.float64
-        assert Tensor([1.0]).data.dtype == np.float64
+    def test_default_is_float32(self):
+        assert get_default_dtype() is np.float32
+        assert Tensor([1.0]).data.dtype == np.float32
+
+    def test_switch_returns_the_previous_dtype(self):
+        previous = set_default_dtype(np.float64)
+        try:
+            assert previous is np.float32
+            assert set_default_dtype(np.float64) is np.float64
+        finally:
+            assert set_default_dtype(previous) is np.float64
+        assert get_default_dtype() is np.float32
 
     def test_float32_tensors(self, float32_mode):
         assert Tensor([1.0]).data.dtype == np.float32

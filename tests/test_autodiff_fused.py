@@ -24,6 +24,9 @@ from repro.experiments import (MethodBudget, make_bf, make_nh, prepare,
 from repro.graph.energy import dirichlet_energy
 from tests import oracles
 
+# Gradient checks, and kernel-vs-oracle parity at float64 tolerances.
+pytestmark = pytest.mark.usefixtures("float64")
+
 PARITY = dict(rtol=1e-9, atol=1e-9)     # far below the 1e-6 requirement
 
 
@@ -103,7 +106,7 @@ class TestChebConv:
             [x, weight, bias])
 
     def test_float32_preserved(self, rng):
-        set_default_dtype(np.float32)
+        previous = set_default_dtype(np.float32)
         try:
             lap = rng.normal(size=(4, 4)).astype(np.float32)
             x = Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32),
@@ -118,7 +121,7 @@ class TestChebConv:
             assert x.grad.dtype == np.float32
             assert weight.grad.dtype == np.float32
         finally:
-            set_default_dtype(np.float64)
+            set_default_dtype(previous)
 
 
 class TestGruGates:

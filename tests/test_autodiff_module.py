@@ -169,15 +169,16 @@ class TestStateDict:
         """A float32 model must stay float32 through a state-dict restore
         (early stopping, ``load_model``), not be clobbered to float64."""
         from repro.autodiff import set_default_dtype
-        set_default_dtype(np.float32)
+        previous = set_default_dtype(np.float32)
         try:
             net = _Net(rng)
             state = net.state_dict()
             net.load_state_dict(state)
         finally:
-            set_default_dtype(np.float64)
+            set_default_dtype(previous)
         assert all(p.data.dtype == np.float32 for p in net.parameters())
 
+    @pytest.mark.usefixtures("float64")
     def test_load_preserves_float64_against_narrow_saved(self, net):
         """A float64 model loading float32-saved weights stays float64."""
         state = {name: value.astype(np.float32)

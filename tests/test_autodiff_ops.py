@@ -5,6 +5,9 @@ import pytest
 
 from repro.autodiff import Tensor, check_gradients, ops
 
+# Finite-difference gradient checks and float64 closed forms.
+pytestmark = pytest.mark.usefixtures("float64")
+
 
 class TestElementwise:
     def test_exp_log_sqrt_values(self):

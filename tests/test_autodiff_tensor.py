@@ -5,6 +5,9 @@ import pytest
 
 from repro.autodiff import Tensor, check_gradients, ops, tensor, zeros, ones
 
+# Finite-difference gradient checks and float64 closed forms.
+pytestmark = pytest.mark.usefixtures("float64")
+
 
 class TestConstruction:
     def test_from_list(self):

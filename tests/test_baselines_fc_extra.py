@@ -35,7 +35,7 @@ class TestFCTraining:
 
     def test_training_in_float32_mode(self, windows, split):
         import repro.autodiff as autodiff
-        autodiff.set_default_dtype(np.float32)
+        previous = autodiff.set_default_dtype(np.float32)
         try:
             rng = np.random.default_rng(0)
             model = FCBaseline(12, 12, 7, rng, encoder_dim=6,
@@ -48,4 +48,4 @@ class TestFCTraining:
             assert np.isfinite(pred).all()
             assert np.allclose(pred.sum(-1), 1.0, atol=1e-4)
         finally:
-            autodiff.set_default_dtype(np.float64)
+            autodiff.set_default_dtype(previous)

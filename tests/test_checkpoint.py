@@ -82,13 +82,13 @@ class TestOptimizerStateDict:
 
     def test_float32_params_keep_float32_slots(self):
         from repro.autodiff import set_default_dtype
-        set_default_dtype(np.float32)
+        previous = set_default_dtype(np.float32)
         try:
             p = Parameter(np.zeros(2))
             opt = Adam([p], lr=0.1)
             opt.load_state_dict(opt.state_dict())
         finally:
-            set_default_dtype(np.float64)
+            set_default_dtype(previous)
         assert opt._m[0].dtype == np.float32
         assert opt._v[0].dtype == np.float32
 

@@ -132,6 +132,7 @@ def test_factors_and_input_gradient_bitwise_across_chunkings(monkeypatch,
                                       err_msg=f"input gradient, {name}")
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("chunking", ["one-slice", "split-intervals"])
 @pytest.mark.parametrize("city", list(CITIES))
 def test_weight_gradients_deterministic_and_match_one_run(monkeypatch, city,
@@ -215,6 +216,7 @@ def _slices_run(monkeypatch):
     return counted
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("empty", list(EMPTY_SETS))
 @pytest.mark.parametrize("city", list(CITIES))
 def test_fold_factors_bitwise_and_weight_gradients_match_every_slice(

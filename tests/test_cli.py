@@ -16,6 +16,12 @@ class TestParser:
         args = build_parser().parse_args(["compare"])
         assert args.city == "toy" and args.methods == "nh,bf,af"
 
+    def test_one_dtype_flag(self):
+        assert not build_parser().parse_args(["compare"]).float64
+        assert build_parser().parse_args(["compare", "--float64"]).float64
+        with pytest.raises(SystemExit):     # float32 is the default
+            build_parser().parse_args(["compare", "--float32"])
+
     def test_unknown_city_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--city", "paris"])

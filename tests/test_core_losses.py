@@ -48,6 +48,7 @@ class TestMaskedFrobenius:
         empty = np.zeros((2, 2, 4, 4), dtype=bool)
         assert masked_frobenius(pred, truth, empty).item() == 0.0
 
+    @pytest.mark.usefixtures("float64")
     def test_gradcheck(self, rng):
         pred = Tensor(rng.normal(size=(1, 1, 3, 3, 2)), requires_grad=True)
         truth = rng.normal(size=(1, 1, 3, 3, 2))
@@ -104,6 +105,7 @@ class TestAFLoss:
         assert r.grad.shape == r.shape
         assert c.grad.shape == c.shape
 
+    @pytest.mark.usefixtures("float64")
     def test_factor_dirichlet_gradcheck(self, rng):
         weights = build_proximity(rng.uniform(0, 3, size=(4, 2)))
         r = Tensor(rng.normal(size=(2, 4, 3, 2)), requires_grad=True)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, check_gradients
 from repro.core import recover
+from repro.core.recovery import publish
 
 
 class TestRecover:
@@ -48,6 +49,7 @@ class TestRecover:
         with pytest.raises(ValueError):
             recover(r, c)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients_flow_to_both_factors(self, rng):
         r = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         c = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
@@ -62,3 +64,23 @@ class TestRecover:
         out = recover(r, c)
         assert out.shape == (3, 3, 2)
         assert np.allclose(out.numpy().sum(-1), 1.0)
+
+
+class TestPublish:
+    def test_float32_forecast_becomes_float64_histograms(self):
+        rng = np.random.default_rng(0)
+        scores = rng.normal(size=(2, 6, 7, 5)).astype(np.float32)
+        forecast = np.exp(scores) / np.exp(scores).sum(-1, keepdims=True)
+        before = forecast.copy()
+        published = publish(forecast)
+        assert published.dtype == np.float64
+        np.testing.assert_allclose(published.sum(axis=-1), 1.0, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(published, forecast, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(forecast, before)   # input untouched
+
+    def test_float64_forecast_is_copied(self):
+        forecast = np.random.default_rng(1).dirichlet(np.ones(5), size=(3, 4))
+        published = publish(forecast)
+        assert published is not forecast
+        np.testing.assert_allclose(published, forecast, rtol=0, atol=1e-15)

@@ -88,6 +88,7 @@ class TestFactorizeTensorBatch:
         assert c.shape == (5, 2, 8, 3)
 
 
+@pytest.mark.usefixtures("float64")
 class TestChunkLoopGradients:
     """Finite-difference checks of stage 1's chunk loop
     (``core/shardexec.py``): the chunk input gather, the input-gradient

@@ -39,6 +39,7 @@ class TestChebConv:
         with pytest.raises(ValueError):
             ChebConv(3, 5, order=0, weights=weights, rng=rng)
 
+    @pytest.mark.usefixtures("float64")
     def test_matches_reference_basis(self, weights, rng):
         """The layer must equal an explicit Chebyshev-basis computation."""
         conv = ChebConv(2, 3, order=3, weights=weights, rng=rng)
@@ -56,6 +57,7 @@ class TestChebConv:
         out = conv(Tensor(x))
         assert np.allclose(out.data, expected)
 
+    @pytest.mark.usefixtures("float64")
     def test_order_one_is_pointwise(self, weights, rng):
         """Order-1 ChebConv ignores the graph entirely (1x1 conv)."""
         conv = ChebConv(2, 2, order=1, weights=weights, rng=rng)
@@ -63,6 +65,7 @@ class TestChebConv:
         expected = x @ conv.weight.data + conv.bias.data
         assert np.allclose(conv(Tensor(x)).data, expected)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradcheck_input_and_params(self, weights, rng):
         conv = ChebConv(2, 2, order=3, weights=weights, rng=rng)
         x = Tensor(rng.normal(size=(2, 12, 2)), requires_grad=True)
@@ -134,6 +137,7 @@ class TestGraphPool:
         with pytest.raises(ValueError):
             GraphPool(c, levels=0)
 
+    @pytest.mark.usefixtures("float64")
     def test_gradcheck(self, weights, rng):
         c = coarsen_graph(weights, 2)
         pool = GraphPool(c, levels=2)
@@ -146,6 +150,7 @@ class TestGraphPool:
         with pytest.raises(ValueError):
             pool(Tensor(rng.normal(size=(1, 13, 2))))
 
+    @pytest.mark.usefixtures("float64")
     def test_conv_after_pool_pipeline(self, weights, rng):
         """Conv -> pool -> conv on the coarsened graph works end to end."""
         c = coarsen_graph(weights, 1)

@@ -52,6 +52,7 @@ class TestDirichletEnergy:
         e_smooth = dirichlet_energy_numpy(smooth, weights)
         assert e_smooth < e_rough
 
+    @pytest.mark.usefixtures("float64")
     def test_gradcheck(self, weights, rng):
         x = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
         check_gradients(lambda x: dirichlet_energy(x, weights), [x])

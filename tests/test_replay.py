@@ -84,7 +84,7 @@ class TestDropoutDtype:
     def test_mask_does_not_upcast_float32(self):
         """Regression: the dropout mask was float64, silently upcasting
         activations and gradients under float32 training."""
-        autodiff.set_default_dtype(np.float32)
+        previous = autodiff.set_default_dtype(np.float32)
         try:
             x = Tensor(np.ones((16, 16), dtype=np.float32),
                        requires_grad=True)
@@ -93,7 +93,7 @@ class TestDropoutDtype:
             assert out.data.dtype == np.float32
             assert x.grad.dtype == np.float32
         finally:
-            autodiff.set_default_dtype(np.float64)
+            autodiff.set_default_dtype(previous)
 
 
 class TestInferenceEngine:
@@ -182,7 +182,7 @@ class TestBitForBitParity:
         dtype back into the arena: a thunk that computed in float64 and
         stored an upcast result would make the served forecast drift
         from the float32 eager forward."""
-        autodiff.set_default_dtype(np.float32)
+        previous = autodiff.set_default_dtype(np.float32)
         try:
             model = model_fn()
             history = _history(np.random.default_rng(0), n_dest=n_dest)
@@ -191,7 +191,7 @@ class TestBitForBitParity:
             engine = InferenceEngine(model)
             outs = [engine.predict(history, 2) for _ in range(3)]
         finally:
-            autodiff.set_default_dtype(np.float64)
+            autodiff.set_default_dtype(previous)
         for name, weight in model.state_dict().items():
             assert weight.dtype == np.float32, name
         assert expected.dtype == np.float32
@@ -221,7 +221,7 @@ class TestBitForBitParity:
             def forward(self, histories, horizon):
                 return ops.sigmoid(widen(Tensor(histories))), None, None
 
-        autodiff.set_default_dtype(np.float32)
+        previous = autodiff.set_default_dtype(np.float32)
         try:
             model = _Widening()
             history = _history(np.random.default_rng(0))
@@ -229,7 +229,7 @@ class TestBitForBitParity:
             engine = InferenceEngine(model)
             outs = [engine.predict(history, 2) for _ in range(3)]
         finally:
-            autodiff.set_default_dtype(np.float64)
+            autodiff.set_default_dtype(previous)
         assert expected.dtype == np.float32
         for out in outs:
             assert out.dtype == np.float32
@@ -263,6 +263,7 @@ class TestTapeLifecycle:
             engine.predict(history, horizon)
         assert engine.stats()["captures"] == 2
 
+    @pytest.mark.usefixtures("float64")
     def test_dtype_change_is_a_new_signature(self):
         """A default-dtype flip must recapture: the old tape's arena
         buffers hold the old dtype.  The float32 replay still equals the
@@ -270,7 +271,7 @@ class TestTapeLifecycle:
         model = _bf_model()
         engine = InferenceEngine(model)
         history = _history(np.random.default_rng(0))
-        autodiff.set_default_dtype(np.float32)
+        previous = autodiff.set_default_dtype(np.float32)
         try:
             model.eval()
             expected = np.array(model(history, 2)[0].data, copy=True)
@@ -279,7 +280,7 @@ class TestTapeLifecycle:
             assert out.dtype == np.float32
             np.testing.assert_array_equal(out, expected)
         finally:
-            autodiff.set_default_dtype(np.float64)
+            autodiff.set_default_dtype(previous)
         engine.predict(history, 2)
         stats = engine.stats()
         assert stats["captures"] == 2

@@ -172,6 +172,7 @@ class TestBlockedMode:
         assert occupancy["r"]["slices"] == histories.shape[0] \
             * histories.shape[1] * model.n_origins
 
+    @pytest.mark.usefixtures("float64")
     def test_grads_deterministic_and_match_dense_to_roundoff(
             self, plan, proximity, sequence, batch):
         dense_loss, dense_grads = _train_step(

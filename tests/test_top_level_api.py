@@ -27,11 +27,11 @@ class TestPublicSurface:
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
 
-    def test_no_accidental_float32_default(self):
+    def test_default_dtype_is_float32(self):
         import numpy as np
 
         from repro.autodiff import get_default_dtype
-        assert get_default_dtype() is np.float64
+        assert get_default_dtype() is np.float32
 
     def test_quickstart_snippet_objects_exist(self):
         """The README quickstart names must exist with the documented
