@@ -19,8 +19,8 @@ python3 benchmarks/resume_smoke.py || exit 1
 # <5% of a training epoch (see docs/ROBUSTNESS.md).
 python3 benchmarks/chaos_smoke.py || exit 1
 
-# Serving gate: forecasts served through the registry/cache/inference
-# tapes must stay bit-identical to forecast_latest, the response cache
+# Serving gate: forecasts served through the registry/cache/model
+# forward must stay bit-identical to forecast_latest, the response cache
 # must stay >= 5x faster than a cold forward, and the request stream
 # must hold its throughput floor.  Also gates the data plane: a worker
 # round trip over the zero-copy shm ring must stay >= 2x faster than

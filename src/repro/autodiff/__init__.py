@@ -20,7 +20,6 @@ from .layers import (MLP, Activation, Dropout, Embedding, Linear,
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
-from .replay import InferenceEngine
 from .rnn import GRU, GRUCell, Seq2Seq
 from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
                      get_default_dtype, ones, set_default_dtype, tensor,
@@ -35,7 +34,6 @@ __all__ = [
     "Linear", "Dropout", "Sequential", "Activation", "MLP", "Embedding",
     "GRUCell", "GRU", "Seq2Seq",
     "Optimizer", "SGD", "Adam", "StepDecay", "clip_grad_norm",
-    "InferenceEngine",
     "profile", "OpProfiler",
     "check_gradients", "numerical_gradient",
 ]

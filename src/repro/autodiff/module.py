@@ -142,9 +142,8 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: "
                     f"{value.shape} vs {parameter.shape}")
-            # Write through the existing array instead of rebinding:
-            # captured inference tapes alias parameter.data, and an
-            # in-place copy keeps them live.
+            # Write through the existing array instead of rebinding, so
+            # every alias of parameter.data sees the restored weights.
             if value is parameter.data:
                 continue
             np.copyto(parameter.data, value)

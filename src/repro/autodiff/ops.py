@@ -7,14 +7,10 @@ of graph-convolution slices, dropout regularization, ...).
 
 Like the ``Tensor`` operators, every op here wraps its forward math in a
 local ``run()`` thunk and ends with ``return Tensor._make(run, parents,
-backward)``, which runs the thunk and records it on an active inference
-tape, so a tape can re-execute a recorded forward without rebuilding the
-graph (docs/EXECUTION.md).  Thunks rebind — via
-``nonlocal`` — every intermediate their backward closure reads, and
-re-read parameter arrays (``p.data``) on each run so weight updates and
-checkpoint restores are always picked up.  Data-dependent *validation*
-(zero divisors, non-positive log inputs) stays outside the thunks: it
-runs when the op is built (eager and capture), not on replay.
+backward)``, which runs the thunk (timed under a profiler) and links the
+graph edge.  Thunks bind — via ``nonlocal`` — every intermediate their
+backward closure reads.  Data-dependent *validation* (zero divisors,
+non-positive log inputs) stays outside the thunks, before ``_make``.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ def log(x: Tensor) -> Tensor:
         raise ValueError(
             f"log: input contains {n_bad} zero/negative value(s) "
             f"(min {x.data.min():.6g}, shape {x.shape}); this would "
-            f"silently propagate -inf/nan through the tape — clip to a "
+            f"silently propagate -inf/nan through the graph — clip to a "
             f"positive floor with ops.maximum(x, eps) or add a positive "
             f"offset first")
 
@@ -379,11 +375,6 @@ def _pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
 # Each fused op is the only implementation of its sub-expression.  The
 # same math written with the primitive ops above lives in tests/oracles.py,
 # the ground truth for the parity tests in tests/test_autodiff_fused.py.
-#
-# Replay note: fused thunks re-read parameter arrays (and rebuild the
-# concatenated weight blocks the CNRNN cell uses) on every run, so
-# optimizer updates and load_state_dict are always reflected.  Graph
-# Laplacians are structural constants — captured once, never rebuilt.
 
 
 def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:

@@ -5,8 +5,8 @@
 backward closure exactly — wall-clock around the call, nothing
 attributed by inference — and aggregates by op kind (the enclosing
 function name: ``matmul``, ``sigmoid``, ``fused_cnrnn_cell``, ...).
-Works identically under eager execution and under inference-tape
-capture and replay; ``e2ebench/run.py --trace 1`` uses it to split a
+Training steps and served forwards run the same eager ops, so one
+hook covers both; ``e2ebench/run.py --trace 1`` uses it to split a
 training step into the paper's stages (docs/AUTODIFF.md has an example
 table).
 

@@ -19,12 +19,9 @@ Design notes
 * Every op packages its forward computation as a local ``run()`` thunk that
   (re)binds, via ``nonlocal``, any intermediate the backward closure needs,
   and ends with ``return Tensor._make(run, parents, backward)``.  ``_make``
-  is the one place an op output is created: it runs the thunk and, under
-  an inference tape (:mod:`repro.autodiff.replay`), records the
-  ``(output, thunk)`` pair.  A replay re-executes the thunks directly —
-  same arrays, same closures, no new Tensors — which is what makes a
-  replayed forward bit-for-bit identical to eager execution (see
-  docs/EXECUTION.md).
+  is the one place an op output is created: it runs the thunk (timed
+  under a profiler), checks it under anomaly mode and links the graph
+  edge.  Training, validation and serving all run this one eager path.
 """
 
 from __future__ import annotations
@@ -85,23 +82,11 @@ def _as_array(value: ArrayLike) -> np.ndarray:
 _ANOMALY_ENABLED = False
 
 # ----------------------------------------------------------------------
-# Capture and profiling hooks
+# Profiling hook
 # ----------------------------------------------------------------------
-# _TAPE, when set, is a list: Tensor._make appends every op's (output
-# Tensor, forward thunk) pair to it.  _PROFILER, when set, receives exact
-# per-op forward/backward timings.  Both cost one global read per op when
-# inactive.
-_TAPE = None
+# _PROFILER, when set, receives exact per-op forward/backward timings.
+# It costs one global read per op when inactive.
 _PROFILER = None
-
-
-def _set_tape(tape):
-    """Install the list ``tape`` as the active op recorder; returns the
-    previous one."""
-    global _TAPE
-    previous = _TAPE
-    _TAPE = tape
-    return previous
 
 
 def _set_profiler(profiler):
@@ -274,9 +259,8 @@ class Tensor:
         """Create an op's output tensor from its forward thunk ``run``.
 
         Runs the thunk (timed under a profiler), checks its output under
-        anomaly mode, links the graph edge when a parent requires a
-        gradient, and appends ``(out, run)`` to the active tape, so the
-        thunk a tape replays is always the one that made its output.
+        anomaly mode and links the graph edge when a parent requires a
+        gradient.
         """
         data = _run_forward(run)
         if _ANOMALY_ENABLED:
@@ -286,9 +270,6 @@ class Tensor:
         if requires:
             out._parents = parents
             out._backward = backward
-        tape = _TAPE
-        if tape is not None:
-            tape.append((out, run))
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -463,14 +444,13 @@ class Tensor:
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
-        # Data-dependent guard: runs when the op is built (eager and
-        # capture), not on replay — see docs/EXECUTION.md.
+        # Data-dependent guard: runs every time the op is built.
         if (other.data == 0).any():
             n_bad = int((other.data == 0).sum())
             raise ValueError(
                 f"truediv: divisor contains {n_bad} zero(s) (shape "
                 f"{other.shape}); this would silently propagate inf/nan "
-                f"through the tape — mask the zeros or add an epsilon "
+                f"through the graph — mask the zeros or add an epsilon "
                 f"to the denominator first")
 
         def run() -> np.ndarray:

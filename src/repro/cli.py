@@ -68,12 +68,21 @@ def _apply_contracts(args) -> None:
 def cmd_compare(args) -> int:
     _apply_contracts(args)
     import repro.autodiff as autodiff
+
+    previous = autodiff.get_default_dtype()
+    if args.float64:
+        autodiff.set_default_dtype(np.float64)
+    try:
+        return _compare(args)
+    finally:
+        autodiff.set_default_dtype(previous)
+
+
+def _compare(args) -> int:
     from .experiments import (MethodBudget, full_roster, prepare,
                               run_comparison)
     from .persistence import export_comparison
 
-    if args.float64:
-        autodiff.set_default_dtype(np.float64)
     dataset = _build_dataset(args)
     data = prepare(dataset, s=args.s, h=args.h)
     budget = MethodBudget(epochs=args.epochs, batch_size=args.batch_size,
@@ -207,7 +216,7 @@ def cmd_serve(args) -> int:
         return service
 
     # Cycle a few distinct "nows" so the stream mixes cache hits with
-    # warm-tape forwards, like a live feed where most queries repeat the
+    # model forwards, like a live feed where most queries repeat the
     # current interval.
     t = data.sequence.n_intervals
     tails = [data.sequence.slice(0, t - i) for i in range(4)]
@@ -251,8 +260,6 @@ def cmd_serve(args) -> int:
             stats = service.stats()
             print(f"cache: {stats['cache']}  registry: "
                   f"{stats['registry']}")
-            for name, engine_stats in stats["engines"].items():
-                print(f"engine[{name}]: {engine_stats}")
     finally:
         if pool is not None:
             pool.close()

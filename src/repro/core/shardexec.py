@@ -23,8 +23,7 @@ other empty slice, and the backward seeds the representative with the
 sum of all empty slices' output gradients — exact by linearity, since
 the backward is linear in the output gradient given the shared caches.
 The fold is computed inside the node's forward thunk, from the data
-it runs on, so the chunk schedule depends on occupancy, and a replayed
-inference tape stays exact on a window with a different zero pattern.
+it runs on, so the chunk schedule depends on each window's occupancy.
 An input that requires a gradient is not folded: every slice runs, so
 each gets its own input gradient.
 

@@ -4,7 +4,7 @@ The experiment harness answers "how good is the model?"; this module
 answers production's question — *given everything observed up to now,
 what are the next ``h`` OD tensors, for this city, right now?* — over
 and over, from one process, for many deployments at once.  It stacks
-four layers on top of the :mod:`repro.forecast` facade:
+three layers on top of the :mod:`repro.forecast` facade:
 
 1. :class:`ModelRegistry` — one SHA-256-verified checkpoint per
    ``(city, scenario)`` :class:`ModelKey`, loaded lazily through
@@ -13,23 +13,21 @@ four layers on top of the :mod:`repro.forecast` facade:
    disk.  A checkpoint that fails its checksum is *never* served: the
    stale instance is dropped, a ``model_error`` event is emitted, and
    the request degrades (see below).
-2. An inference-only fast path — each loaded model is wrapped in a
-   forward-only :class:`repro.autodiff.InferenceEngine` (tapes captured
-   in eval mode with no loss or backward schedule) so warm requests
-   skip graph construction entirely.
-3. :class:`ForecastService` — per-request contract validation, an LRU
+2. :class:`ForecastService` — per-request contract validation, an LRU
    :class:`ResponseCache` keyed on (model key, window signature,
-   horizon), one model forward per cache miss, and per-request JSONL
-   telemetry.
-4. :class:`ForecastWorkerPool` — fork-isolated serving processes (the
+   horizon), one eval-mode model forward per cache miss — the same
+   eager forward ``Trainer.predict`` runs, so a served answer equals
+   :func:`repro.forecast.forecast_latest` by construction — and
+   per-request JSONL telemetry.
+3. :class:`ForecastWorkerPool` — fork-isolated serving processes (the
    fault-isolation pattern of ``experiments.runner``): a request that
    hangs or kills its worker is timed out, the worker respawned, the
    request retried, and — when retries are exhausted — answered from
    the parent's stale-response mirror, flagged ``degraded``.  Request
    windows and response histograms travel through a per-worker
-   shared-memory slot ring (:mod:`repro.serve_shm`) so the pipe carries
+   one-slot shared-memory ring (:mod:`repro.serve_shm`) so the pipe carries
    only tiny control frames, with automatic fallback to the pickled
-   transport when a payload exceeds the largest slot; admission is
+   transport when a payload exceeds the slot; admission is
    deadline-aware — an overloaded worker queue or an unmeetable
    ``ForecastRequest.deadline`` sheds the request with
    :class:`~repro.serve_shm.ShedError` before any work is done.
@@ -62,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .autodiff.module import Module
-from .autodiff.replay import InferenceEngine
 from .contracts import ContractPolicy, ContractViolation, check_finite
 from .core.recovery import publish
 from .forecast import latest_history, tail_slice
@@ -90,7 +87,7 @@ __all__ = [
 ]
 
 #: Data-plane transports for :class:`ForecastWorkerPool` ("shm" ships
-#: array bytes through a per-worker shared-memory slot ring and falls
+#: array bytes through a per-worker one-slot shared-memory ring and falls
 #: back per request when a payload does not fit; "pickle" forces the
 #: original pickled-pipe transport).
 SERVE_TRANSPORTS = ("shm", "pickle")
@@ -152,11 +149,10 @@ def window_signature(history: np.ndarray) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class LoadedModel:
-    """One live model instance: module + engine + file fingerprint."""
+    """One live model instance: module + file fingerprint."""
 
     key: ModelKey
     model: Module
-    engine: InferenceEngine
     epoch: int
     fingerprint: Tuple[int, int, int]
 
@@ -253,9 +249,8 @@ class ModelRegistry:
         emit(self.telemetry, "model_reload" if reload else "model_load",
              key=str(key), path=str(path), epoch=checkpoint.epoch,
              seconds=time.perf_counter() - start)
-        return LoadedModel(key=key, model=model,
-                           engine=InferenceEngine(model),
-                           epoch=checkpoint.epoch, fingerprint=fingerprint)
+        return LoadedModel(key=key, model=model, epoch=checkpoint.epoch,
+                           fingerprint=fingerprint)
 
     def stats(self) -> Dict[str, int]:
         return {"registered": len(self._registered),
@@ -355,8 +350,8 @@ class ForecastResponse:
     seconds: float = 0.0
     degraded: bool = False
     error: Optional[str] = None
-    #: The forward also loaded its model or captured an inference tape,
-    #: so ``seconds`` is not a steady-state forward time.
+    #: The request also loaded its model, so ``seconds`` is not a
+    #: steady-state forward time.
     cold: bool = False
 
     @property
@@ -368,12 +363,12 @@ class ForecastResponse:
 # the service
 # ----------------------------------------------------------------------
 class ForecastService:
-    """Registry + cache + inference tapes behind one ``forecast`` call.
+    """Registry + cache + model forward behind one ``forecast`` call.
 
     Each request runs on its own: validate the window, fetch the model,
     answer from the cache or run one forward, check it finite, cache
     it.  Thread-safe: concurrent callers are serialized around the
-    registry, the cache and the tapes.
+    registry, the cache and the models.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None,
@@ -440,20 +435,19 @@ class ForecastService:
         if cached is not None:
             return ForecastResponse(key, horizon, cached, cache="hit",
                                     seconds=time.perf_counter() - start)
-        captures = loaded.engine.captures
         try:
-            prediction = publish(loaded.engine.predict(history, horizon)[0])
+            loaded.model.eval()
+            prediction, _, _ = loaded.model(history, horizon)
+            prediction = publish(prediction.data[0])
             check_finite(prediction, "prediction", "serve", self.policy)
         except Exception as exc:    # noqa: BLE001 - degrade, don't die
             return self._degrade(request, signature, start,
                                  f"{type(exc).__name__}: {exc}")
         self.cache.put((key, signature, horizon), prediction)
         self._last[(key, horizon)] = prediction
-        cold = (self.registry.loads > loads
-                or loaded.engine.captures > captures)
         return ForecastResponse(key, horizon, prediction, cache="miss",
                                 seconds=time.perf_counter() - start,
-                                cold=cold)
+                                cold=self.registry.loads > loads)
 
     def _degrade(self, request: ForecastRequest, signature: str,
                  start: float, error: str) -> ForecastResponse:
@@ -474,10 +468,8 @@ class ForecastService:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        engines = {str(key): loaded.engine.stats()
-                   for key, loaded in self.registry._loaded.items()}
         return {"requests": self.requests, "cache": self.cache.stats(),
-                "registry": self.registry.stats(), "engines": engines}
+                "registry": self.registry.stats()}
 
     def close(self) -> None:
         """Nothing to release (no threads, no processes); kept so an
@@ -503,15 +495,14 @@ def _serve_request(service, request: ForecastRequest) -> ForecastResponse:
             error=f"{type(exc).__name__}: {exc}")
 
 
-def _serve_shm_frame(service, ring, request_id, slot,
-                     meta) -> ForecastResponse:
-    """Rebuild a request from its ring slot (zero-copy) and serve it.
+def _serve_shm_frame(service, ring, request_id, meta) -> ForecastResponse:
+    """Rebuild a request from the worker's ring (zero-copy) and serve it.
 
     Function-local on purpose: every view into the segment dies when
     this frame returns, so the ring can close cleanly at shutdown.
     """
     key, s, horizon, spec, interval_minutes, deadline = meta
-    arrays, _ = ring.read(slot, request_id, copy=False)
+    arrays, _ = ring.read(request_id, copy=False)
     tensors, mask, counts = arrays
     sequence = ODTensorSequence(
         tensors=tensors, mask=mask, counts=counts, spec=spec,
@@ -523,11 +514,11 @@ def _serve_shm_frame(service, ring, request_id, slot,
 def _worker_loop(conn, service_factory, ring=None) -> None:
     """Body of one serving worker: recv control frame, serve, reply.
 
-    Frames are ``("shm", id, slot, meta)`` — array bytes live in the
+    Frames are ``("shm", id, meta)`` — array bytes live in the
     shared-memory ring, the pipe carries only this control tuple — or
     ``("pickle", id, request)``, the legacy transport.  Responses go
-    back through the request's slot when the histogram fits, else as a
-    pickled frame.  The ``finally`` closes and best-effort-unlinks the
+    back through the ring when the histogram fits, else as a pickled
+    frame.  The ``finally`` closes and best-effort-unlinks the
     ring so even a worker that outlives its parent leaves nothing in
     ``/dev/shm``.
     """
@@ -542,10 +533,10 @@ def _worker_loop(conn, service_factory, ring=None) -> None:
                 break
             kind, request_id = message[0], message[1]
             if kind == "shm":
-                slot, meta = message[2], message[3]
+                meta = message[2]
                 try:
                     response = _serve_shm_frame(service, ring, request_id,
-                                                slot, meta)
+                                                meta)
                 except Exception as exc:  # noqa: BLE001 - bad frame
                     response = ForecastResponse(
                         meta[0], meta[2], None,
@@ -553,8 +544,8 @@ def _worker_loop(conn, service_factory, ring=None) -> None:
                 frame = None
                 if response.ok and response.prediction is not None:
                     try:     # response histogram written once, in place
-                        ring.write(slot, [response.prediction], request_id)
-                        frame = ("shm", request_id, slot,
+                        ring.write([response.prediction], request_id)
+                        frame = ("shm", request_id,
                                  replace(response, prediction=None))
                     except (SlotOverflowError, ValueError):
                         frame = None     # doesn't fit: pickle it instead
@@ -583,10 +574,10 @@ class ForecastWorkerPool:
     ``experiments.runner``: each worker is a forked process owning a
     full :class:`ForecastService` (built by ``service_factory``).
     Requests for one model key always land on ``crc32(key) %
-    n_workers``, so each worker's registry, inference tape, and response
-    cache stay hot for the keys it owns instead of every worker
-    cold-loading every model; retries step to the next slot so a wedged
-    owner cannot blackhole its keys.  Only the last ``s`` intervals of
+    n_workers``, so each worker's registry and response cache stay hot
+    for the keys it owns instead of every worker cold-loading every
+    model; retries step to the next slot so a wedged owner cannot
+    blackhole its keys.  Only the last ``s`` intervals of
     the sequence are shipped (O(s) payload).
 
     **Data plane** (``transport="shm"``, the default): each worker owns
@@ -679,7 +670,7 @@ class ForecastWorkerPool:
             try:
                 # One slot: _roundtrip holds the worker's lock from the
                 # request write to the response read.
-                ring = ShmRing(slot_bytes=self.slot_bytes, n_slots=1)
+                ring = ShmRing(slot_bytes=self.slot_bytes)
             except (OSError, RuntimeError) as exc:
                 self._note_fallback(
                     slot, f"ring creation failed: {exc}")
@@ -772,7 +763,7 @@ class ForecastWorkerPool:
                     last_error = error
                     continue
                 if response.ok and not response.degraded:
-                    # A cold forward (model load, tape capture) is not
+                    # A cold forward (it loaded the model) is not
                     # what later requests will wait for: folding it in
                     # could shed every short-deadline request, and a
                     # shed request never forwards to correct it.
@@ -802,40 +793,30 @@ class ForecastWorkerPool:
                 self._kill(slot, "found dead")
                 proc, conn, ring = self._workers[slot]
             request_id = next(self._request_ids)
-            ring_slot = None
-            if ring is not None:
-                ring_slot = ring.acquire()
+            sent_shm = ring is not None
+            if sent_shm:
                 sequence = request.sequence
                 try:
                     ring.write(
-                        ring_slot,
                         [sequence.tensors, sequence.mask, sequence.counts],
                         request_id, request.deadline)
                 except (SlotOverflowError, ValueError) as exc:
-                    ring.release(ring_slot)
-                    ring_slot = None
+                    sent_shm = False
                     self._note_fallback(
                         slot, f"{type(exc).__name__}: {exc}")
             try:
-                if ring_slot is not None:
+                if sent_shm:
                     meta = (request.key, request.s, request.horizon,
                             request.sequence.spec,
                             request.sequence.interval_minutes,
                             request.deadline)
-                    conn.send(("shm", request_id, ring_slot, meta))
+                    conn.send(("shm", request_id, meta))
                 else:
                     conn.send(("pickle", request_id, request))
             except (BrokenPipeError, OSError) as exc:
-                if ring_slot is not None:
-                    ring.release(ring_slot)
                 self._kill(slot, "send failed")
                 return None, f"worker send failed: {exc}"
-            try:
-                return self._await(slot, request_id, ring,
-                                   sent_shm=ring_slot is not None)
-            finally:
-                if ring_slot is not None:
-                    ring.release(ring_slot)
+            return self._await(slot, request_id, ring, sent_shm)
 
     def _await(self, slot: int, request_id: int, ring, sent_shm: bool
                ) -> Tuple[Optional[ForecastResponse], Optional[str]]:
@@ -868,9 +849,9 @@ class ForecastWorkerPool:
                 # gave up (post-timeout drain): drop it, keep waiting.
                 continue
             if kind == "shm":
-                ring_slot, control = frame[2], frame[3]
+                control = frame[2]
                 try:
-                    arrays, _ = ring.read(ring_slot, got_id, copy=True)
+                    arrays, _ = ring.read(got_id, copy=True)
                 except Exception as exc:  # noqa: BLE001 - corrupt slot
                     return replace(
                         control, prediction=None,

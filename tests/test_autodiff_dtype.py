@@ -95,3 +95,19 @@ class TestDtypeSwitch:
         for name, parameter in model.named_parameters():
             assert parameter.grad is not None, name
             assert parameter.grad.dtype == np.float32, name
+
+
+class TestDropoutDtype:
+    def test_mask_does_not_upcast_float32(self):
+        """Regression: the dropout mask was float64, silently upcasting
+        activations and gradients under float32 training."""
+        previous = set_default_dtype(np.float32)
+        try:
+            x = Tensor(np.ones((16, 16), dtype=np.float32),
+                       requires_grad=True)
+            out = ops.dropout(x, 0.5, np.random.default_rng(0))
+            out.sum().backward()
+            assert out.data.dtype == np.float32
+            assert x.grad.dtype == np.float32
+        finally:
+            set_default_dtype(previous)

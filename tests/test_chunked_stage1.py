@@ -12,16 +12,14 @@ A side whose input needs no gradient also folds its empty slices onto
 the first of them, so the chunk schedule depends on occupancy.  The
 fold must not show either: factors are bit-identical to the run of
 every slice (an input that requires a gradient is never folded), weight
-gradients equal it up to round-off, exact sharding stays bitwise equal
-to dense, and since the fold is computed inside the forward thunk, a
-replayed inference tape stays exact on a window with a different zero
-pattern.
+gradients equal it up to round-off, and exact sharding stays bitwise
+equal to dense.
 """
 
 import numpy as np
 import pytest
 
-from repro.autodiff import InferenceEngine, Tensor
+from repro.autodiff import Tensor
 from repro.core import (AdvancedFramework, ShardedExecution,
                         factorize_tensor_batch)
 from repro.core import shardexec
@@ -152,28 +150,6 @@ def test_weight_gradients_deterministic_and_match_one_run(monkeypatch, city,
                                    atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("chunking", ["one-slice", "split-intervals"])
-@pytest.mark.parametrize("city", list(CITIES))
-def test_replay_on_new_zero_pattern_equals_eager(monkeypatch, city,
-                                                 chunking):
-    w_o, w_d = _city(city)
-    shape = (2, INTERVALS) + CITIES[city]
-    first, second = _histograms(shape, seed=7), _histograms(shape, seed=8)
-    assert not np.array_equal(first.any(axis=-1), second.any(axis=-1))
-
-    served = _model(w_o, w_d)
-    _set_chunking(monkeypatch, served, chunking)
-    engine = InferenceEngine(served)
-    for history in (first, second):
-        replayed = engine.predict(history, 1)
-    assert (engine.captures, engine.replays) == (1, 1)
-
-    eager = _model(w_o, w_d)
-    eager.eval()
-    prediction, _, _ = eager(second, 1)
-    np.testing.assert_array_equal(replayed, prediction.data)
-
-
 # ----------------------------------------------------------------------
 # The empty-slice fold
 # ----------------------------------------------------------------------
@@ -264,27 +240,3 @@ def test_fold_exact_sharding_bitwise_vs_dense(monkeypatch, city, empty):
     assert set(exact[3]) == set(dense[3])
     for name, grad in dense[3].items():
         np.testing.assert_array_equal(exact[3][name], grad, err_msg=name)
-
-
-@pytest.mark.parametrize("empties", [("none", "several"),
-                                     ("several", "one"),
-                                     ("one", "whole-side")])
-@pytest.mark.parametrize("city", list(CITIES))
-def test_fold_replay_on_new_empty_set_equals_eager(monkeypatch, city,
-                                                   empties):
-    w_o, w_d = _city(city)
-    shape = (2, INTERVALS) + CITIES[city]
-    first = _with_empty(_histograms(shape, seed=9), empties[0])
-    second = _with_empty(_histograms(shape, seed=10), empties[1])
-
-    served = _model(w_o, w_d)
-    _set_chunking(monkeypatch, served, "split-intervals")
-    engine = InferenceEngine(served)
-    for history in (first, second):
-        replayed = engine.predict(history, 1)
-    assert (engine.captures, engine.replays) == (1, 1)
-
-    eager = _model(w_o, w_d)
-    eager.eval()
-    prediction, _, _ = eager(second, 1)
-    np.testing.assert_array_equal(replayed, prediction.data)

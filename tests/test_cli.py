@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.autodiff import get_default_dtype
 from repro.cli import build_parser, main
 
 
@@ -57,6 +59,18 @@ class TestCommands:
         assert "nh" in out
         rows = json.loads(json_path.read_text())["rows"]
         assert rows[0]["method"] == "nh"
+
+    def test_compare_float64_restores_the_default_dtype(self, capsys):
+        """``--float64`` applies to the compare run only: an in-process
+        caller gets its own dtype back, also on the early error return."""
+        assert main(["compare", "--city", "toy", "--days", "1",
+                     "--methods", "nh", "--s", "3", "--h", "1",
+                     "--float64"]) == 0
+        assert get_default_dtype() is np.float32
+        assert main(["compare", "--city", "toy", "--days", "1",
+                     "--methods", "magic", "--float64"]) == 2
+        assert get_default_dtype() is np.float32
+        assert "nh" in capsys.readouterr().out
 
     def test_compare_rejects_unknown_method(self, capsys):
         code = main(["compare", "--city", "toy", "--days", "1",

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture()
 def ring():
-    ring = ShmRing(slot_bytes=1 << 16, n_slots=2)
+    ring = ShmRing(slot_bytes=1 << 16)
     yield ring
     ring.close()
     ring.unlink()
@@ -36,8 +36,8 @@ class TestShmRing:
             np.arange(6, dtype=np.int64).reshape(3, 2),
             np.linspace(0, 1, 5, dtype=np.float32),
         ]
-        ring.write(0, arrays, request_id=7, deadline=123.5)
-        got, deadline = ring.read(0, request_id=7)
+        ring.write(arrays, request_id=7, deadline=123.5)
+        got, deadline = ring.read(request_id=7)
         assert deadline == 123.5
         assert len(got) == len(arrays)
         for sent, received in zip(arrays, got):
@@ -46,58 +46,42 @@ class TestShmRing:
             np.testing.assert_array_equal(received, sent)
 
     def test_none_deadline_survives(self, ring):
-        ring.write(0, [np.zeros(3)], request_id=1)
-        _, deadline = ring.read(0, request_id=1)
+        ring.write([np.zeros(3)], request_id=1)
+        _, deadline = ring.read(request_id=1)
         assert deadline is None
-
-    def test_slots_are_independent(self, ring):
-        ring.write(0, [np.zeros(4)], request_id=1)
-        ring.write(1, [np.ones(4)], request_id=2)
-        np.testing.assert_array_equal(ring.read(0, 1)[0][0], np.zeros(4))
-        np.testing.assert_array_equal(ring.read(1, 2)[0][0], np.ones(4))
 
     def test_request_id_mismatch_rejected(self, ring):
         """A slot holding another request's frame must never be read as
         ours — that is how a stale response would corrupt an answer."""
-        ring.write(0, [np.zeros(2)], request_id=5)
+        ring.write([np.zeros(2)], request_id=5)
         with pytest.raises(ValueError, match="holds request 5"):
-            ring.read(0, request_id=6)
+            ring.read(request_id=6)
 
     def test_unwritten_slot_rejected(self, ring):
         with pytest.raises(ValueError, match="bad magic"):
-            ring.read(1, request_id=1)
+            ring.read(request_id=1)
 
     def test_overflow_raises_before_writing(self, ring):
         big = np.zeros((1 << 16) // 8 + 1, dtype=np.float64)
         with pytest.raises(SlotOverflowError, match="exceeds slot_bytes"):
-            ring.write(0, [big], request_id=1)
+            ring.write([big], request_id=1)
 
     def test_non_contiguous_input_round_trips(self, ring):
         base = np.arange(40, dtype=np.float64).reshape(8, 5)
         strided = base[::2, 1:4]                   # non-contiguous view
-        ring.write(0, [strided], request_id=3)
-        got, _ = ring.read(0, request_id=3)
+        ring.write([strided], request_id=3)
+        got, _ = ring.read(request_id=3)
         np.testing.assert_array_equal(got[0], strided)
 
     def test_zero_copy_read_views_segment(self, ring):
-        ring.write(0, [np.arange(4.0)], request_id=1)
-        views, _ = ring.read(0, request_id=1, copy=False)
+        ring.write([np.arange(4.0)], request_id=1)
+        views, _ = ring.read(request_id=1, copy=False)
         assert not views[0].flags.owndata          # a view, not a copy
         np.testing.assert_array_equal(views[0], np.arange(4.0))
         del views                                  # release before close
 
-    def test_acquire_release_cycle(self, ring):
-        slots = {ring.acquire(), ring.acquire()}
-        assert slots == {0, 1}
-        assert ring.acquire() is None              # exhausted
-        ring.release(1)
-        assert ring.acquire() == 1
-        ring.release(1)
-        ring.release(1)                            # double release is safe
-        assert ring._free == [1]
-
     def test_close_unlink_removes_segment(self):
-        ring = ShmRing(slot_bytes=4096, n_slots=1)
+        ring = ShmRing(slot_bytes=4096)
         name = ring.name
         assert leaked_segments([name]) == [name]
         ring.close()
@@ -108,17 +92,15 @@ class TestShmRing:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="slot_bytes"):
             ShmRing(slot_bytes=HEADER_BYTES)
-        with pytest.raises(ValueError, match="n_slots"):
-            ShmRing(slot_bytes=4096, n_slots=0)
 
     def test_slot_bytes_for_fits_exactly(self):
         shapes = [(4, 8, 8, 5), (4, 8, 8), (4, 8, 8)]
         dtypes = [np.float64, np.bool_, np.int64]
         size = slot_bytes_for(shapes, dtypes)
-        ring = ShmRing(slot_bytes=size, n_slots=1)
+        ring = ShmRing(slot_bytes=size)
         try:
             arrays = [np.zeros(s, dtype=d) for s, d in zip(shapes, dtypes)]
-            ring.write(0, arrays, request_id=1)    # must fit
+            ring.write(arrays, request_id=1)    # must fit
         finally:
             ring.close()
             ring.unlink()
