@@ -8,8 +8,8 @@ The deep-learning stack the paper builds on, reimplemented from scratch:
 * :class:`Module` / :class:`Parameter` — network composition.
 * :class:`Linear`, :class:`Dropout`, :class:`MLP` — dense layers.
 * :class:`GRUCell` / :class:`GRU` / :class:`Seq2Seq` — recurrence.
-* :class:`Adam`, :class:`SGD`, :class:`StepDecay` — optimization with the
-  paper's published schedule (Adam, lr 0.001, x0.8 every 5 epochs).
+* :class:`Adam`, :class:`StepDecay` — optimization with the paper's
+  published schedule (Adam, lr 0.001, x0.8 every 5 epochs).
 * :func:`check_gradients` — numerical verification used by the tests.
 """
 
@@ -18,22 +18,21 @@ from .gradcheck import check_gradients, numerical_gradient
 from .layers import (MLP, Activation, Dropout, Embedding, Linear,
                      Sequential)
 from .module import Module, Parameter
-from .optim import SGD, Adam, Optimizer, StepDecay, clip_grad_norm
+from .optim import Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
 from .rnn import GRU, GRUCell, Seq2Seq
-from .tensor import (AnomalyError, Tensor, anomaly_enabled, detect_anomaly,
-                     get_default_dtype, ones, set_default_dtype, tensor,
-                     zeros)
+from .tensor import (AnomalyError, Tensor, detect_anomaly, get_default_dtype,
+                     ones, set_default_dtype, tensor, zeros)
 
 __all__ = [
     "Tensor", "tensor", "zeros", "ones",
     "set_default_dtype", "get_default_dtype",
-    "detect_anomaly", "anomaly_enabled", "AnomalyError",
+    "detect_anomaly", "AnomalyError",
     "ops", "init",
     "Module", "Parameter",
     "Linear", "Dropout", "Sequential", "Activation", "MLP", "Embedding",
     "GRUCell", "GRU", "Seq2Seq",
-    "Optimizer", "SGD", "Adam", "StepDecay", "clip_grad_norm",
+    "Optimizer", "Adam", "StepDecay", "clip_grad_norm",
     "profile", "OpProfiler",
     "check_gradients", "numerical_gradient",
 ]

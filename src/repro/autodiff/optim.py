@@ -54,41 +54,6 @@ class Optimizer:
         self.lr = float(state["lr"])
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            parameter.data -= self.lr * grad
-
-    def state_dict(self) -> Dict:
-        return {"lr": self.lr,
-                "velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        _check_slots("SGD velocity", state["velocity"], self.parameters)
-        self._velocity = [np.array(v, dtype=p.data.dtype)
-                          for v, p in zip(state["velocity"],
-                                          self.parameters)]
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba 2015) with bias correction."""
 

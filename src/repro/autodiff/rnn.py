@@ -1,4 +1,4 @@
-"""Recurrent networks: GRU cells, stacked GRUs, and sequence-to-sequence.
+"""Recurrent networks: GRU cells, GRU layers, and sequence-to-sequence.
 
 The basic framework (paper §IV-C) forecasts the factor sequences with a
 sequence-to-sequence GRU; the FC/RNN baseline uses the same machinery on
@@ -8,8 +8,6 @@ graph convolutions — that variant (CNRNN) lives in
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
 
 import numpy as np
 
@@ -62,45 +60,31 @@ class GRUCell(Module):
 
 
 class GRU(Module):
-    """(Optionally stacked) GRU over a full sequence.
+    """One GRU layer over a full sequence.
 
     Input is ``(batch, time, features)``; output is the sequence of
-    top-layer hidden states ``(batch, time, hidden)`` plus the final state
-    of every layer.
+    hidden states ``(batch, time, hidden)`` plus the final state.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, num_layers: int = 1):
+                 rng: np.random.Generator):
         super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        self.cells = [GRUCell(input_size if i == 0 else hidden_size,
-                              hidden_size, rng)
-                      for i in range(num_layers)]
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
+        self.cell = GRUCell(input_size, hidden_size, rng)
 
-    def forward(self, x: Tensor,
-                initial: Optional[List[Tensor]] = None):
+    def forward(self, x: Tensor):
         batch, steps = x.shape[0], x.shape[1]
-        states = (initial if initial is not None
-                  else [cell.initial_state(batch) for cell in self.cells])
-        if len(states) != self.num_layers:
-            raise ValueError("one initial state per layer is required")
+        state = self.cell.initial_state(batch)
         outputs = []
         for t in range(steps):
-            layer_input = x[:, t]
-            for i, cell in enumerate(self.cells):
-                states[i] = cell(layer_input, states[i])
-                layer_input = states[i]
-            outputs.append(layer_input)
-        return ops.stack(outputs, axis=1), states
+            state = self.cell(x[:, t], state)
+            outputs.append(state)
+        return ops.stack(outputs, axis=1), state
 
 
 class Seq2Seq(Module):
     """Encoder–decoder GRU forecasting ``horizon`` future feature vectors.
 
-    The encoder consumes the historical sequence; its final states seed a
+    The encoder consumes the historical sequence; its final state seeds a
     decoder that rolls forward ``horizon`` steps.  Decoding starts from the
     last observed input (``go`` frame) and feeds back its own predictions,
     the standard inference-mode arrangement the frameworks rely on.  An
@@ -108,10 +92,10 @@ class Seq2Seq(Module):
     """
 
     def __init__(self, input_size: int, hidden_size: int, output_size: int,
-                 rng: np.random.Generator, num_layers: int = 1):
+                 rng: np.random.Generator):
         super().__init__()
-        self.encoder = GRU(input_size, hidden_size, rng, num_layers)
-        self.decoder = GRU(output_size, hidden_size, rng, num_layers)
+        self.encoder = GRU(input_size, hidden_size, rng)
+        self.decoder = GRU(output_size, hidden_size, rng)
         self.proj_weight = Parameter(
             init.xavier_uniform((hidden_size, output_size), rng))
         self.proj_bias = Parameter(np.zeros(output_size))
@@ -126,7 +110,7 @@ class Seq2Seq(Module):
 
         Returns ``(batch, horizon, output)``.
         """
-        _, states = self.encoder(history)
+        _, state = self.encoder(history)
         batch = history.shape[0]
         # GO frame: the most recent observation, projected if sizes differ.
         if self.input_size == self.output_size:
@@ -135,11 +119,8 @@ class Seq2Seq(Module):
             step_input = Tensor(np.zeros((batch, self.output_size)))
         predictions = []
         for _ in range(horizon):
-            layer_input = step_input
-            for i, cell in enumerate(self.decoder.cells):
-                states[i] = cell(layer_input, states[i])
-                layer_input = states[i]
-            step_input = self._project(layer_input)
+            state = self.decoder.cell(step_input, state)
+            step_input = self._project(state)
             predictions.append(step_input)
         return ops.stack(predictions, axis=1)
 

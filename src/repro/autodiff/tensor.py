@@ -121,11 +121,6 @@ class AnomalyError(RuntimeError):
         self.phase = phase
 
 
-def anomaly_enabled() -> bool:
-    """Whether anomaly detection is currently active."""
-    return _ANOMALY_ENABLED
-
-
 @contextlib.contextmanager
 def detect_anomaly(enabled: bool = True):
     """Context manager: check every op's forward output and backward

@@ -30,8 +30,7 @@ class FCBaseline(Module):
 
     def __init__(self, n_origins: int, n_destinations: int, n_buckets: int,
                  rng: np.random.Generator, encoder_dim: int = 16,
-                 hidden_dim: int = 32, num_layers: int = 1,
-                 dropout: float = 0.2):
+                 hidden_dim: int = 32, dropout: float = 0.2):
         super().__init__()
         self.n_origins = n_origins
         self.n_destinations = n_destinations
@@ -39,8 +38,7 @@ class FCBaseline(Module):
         flat = n_origins * n_destinations * n_buckets
         self.encode = Linear(flat, encoder_dim, rng)
         self.drop = Dropout(dropout, rng)
-        self.seq2seq = Seq2Seq(encoder_dim, hidden_dim, flat, rng,
-                               num_layers=num_layers)
+        self.seq2seq = Seq2Seq(encoder_dim, hidden_dim, flat, rng)
 
     def forward(self, history: Union[np.ndarray, Tensor], horizon: int
                 ) -> Tuple[Tensor, None, None]:

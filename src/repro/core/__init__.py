@@ -1,11 +1,10 @@
 """The paper's contribution: BF and AF forecasting frameworks."""
 
 from .af import AdvancedFramework
-from .attention import AttentiveSeq2Seq, TemporalAttention
 from .bf import BasicFramework
 from .cnrnn import CNRNNCell, GraphSeq2Seq
 from .config import (PaperHyperParameters, PracticalHyperParameters,
-                     paper_af, paper_bf, practical_af, practical_bf)
+                     paper_af, paper_bf)
 from .losses import (af_loss, bf_loss, factor_dirichlet, factor_frobenius,
                      masked_frobenius)
 from .recovery import recover
@@ -17,7 +16,6 @@ from .trainer import NonFiniteGradError, TrainConfig, Trainer, TrainResult
 __all__ = [
     "BasicFramework", "AdvancedFramework",
     "CNRNNCell", "GraphSeq2Seq",
-    "TemporalAttention", "AttentiveSeq2Seq",
     "SpatialFactorizer", "GCNNBlock", "DEFAULT_BLOCKS",
     "factorize_tensor_batch",
     "ShardedExecution", "ShardMemoryBudgetError",
@@ -26,5 +24,5 @@ __all__ = [
     "factor_frobenius", "factor_dirichlet",
     "Trainer", "TrainConfig", "TrainResult",
     "PaperHyperParameters", "PracticalHyperParameters",
-    "paper_bf", "paper_af", "practical_bf", "practical_af",
+    "paper_bf", "paper_af",
 ]

@@ -49,7 +49,7 @@ class AdvancedFramework(Module):
                  n_buckets: int, rng: np.random.Generator, rank: int = 5,
                  blocks: Sequence[GCNNBlock] = DEFAULT_BLOCKS,
                  rnn_hidden: int = 16, rnn_order: int = 2,
-                 rnn_layers: int = 1, cluster_pooling: bool = True,
+                 cluster_pooling: bool = True,
                  dropout: float = 0.2):
         super().__init__()
         self.origin_weights = np.asarray(origin_weights, dtype=np.float64)
@@ -72,11 +72,9 @@ class AdvancedFramework(Module):
         # The R sequence is a graph signal over origins; C over
         # destinations (paper §V-B).
         self.rnn_r = GraphSeq2Seq(self.origin_weights, channels, rnn_hidden,
-                                  channels, rnn_order, rng,
-                                  num_layers=rnn_layers)
+                                  channels, rnn_order, rng)
         self.rnn_c = GraphSeq2Seq(self.dest_weights, channels, rnn_hidden,
-                                  channels, rnn_order, rng,
-                                  num_layers=rnn_layers)
+                                  channels, rnn_order, rng)
         # Optional sharded stage-1 execution (metro scale); installed
         # via set_sharding, never serialized with the weights.
         self._sharding = None

@@ -46,8 +46,7 @@ class BasicFramework(Module):
     def __init__(self, n_origins: int, n_destinations: int, n_buckets: int,
                  rng: np.random.Generator, rank: int = 5,
                  encoder_dim: int = 16, hidden_dim: int = 32,
-                 num_layers: int = 1, dropout: float = 0.2,
-                 attention: bool = False):
+                 dropout: float = 0.2):
         super().__init__()
         if rank < 1:
             raise ValueError("rank must be >= 1")
@@ -60,18 +59,10 @@ class BasicFramework(Module):
         self.encode_c = Linear(flat, encoder_dim, rng)
         self.drop_r = Dropout(dropout, rng)
         self.drop_c = Dropout(dropout, rng)
-        if attention:
-            # Future-work extension (paper §VII): temporal attention over
-            # the encoder states at each decode step.
-            from .attention import AttentiveSeq2Seq as seq2seq_cls
-        else:
-            seq2seq_cls = Seq2Seq
-        self.seq2seq_r = seq2seq_cls(encoder_dim, hidden_dim,
-                                     n_origins * rank * n_buckets, rng,
-                                     num_layers=num_layers)
-        self.seq2seq_c = seq2seq_cls(encoder_dim, hidden_dim,
-                                     rank * n_destinations * n_buckets, rng,
-                                     num_layers=num_layers)
+        self.seq2seq_r = Seq2Seq(encoder_dim, hidden_dim,
+                                 n_origins * rank * n_buckets, rng)
+        self.seq2seq_c = Seq2Seq(encoder_dim, hidden_dim,
+                                 rank * n_destinations * n_buckets, rng)
 
     def forward(self, history: Union[np.ndarray, Tensor], horizon: int
                 ) -> Tuple[Tensor, Tensor, Tensor]:

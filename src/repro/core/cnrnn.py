@@ -9,8 +9,6 @@ preserved through time.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..autodiff import ops
@@ -69,20 +67,12 @@ class GraphSeq2Seq(Module):
 
     def __init__(self, graph_weights: np.ndarray, in_channels: int,
                  hidden_channels: int, out_channels: int, order: int,
-                 rng: np.random.Generator, num_layers: int = 1):
+                 rng: np.random.Generator):
         super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        self.encoder_cells = [
-            CNRNNCell(graph_weights,
-                      in_channels if i == 0 else hidden_channels,
-                      hidden_channels, order, rng)
-            for i in range(num_layers)]
-        self.decoder_cells = [
-            CNRNNCell(graph_weights,
-                      out_channels if i == 0 else hidden_channels,
-                      hidden_channels, order, rng)
-            for i in range(num_layers)]
+        self.encoder_cell = CNRNNCell(graph_weights, in_channels,
+                                      hidden_channels, order, rng)
+        self.decoder_cell = CNRNNCell(graph_weights, out_channels,
+                                      hidden_channels, order, rng)
         self.proj = ChebConv(hidden_channels, out_channels, order,
                              graph_weights, rng)
         self.in_channels = in_channels
@@ -94,13 +84,9 @@ class GraphSeq2Seq(Module):
             raise ValueError(
                 f"history must be (B, s, N, C), got {history.shape}")
         batch, steps = history.shape[0], history.shape[1]
-        states: List[Tensor] = [cell.initial_state(batch)
-                                for cell in self.encoder_cells]
+        state = self.encoder_cell.initial_state(batch)
         for t in range(steps):
-            layer_input = history[:, t]
-            for i, cell in enumerate(self.encoder_cells):
-                states[i] = cell(layer_input, states[i])
-                layer_input = states[i]
+            state = self.encoder_cell(history[:, t], state)
         if self.in_channels == self.out_channels:
             step_input = history[:, -1]
         else:
@@ -108,10 +94,7 @@ class GraphSeq2Seq(Module):
                 (batch, history.shape[2], self.out_channels)))
         predictions = []
         for _ in range(horizon):
-            layer_input = step_input
-            for i, cell in enumerate(self.decoder_cells):
-                states[i] = cell(layer_input, states[i])
-                layer_input = states[i]
-            step_input = self.proj(layer_input)
+            state = self.decoder_cell(step_input, state)
+            step_input = self.proj(state)
             predictions.append(step_input)
         return ops.stack(predictions, axis=1)

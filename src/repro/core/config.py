@@ -3,9 +3,9 @@
 Table I of the paper lists, per dataset, the layer configuration and the
 total weight count of the three deep models (FC baseline, BF, AF), the
 headline being that AF — the most complex model — has the *fewest*
-weights.  :func:`table1_configs` builds all three models at the paper's
-sizes so ``benchmarks/test_table1_configs.py`` can regenerate the
-comparison; the ``practical_*`` constructors are the slightly larger
+weights.  :func:`paper_bf` and :func:`paper_af` build the frameworks at
+the paper's sizes so ``benchmarks/test_table1_configs.py`` can regenerate
+the comparison; :class:`PracticalHyperParameters` holds the slightly larger
 settings the synthetic-data experiments default to.
 """
 
@@ -24,7 +24,7 @@ from .spatial import GCNNBlock
 
 __all__ = [
     "PaperHyperParameters", "PracticalHyperParameters",
-    "paper_bf", "paper_af", "practical_bf", "practical_af",
+    "paper_bf", "paper_af",
     # Contract policy selection lives with the other model/run
     # configuration knobs; the implementation is repro.contracts.
     "ContractPolicy", "contract_policy", "get_contract_policy",
@@ -93,23 +93,3 @@ class PracticalHyperParameters:
     cnrnn_order: int = 2
     dropout: float = 0.2
 
-
-def practical_bf(n_origins: int, n_destinations: int, n_buckets: int,
-                 seed: int = 0,
-                 hp: PracticalHyperParameters = PracticalHyperParameters()
-                 ) -> BasicFramework:
-    rng = np.random.default_rng(seed)
-    return BasicFramework(n_origins, n_destinations, n_buckets, rng,
-                          rank=hp.rank, encoder_dim=hp.encoder_dim,
-                          hidden_dim=hp.gru_units, dropout=hp.dropout)
-
-
-def practical_af(origin_weights: np.ndarray, dest_weights: np.ndarray,
-                 n_buckets: int, seed: int = 0,
-                 hp: PracticalHyperParameters = PracticalHyperParameters()
-                 ) -> AdvancedFramework:
-    rng = np.random.default_rng(seed)
-    return AdvancedFramework(origin_weights, dest_weights, n_buckets, rng,
-                             rank=hp.rank, blocks=hp.gcnn_blocks,
-                             rnn_hidden=hp.cnrnn_hidden,
-                             rnn_order=hp.cnrnn_order, dropout=hp.dropout)

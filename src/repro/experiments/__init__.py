@@ -6,7 +6,6 @@ from .figures import (ProximitySweepResult, distance_analysis,
 from .methods import (BENCH_BUDGET, QUICK_BUDGET, MethodBudget, full_roster,
                       make_af, make_bf, make_fc, make_gp, make_mr, make_nh,
                       make_var)
-from .oracle_eval import evaluate_against_truth, true_targets
 from .runner import (ComparisonResult, ExperimentData, MethodResult,
                      prepare, run_comparison)
 
@@ -19,5 +18,4 @@ __all__ = [
     "make_af",
     "sparseness_report", "time_of_day_analysis", "distance_analysis",
     "proximity_sweep", "ProximitySweepResult",
-    "evaluate_against_truth", "true_targets",
 ]

@@ -127,28 +127,6 @@ class ComparisonResult:
                 rows.append(row)
         return rows
 
-    def compare_methods(self, windows, name_a: str, name_b: str,
-                        metric: str = "emd", n_resamples: int = 1000):
-        """Paired bootstrap of two kept-prediction methods (A vs B).
-
-        Requires the comparison to have been run with
-        ``keep_predictions=True``.  Returns a
-        :class:`repro.metrics.bootstrap.BootstrapResult`; negative mean
-        difference means method A is better.
-        """
-        from ..metrics.bootstrap import paired_bootstrap
-
-        a, b = self.methods[name_a], self.methods[name_b]
-        if a.predictions is None or b.predictions is None:
-            raise ValueError(
-                "compare_methods needs keep_predictions=True results")
-        if not np.array_equal(a.test_indices, b.test_indices):
-            raise ValueError("methods were scored on different windows")
-        _, truth, masks = windows.gather(a.test_indices)
-        return paired_bootstrap(truth, a.predictions.astype(np.float64),
-                                b.predictions.astype(np.float64), masks,
-                                metric=metric, n_resamples=n_resamples)
-
     def format_table(self, metrics: Sequence[str] = ("kl", "js", "emd")
                      ) -> str:
         """Human-readable fixed-width table (failures listed at the end)."""

@@ -22,14 +22,12 @@ from .energy import dirichlet_energy, dirichlet_energy_numpy
 from .laplacian import (chebyshev_basis, laplacian, max_eigenvalue,
                         normalized_laplacian, scaled_laplacian)
 from .proximity import (ProximityConfig, build_proximity, ensure_connected,
-                        from_networkx, pairwise_distances,
-                        proximity_matrix, to_networkx)
+                        pairwise_distances, proximity_matrix)
 from .sharding import Shard, ShardPlan, chebyshev_hops, plan_shards
 
 __all__ = [
     "ProximityConfig", "proximity_matrix", "build_proximity",
     "ensure_connected", "pairwise_distances",
-    "to_networkx", "from_networkx",
     "laplacian", "normalized_laplacian", "scaled_laplacian",
     "max_eigenvalue", "chebyshev_basis",
     "ChebConv", "GraphPool",

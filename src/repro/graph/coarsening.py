@@ -132,10 +132,6 @@ class Coarsening:
     def levels(self) -> int:
         return len(self.graphs) - 1
 
-    def padded_size(self, level: int = 0) -> int:
-        return self.graphs[level].shape[0]
-
-
 
 def naive_coarsening(weights: np.ndarray, levels: int) -> Coarsening:
     """Id-order coarsening — the ablation of cluster-aware pooling.

@@ -98,38 +98,3 @@ def build_proximity(centroids: np.ndarray,
     """Proximity matrix with the connectivity guarantee applied."""
     distances = pairwise_distances(centroids)
     return ensure_connected(proximity_matrix(centroids, config), distances)
-
-
-def to_networkx(weights: np.ndarray):
-    """Export a proximity matrix as a ``networkx.Graph``.
-
-    Node ids are region indices; edge attribute ``weight`` carries the
-    kernel value.  Handy for interop: community detection, drawing,
-    shortest-path analyses on the region graph.
-    """
-    import networkx as nx
-
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-        raise ValueError(f"adjacency must be square, got {weights.shape}")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(weights.shape[0]))
-    rows, cols = np.nonzero(np.triu(weights, k=1))
-    graph.add_weighted_edges_from(
-        (int(i), int(j), float(weights[i, j]))
-        for i, j in zip(rows, cols))
-    return graph
-
-
-def from_networkx(graph, n_nodes: int = None) -> np.ndarray:
-    """Build a symmetric weight matrix from a ``networkx.Graph``.
-
-    Inverse of :func:`to_networkx`; missing ``weight`` attributes
-    default to 1.0.
-    """
-    n = n_nodes if n_nodes is not None else graph.number_of_nodes()
-    weights = np.zeros((n, n))
-    for u, v, data in graph.edges(data=True):
-        w = float(data.get("weight", 1.0))
-        weights[u, v] = weights[v, u] = w
-    return weights

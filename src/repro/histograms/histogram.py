@@ -85,13 +85,6 @@ class HistogramSpec:
         return float((histogram * self.centers).sum())
 
 
-def is_valid_histogram(histogram: np.ndarray, atol: float = 1e-6) -> bool:
-    """True if non-negative and summing to 1 (within tolerance)."""
-    histogram = np.asarray(histogram, dtype=np.float64)
-    return bool((histogram >= -atol).all()
-                and abs(histogram.sum() - 1.0) <= atol)
-
-
 def normalize_histogram(raw: np.ndarray) -> np.ndarray:
     """Clip negatives and renormalize; zero vectors become uniform."""
     raw = np.clip(np.asarray(raw, dtype=np.float64), 0.0, None)
@@ -103,38 +96,3 @@ def normalize_histogram(raw: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         out = np.where(total > 0, raw / safe_total, uniform)
     return out
-
-
-def rebin_histogram(histograms: np.ndarray, spec: HistogramSpec,
-                    new_spec: HistogramSpec) -> np.ndarray:
-    """Re-express histograms on a different bucket layout.
-
-    Mass is redistributed assuming uniform density within each source
-    bucket (open tails use the capped width from ``finite_edges``).
-    Vectorized over leading axes: ``(..., K) -> (..., K')``.  Exact when
-    the new edges are a coarsening of the old ones; an approximation
-    otherwise.
-    """
-    histograms = np.asarray(histograms, dtype=np.float64)
-    if histograms.shape[-1] != spec.n_buckets:
-        raise ValueError(
-            f"histograms have {histograms.shape[-1]} buckets, spec has "
-            f"{spec.n_buckets}")
-    old_edges = spec.finite_edges
-    new_edges = new_spec.finite_edges
-    # overlap[i, j] = |old bucket i ∩ new bucket j| / |old bucket i|
-    old_lo, old_hi = old_edges[:-1], old_edges[1:]
-    new_lo, new_hi = new_edges[:-1], new_edges[1:]
-    inter_lo = np.maximum(old_lo[:, None], new_lo[None, :])
-    inter_hi = np.minimum(old_hi[:, None], new_hi[None, :])
-    overlap = np.clip(inter_hi - inter_lo, 0.0, None)
-    widths = (old_hi - old_lo)[:, None]
-    share = overlap / widths
-    # Mass below/above the new range collapses into the end buckets.
-    covered = share.sum(axis=1, keepdims=True)
-    leftover = np.clip(1.0 - covered, 0.0, None)
-    below = old_hi <= new_edges[0]
-    above = old_lo >= new_edges[-1]
-    share[below, 0] += leftover[below, 0]
-    share[above, -1] += leftover[above, 0]
-    return histograms @ share

@@ -151,18 +151,3 @@ def build_od_tensors(trips: TripTable, city: City,
     np.divide(tensors, totals, out=tensors, where=totals > 0)
     return ODTensorSequence(tensors=tensors, mask=mask, counts=counts,
                             spec=spec, interval_minutes=interval_minutes)
-
-
-def ground_truth_tensors(field, spec: Optional[HistogramSpec] = None
-                         ) -> np.ndarray:
-    """Dense ground-truth tensors from a latent traffic field.
-
-    Shape ``(T, N, N, K)``; every cell holds the exact bucket
-    probabilities of the generating distribution.  Used by tests and by
-    experiments that want to score against the noise-free truth instead
-    of the sparse empirical tensors.
-    """
-    spec = spec or HistogramSpec.paper_default()
-    edges = np.asarray(spec.edges)
-    return np.stack([field.true_histogram(t, edges)
-                     for t in range(field.n_intervals)])

@@ -51,19 +51,6 @@ class TravelTimeDistribution:
                 return float(slow)
         return float(self.intervals_min[-1, 1])
 
-    def mean_minutes(self) -> float:
-        """Expected travel time using piece midpoints."""
-        midpoints = self.intervals_min.mean(axis=1)
-        return float((midpoints * self.probabilities).sum())
-
-    def reservation_gap(self, confidence: float = 0.95) -> float:
-        """How much longer the ``confidence`` plan is than the mean plan.
-
-        The paper's argument in one number: planning with the average
-        under-reserves by this many minutes.
-        """
-        return self.quantile(confidence) - self.mean_minutes()
-
 
 def travel_time_distribution(speed_histogram: np.ndarray,
                              spec: HistogramSpec,

@@ -1,6 +1,5 @@
 """Evaluation metrics: KL/JS/EMD and masked DisSim aggregation."""
 
-from .bootstrap import BootstrapResult, paired_bootstrap
 from .calibration import (expected_calibration_error, histogram_entropy,
                           ranked_probability_score, sharpness,
                           trip_outcomes)
@@ -17,5 +16,4 @@ __all__ = [
     "time_of_day_groups", "distance_groups",
     "ranked_probability_score", "expected_calibration_error",
     "histogram_entropy", "sharpness", "trip_outcomes",
-    "BootstrapResult", "paired_bootstrap",
 ]

@@ -41,7 +41,7 @@ from .metrics.evaluation import EvaluationResult
 PathLike = Union[str, Path]
 
 #: Bumped when the on-disk checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointCorruptError(ValueError):
@@ -406,9 +406,3 @@ def export_comparison(result: ComparisonResult, path: PathLike) -> None:
         "failures": result.failures(),
     }
     Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def import_comparison_rows(path: PathLike) -> list:
-    """Read back the rows written by :func:`export_comparison`."""
-    payload = json.loads(Path(path).read_text())
-    return payload["rows"]

@@ -1,15 +1,11 @@
 """Region substrate: planar geometry, city partitions, and city models."""
 
-from .city import (City, chengdu_like, grid_city, manhattan_like,
-                   metro_like, toy_city)
-from .geometry import (BoundingBox, euclidean, point_in_polygon,
-                       polygon_area, polygon_centroid)
-from .partition import GridPartition, Partition, SeededPartition
+from .city import City, chengdu_like, manhattan_like, metro_like, toy_city
+from .geometry import BoundingBox
+from .partition import Partition, SeededPartition
 
 __all__ = [
-    "BoundingBox", "euclidean",
-    "polygon_area", "polygon_centroid", "point_in_polygon",
-    "Partition", "GridPartition", "SeededPartition",
+    "BoundingBox",
+    "Partition", "SeededPartition",
     "City", "manhattan_like", "chengdu_like", "metro_like", "toy_city",
-    "grid_city",
 ]

@@ -117,21 +117,3 @@ def toy_city(seed: int = 3, n_regions: int = 12,
                                        lloyd_iterations=2)
     return City(name="toy", partition=partition, box=box,
                 heterogeneity=0.3)
-
-
-def grid_city(rows: int = 6, cols: int = 6, cell_km: float = 1.0,
-              name: str = "grid", heterogeneity: float = 0.3) -> City:
-    """Uniform-grid city (the paper's Fig. 1(a) partition style).
-
-    Region ids follow the row-major numbering of the illustration, which
-    is exactly the case where matrix adjacency and geographic adjacency
-    diverge (regions 1 and 4 of a 3-wide grid are neighbours on the map
-    but three rows apart in the OD matrix) — the motivating example for
-    the graph machinery.
-    """
-    from .partition import GridPartition
-
-    box = BoundingBox(0.0, 0.0, cols * cell_km, rows * cell_km)
-    partition = GridPartition(box, rows=rows, cols=cols)
-    return City(name=name, partition=partition, box=box,
-                heterogeneity=heterogeneity)

@@ -8,7 +8,6 @@ centroid distances for the Figure 11–13 grouping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -38,60 +37,8 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for ``points (..., 2)``."""
-        points = np.asarray(points)
-        x, y = points[..., 0], points[..., 1]
-        return ((x >= self.x_min) & (x <= self.x_max) &
-                (y >= self.y_min) & (y <= self.y_max))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Uniform random points inside the box, shape ``(n, 2)``."""
         xs = rng.uniform(self.x_min, self.x_max, size=n)
         ys = rng.uniform(self.y_min, self.y_max, size=n)
         return np.column_stack([xs, ys])
-
-
-def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance between points (broadcasting over leading axes)."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return np.sqrt(((a - b) ** 2).sum(axis=-1))
-
-
-def polygon_area(vertices: Sequence[Tuple[float, float]]) -> float:
-    """Signed shoelace area of a simple polygon (positive if CCW)."""
-    vertices = np.asarray(vertices, dtype=np.float64)
-    if vertices.shape[0] < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_centroid(vertices: Sequence[Tuple[float, float]]) -> np.ndarray:
-    """Centroid of a simple polygon via the standard shoelace moments."""
-    vertices = np.asarray(vertices, dtype=np.float64)
-    x, y = vertices[:, 0], vertices[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * cross.sum()
-    if abs(area) < 1e-12:
-        return vertices.mean(axis=0)
-    cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * area)
-    cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * area)
-    return np.array([cx, cy])
-
-
-def point_in_polygon(point: np.ndarray,
-                     vertices: Sequence[Tuple[float, float]]) -> bool:
-    """Ray-casting point-in-polygon test (boundary counts as inside)."""
-    x, y = float(point[0]), float(point[1])
-    vertices = np.asarray(vertices, dtype=np.float64)
-    n = len(vertices)
-    inside = False
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        if min(y1, y2) < y <= max(y1, y2) and y1 != y2:
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x_cross >= x:
-                inside = not inside
-    return inside

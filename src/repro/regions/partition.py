@@ -1,14 +1,10 @@
 """City partitioning into regions.
 
 The paper exemplifies two partition styles (its Fig. 1): a uniform grid
-and a main-road-based irregular partition.  We provide both:
-
-* :class:`GridPartition` — uniform rows × cols cells over a bounding box
-  (the NYC illustration).
-* :class:`SeededPartition` — nearest-seed (Voronoi) cells, the planar
-  analogue of taxizone/main-road partitions with irregular region shapes.
-
-Both expose the same interface: region count, centroids, a vectorized
+and a main-road-based irregular partition.  The city models use the
+latter: :class:`SeededPartition` builds nearest-seed (Voronoi) cells, the
+planar analogue of taxizone/main-road partitions with irregular region
+shapes.  It exposes region count, centroids, a vectorized
 ``assign(points)`` mapping coordinates to region ids, and region areas.
 """
 
@@ -42,46 +38,6 @@ class Partition:
         c = self.centroids
         deltas = c[:, None, :] - c[None, :, :]
         return np.sqrt((deltas ** 2).sum(axis=-1))
-
-
-class GridPartition(Partition):
-    """Uniform grid partition of a bounding box into rows × cols cells.
-
-    Region ids increase column-first within each row, matching the
-    left-to-right, top-to-bottom numbering of the paper's Fig. 1(a).
-    """
-
-    def __init__(self, box: BoundingBox, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be >= 1")
-        self.box = box
-        self.rows = rows
-        self.cols = cols
-        xs = box.x_min + (np.arange(cols) + 0.5) * box.width / cols
-        ys = box.y_min + (np.arange(rows) + 0.5) * box.height / rows
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        self._centroids = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-
-    @property
-    def n_regions(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return self._centroids
-
-    def assign(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        col = np.floor((points[..., 0] - self.box.x_min)
-                       / self.box.width * self.cols).astype(np.int64)
-        row = np.floor((points[..., 1] - self.box.y_min)
-                       / self.box.height * self.rows).astype(np.int64)
-        col = np.clip(col, 0, self.cols - 1)
-        row = np.clip(row, 0, self.rows - 1)
-        return row * self.cols + col
-
-    def cell_area(self) -> float:
-        return self.box.area / self.n_regions
 
 
 class SeededPartition(Partition):

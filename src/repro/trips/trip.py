@@ -37,11 +37,6 @@ class Trip:
     duration_min: float
 
     @property
-    def speed_kmh(self) -> float:
-        """Average speed in km/h (``l / τ``)."""
-        return self.distance_km / (self.duration_min / 60.0)
-
-    @property
     def speed_ms(self) -> float:
         """Average speed in m/s — the unit of the paper's histograms."""
         return self.distance_km * 1000.0 / (self.duration_min * 60.0)
@@ -82,10 +77,6 @@ class TripTable:
     def speed_ms(self) -> np.ndarray:
         """Average speeds in m/s for every trip."""
         return self.distance_km * 1000.0 / (self.duration_min * 60.0)
-
-    @property
-    def speed_kmh(self) -> np.ndarray:
-        return self.distance_km / (self.duration_min / 60.0)
 
     def __getitem__(self, index) -> "TripTable":
         """Row subset (mask or index array) as a new table."""

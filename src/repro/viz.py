@@ -1,13 +1,10 @@
-"""Terminal visualization: sparklines, bars, heatmaps — no plotting deps.
+"""Terminal visualization: labelled bars — no plotting deps.
 
 The library is CLI-first (benchmarks print their figures as text), so
 these helpers render the common shapes:
 
-* :func:`sparkline` — a one-line series (learning curves, daily demand);
 * :func:`bar_chart` — labelled horizontal bars (method comparisons);
-* :func:`histogram_bars` — a speed histogram with bucket labels;
-* :func:`heatmap` — a 2-D field (e.g. an OD matrix slice) in shade
-  characters.
+* :func:`histogram_bars` — a speed histogram with bucket labels.
 
 All functions return strings; nothing is printed implicitly.
 """
@@ -17,42 +14,6 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-SHADE_LEVELS = " ░▒▓█"
-
-
-def _normalize(values: np.ndarray,
-               lo: Optional[float], hi: Optional[float]) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    lo = float(np.nanmin(values)) if lo is None else lo
-    hi = float(np.nanmax(values)) if hi is None else hi
-    if hi <= lo:
-        return np.zeros_like(values)
-    return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-
-
-def sparkline(values: Sequence[float],
-              lo: Optional[float] = None,
-              hi: Optional[float] = None) -> str:
-    """Render a numeric series as one line of block characters.
-
-    NaNs render as spaces; the scale spans [lo, hi] (data range by
-    default).
-    """
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return ""
-    scaled = _normalize(values, lo, hi)
-    chars = []
-    for raw, level in zip(values, scaled):
-        if np.isnan(raw):
-            chars.append(" ")
-        else:
-            index = min(int(level * len(SPARK_LEVELS)),
-                        len(SPARK_LEVELS) - 1)
-            chars.append(SPARK_LEVELS[index])
-    return "".join(chars)
 
 
 def bar_chart(data: Mapping[str, float], width: int = 40,
@@ -88,45 +49,3 @@ def histogram_bars(histogram: Sequence[float],
         n = int(round(width * probability / peak))
         lines.append(f"{label:>12s} {probability:6.3f} {'█' * n}")
     return "\n".join(lines)
-
-
-def heatmap(matrix: np.ndarray,
-            lo: Optional[float] = None,
-            hi: Optional[float] = None,
-            max_size: int = 48) -> str:
-    """Render a 2-D array as shade characters (downsampling big inputs).
-
-    Useful for eyeballing OD matrices: rows are origins, columns
-    destinations, darker = larger.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"heatmap needs a 2-D array, got {matrix.shape}")
-    rows, cols = matrix.shape
-    row_step = max(1, int(np.ceil(rows / max_size)))
-    col_step = max(1, int(np.ceil(cols / max_size)))
-    if row_step > 1 or col_step > 1:
-        trimmed_rows = (rows // row_step) * row_step
-        trimmed_cols = (cols // col_step) * col_step
-        matrix = matrix[:trimmed_rows, :trimmed_cols]
-        matrix = matrix.reshape(trimmed_rows // row_step, row_step,
-                                trimmed_cols // col_step, col_step)
-        matrix = matrix.mean(axis=(1, 3))
-    scaled = _normalize(matrix, lo, hi)
-    lines = []
-    for row in scaled:
-        indices = np.minimum((row * len(SHADE_LEVELS)).astype(int),
-                             len(SHADE_LEVELS) - 1)
-        lines.append("".join(SHADE_LEVELS[i] for i in indices))
-    return "\n".join(lines)
-
-
-def learning_curve(train_losses: Sequence[float],
-                   val_losses: Sequence[float]) -> str:
-    """Two aligned sparklines for a training run."""
-    both = list(train_losses) + list(val_losses)
-    if not both:
-        return ""
-    lo, hi = min(both), max(both)
-    return (f"train {sparkline(train_losses, lo, hi)}\n"
-            f"  val {sparkline(val_losses, lo, hi)}")

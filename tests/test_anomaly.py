@@ -4,31 +4,41 @@ and the numerical-domain guards on sigmoid/log/division."""
 import numpy as np
 import pytest
 
-from repro.autodiff import (AnomalyError, Tensor, anomaly_enabled,
-                            detect_anomaly, ops)
+from repro.autodiff import AnomalyError, Tensor, detect_anomaly, ops
 from repro.autodiff.rnn import GRUCell
+
+
+def _checked() -> bool:
+    """Whether an op that overflows raises :class:`AnomalyError` here."""
+    x = Tensor(np.array([1000.0]), requires_grad=True)
+    with np.errstate(over="ignore"):
+        try:
+            ops.exp(x)
+        except AnomalyError:
+            return True
+    return False
 
 
 class TestDetectAnomalyContext:
     def test_disabled_by_default(self):
-        assert not anomaly_enabled()
+        assert not _checked()
 
     def test_context_enables_and_restores(self):
         with detect_anomaly():
-            assert anomaly_enabled()
-        assert not anomaly_enabled()
+            assert _checked()
+        assert not _checked()
 
     def test_restores_after_exception(self):
         with pytest.raises(RuntimeError):
             with detect_anomaly():
                 raise RuntimeError("boom")
-        assert not anomaly_enabled()
+        assert not _checked()
 
     def test_nested_disable(self):
         with detect_anomaly():
             with detect_anomaly(False):
-                assert not anomaly_enabled()
-            assert anomaly_enabled()
+                assert not _checked()
+            assert _checked()
 
 
 class TestForwardAnomaly:

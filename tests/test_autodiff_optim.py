@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import SGD, Adam, StepDecay, Tensor, clip_grad_norm
+from repro.autodiff import Adam, StepDecay, Tensor, clip_grad_norm
 from repro.autodiff.module import Parameter
 
 
@@ -17,44 +17,6 @@ def _step(param, optimizer):
     loss.backward()
     optimizer.step()
     return loss.item()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = _quadratic_param([0.0])
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            _step(p, opt)
-        assert p.data[0] == pytest.approx(3.0, abs=1e-3)
-
-    def test_momentum_speeds_up(self):
-        losses = {}
-        for momentum in (0.0, 0.9):
-            p = _quadratic_param([0.0])
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(30):
-                last = _step(p, opt)
-            losses[momentum] = last
-        assert losses[0.9] < losses[0.0]
-
-    def test_weight_decay_shrinks(self):
-        p = _quadratic_param([10.0])
-        opt = SGD([p], lr=0.1, weight_decay=10.0)
-        loss = (p * 0.0).sum()   # zero data gradient
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        assert p.data[0] < 10.0
-
-    def test_skips_gradless_params(self):
-        p, q = _quadratic_param([0.0]), _quadratic_param([5.0])
-        opt = SGD([p, q], lr=0.1)
-        _step(p, opt)
-        assert q.data[0] == 5.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -83,6 +45,16 @@ class TestAdam:
         loss.backward()
         opt.step()
         assert p.data[0] < 5.0
+
+    def test_skips_gradless_params(self):
+        p, q = _quadratic_param([0.0]), _quadratic_param([5.0])
+        opt = Adam([p, q], lr=0.1)
+        _step(p, opt)
+        assert q.data[0] == 5.0
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
 
 class TestClipGradNorm:

@@ -1,7 +1,6 @@
-"""Tests for GRU cells, stacked GRUs, and the seq2seq forecaster."""
+"""Tests for GRU cells, GRU layers, and the seq2seq forecaster."""
 
 import numpy as np
-import pytest
 
 from repro.autodiff import GRU, Adam, GRUCell, Seq2Seq, Tensor
 
@@ -40,25 +39,15 @@ class TestGRUCell:
 
 class TestGRU:
     def test_sequence_shapes(self, rng):
-        gru = GRU(3, 5, rng, num_layers=2)
-        out, states = gru(Tensor(rng.normal(size=(2, 7, 3))))
+        gru = GRU(3, 5, rng)
+        out, state = gru(Tensor(rng.normal(size=(2, 7, 3))))
         assert out.shape == (2, 7, 5)
-        assert len(states) == 2
-        assert states[0].shape == (2, 5)
+        assert state.shape == (2, 5)
 
     def test_final_state_matches_last_output(self, rng):
         gru = GRU(3, 5, rng)
-        out, states = gru(Tensor(rng.normal(size=(2, 7, 3))))
-        assert np.allclose(out.data[:, -1], states[0].data)
-
-    def test_invalid_layers(self, rng):
-        with pytest.raises(ValueError):
-            GRU(3, 5, rng, num_layers=0)
-
-    def test_initial_state_must_match_layers(self, rng):
-        gru = GRU(3, 5, rng, num_layers=2)
-        with pytest.raises(ValueError):
-            gru(Tensor(rng.normal(size=(2, 4, 3))), initial=[Tensor(np.zeros((2, 5)))])
+        out, state = gru(Tensor(rng.normal(size=(2, 7, 3))))
+        assert np.allclose(out.data[:, -1], state.data)
 
 
 class TestSeq2Seq:
@@ -95,7 +84,7 @@ class TestSeq2Seq:
         assert loss.item() < first * 0.3
 
     def test_all_params_receive_grads(self, rng):
-        model = Seq2Seq(3, 4, 3, rng, num_layers=2)
+        model = Seq2Seq(3, 4, 3, rng)
         out = model(Tensor(rng.normal(size=(2, 4, 3))), horizon=2)
         (out ** 2).sum().backward()
         missing = [n for n, p in model.named_parameters() if p.grad is None]

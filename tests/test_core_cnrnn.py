@@ -68,16 +68,6 @@ class TestGraphSeq2Seq:
         with pytest.raises(ValueError):
             model(Tensor(rng.normal(size=(5, 8, 4))), horizon=1)
 
-    def test_rejects_zero_layers(self, weights, rng):
-        with pytest.raises(ValueError):
-            GraphSeq2Seq(weights, 4, 6, 4, order=2, rng=rng, num_layers=0)
-
-    def test_multi_layer(self, weights, rng):
-        model = GraphSeq2Seq(weights, 3, 5, 3, order=2, rng=rng,
-                             num_layers=2)
-        out = model(Tensor(rng.normal(size=(2, 4, 8, 3))), horizon=2)
-        assert out.shape == (2, 2, 8, 3)
-
     def test_all_params_receive_gradients(self, weights, rng):
         model = GraphSeq2Seq(weights, 3, 4, 3, order=2, rng=rng)
         out = model(Tensor(rng.normal(size=(2, 3, 8, 3))), horizon=2)

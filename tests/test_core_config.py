@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.config import (PaperHyperParameters,
-                               PracticalHyperParameters, paper_af,
-                               paper_bf, practical_af, practical_bf)
+from repro.autodiff import GRU, Seq2Seq
+from repro.baselines import FCBaseline
+from repro.core import AdvancedFramework, BasicFramework, GraphSeq2Seq
+from repro.core.config import PaperHyperParameters, paper_af, paper_bf
 from repro.regions import toy_city
 
 
@@ -43,25 +44,40 @@ class TestPaperHyperParameters:
         pooled_size = model.factor_r.latent_proj.weight.shape[0]
         assert pooled_size <= max(40 // 16 + 2, 3) + 2
 
-
-class TestPracticalConstructors:
-    def test_practical_bf(self):
-        model = practical_bf(10, 12, 7, seed=1)
-        assert model.n_origins == 10 and model.n_destinations == 12
-
-    def test_practical_af(self):
-        city = toy_city(seed=2, n_regions=14)
-        weights = city.proximity()
-        model = practical_af(weights, weights, 7, seed=1)
-        assert model.n_origins == 14
-
     def test_seeds_differentiate_weights(self):
-        a = practical_bf(8, 8, 7, seed=1)
-        b = practical_bf(8, 8, 7, seed=2)
+        a = paper_bf(8, seed=1)
+        b = paper_bf(8, seed=2)
         assert not np.allclose(a.encode_r.weight.data,
                                b.encode_r.weight.data)
 
     def test_same_seed_same_weights(self):
-        a = practical_bf(8, 8, 7, seed=3)
-        b = practical_bf(8, 8, 7, seed=3)
+        a = paper_bf(8, seed=3)
+        b = paper_bf(8, seed=3)
         assert np.allclose(a.encode_r.weight.data, b.encode_r.weight.data)
+
+
+_RNG = np.random.default_rng(0)
+_W = np.eye(4)
+
+#: ``(builder, removed keyword, a value it once accepted)``.
+REMOVED_KEYWORDS = [
+    (lambda **kw: BasicFramework(4, 4, 3, _RNG, **kw), "attention", True),
+    (lambda **kw: BasicFramework(4, 4, 3, _RNG, **kw), "num_layers", 2),
+    (lambda **kw: AdvancedFramework(_W, _W, 3, _RNG, **kw), "rnn_layers", 2),
+    (lambda **kw: FCBaseline(4, 4, 3, _RNG, **kw), "num_layers", 2),
+    (lambda **kw: GRU(3, 5, _RNG, **kw), "num_layers", 2),
+    (lambda **kw: Seq2Seq(3, 5, 3, _RNG, **kw), "num_layers", 2),
+    (lambda **kw: GraphSeq2Seq(_W, 3, 5, 3, 2, _RNG, **kw), "num_layers", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "build, keyword, value", REMOVED_KEYWORDS,
+    ids=["BasicFramework-attention", "BasicFramework-num_layers",
+         "AdvancedFramework-rnn_layers", "FCBaseline-num_layers",
+         "GRU-num_layers", "Seq2Seq-num_layers", "GraphSeq2Seq-num_layers"])
+def test_removed_keywords_raise_type_error(build, keyword, value):
+    """Each recurrence holds one cell (Table I) and none attends over
+    time; the keywords that chose otherwise fail loudly."""
+    with pytest.raises(TypeError, match=keyword):
+        build(**{keyword: value})

@@ -5,8 +5,7 @@ import pytest
 
 from repro.autodiff import Module, Parameter, Tensor
 from repro.baselines import FCBaseline, plain_loss
-from repro.core import (BasicFramework, TrainConfig, Trainer, bf_loss,
-                        practical_bf)
+from repro.core import BasicFramework, TrainConfig, Trainer, bf_loss
 
 
 @pytest.fixture
@@ -80,10 +79,6 @@ class TestTrainer:
                                       max_train_batches=4))
         result = trainer.fit(windows, split, horizon=2)
         assert np.isfinite(result.best_val_loss)
-
-    def test_practical_bf_constructor(self, windows, split):
-        model = practical_bf(12, 12, 7, seed=0)
-        assert model.num_parameters() > 0
 
     def test_evaluate_restores_prior_mode(self, windows, split,
                                           small_model):

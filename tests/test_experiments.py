@@ -113,37 +113,3 @@ class TestFullRoster:
     def test_contains_all_seven_methods(self):
         roster = full_roster(TINY)
         assert set(roster) == {"nh", "gp", "var", "mr", "fc", "bf", "af"}
-
-
-class TestOracleEvaluation:
-    def test_against_analytic_truth(self, data):
-        from repro.experiments import (evaluate_against_truth, make_nh,
-                                       run_comparison)
-        comparison = run_comparison(data, {"nh": make_nh},
-                                    keep_predictions=True,
-                                    max_test_windows=6)
-        results = evaluate_against_truth(data, comparison)
-        assert "nh" in results
-        evaluation = results["nh"]
-        # Every cell is scored (no mask) -> counts equal full tensors.
-        n = data.city.n_regions
-        assert evaluation.n_cells.sum() == 6 * data.windows.h * n * n
-        assert np.isfinite(evaluation.overall("emd"))
-
-    def test_truth_targets_are_valid_histograms(self, data):
-        from repro.experiments import true_targets
-        targets = true_targets(data, data.split.test[:2])
-        assert np.allclose(targets.sum(-1), 1.0)
-
-    def test_oracle_smoother_than_empirical(self, data):
-        """The analytic truth has no sampling noise: scoring NH against
-        it yields lower KL than scoring against one-hot-ish empirical
-        histograms."""
-        from repro.experiments import (evaluate_against_truth, make_nh,
-                                       run_comparison)
-        comparison = run_comparison(data, {"nh": make_nh},
-                                    keep_predictions=True,
-                                    max_test_windows=6)
-        oracle = evaluate_against_truth(data, comparison)["nh"]
-        empirical = comparison.methods["nh"].evaluation
-        assert oracle.overall("kl") < empirical.overall("kl")

@@ -67,21 +67,3 @@ class TestComparisonResultTable:
     def test_format_contains_all_methods(self):
         text = self._fake().format_table()
         assert "xx" in text and "s=3" in text
-
-
-class TestCompareMethods:
-    def test_bootstrap_between_methods(self, data):
-        from repro.experiments import make_nh, make_gp, run_comparison
-        result = run_comparison(data, {"nh": make_nh, "gp": make_gp},
-                                keep_predictions=True, max_test_windows=6)
-        outcome = result.compare_methods(data.windows, "nh", "gp",
-                                         n_resamples=100)
-        assert outcome.n_cells > 0
-        assert np.isfinite(outcome.mean_difference)
-
-    def test_requires_kept_predictions(self, data):
-        from repro.experiments import make_nh, run_comparison
-        result = run_comparison(data, {"nh": make_nh},
-                                max_test_windows=4)
-        with pytest.raises(ValueError):
-            result.compare_methods(data.windows, "nh", "nh")

@@ -78,8 +78,8 @@ class TestCoarsenGraph:
 
     def test_padded_size_divisible(self, weights):
         c = coarsen_graph(weights, 2)
-        assert c.padded_size(0) % 4 == 0
-        assert c.padded_size(0) // 4 == c.graphs[2].shape[0]
+        assert c.graphs[0].shape[0] % 4 == 0
+        assert c.graphs[0].shape[0] // 4 == c.graphs[2].shape[0]
 
     def test_perm_contains_all_real_nodes(self, weights):
         c = coarsen_graph(weights, 2)
@@ -106,6 +106,6 @@ class TestCoarsenGraph:
         for i in range(n - 1):
             w[i, i + 1] = w[i + 1, i] = 1.0
         c = coarsen_graph(w, 3)
-        assert c.padded_size(0) % 8 == 0
+        assert c.graphs[0].shape[0] % 8 == 0
         # Path graphs match perfectly: minimal padding expected.
-        assert c.padded_size(0) <= 2 * n
+        assert c.graphs[0].shape[0] <= 2 * n

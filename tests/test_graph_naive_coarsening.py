@@ -16,7 +16,7 @@ def weights(rng):
 class TestNaiveCoarsening:
     def test_identity_permutation(self, weights):
         c = naive_coarsening(weights, 2)
-        assert np.array_equal(c.perm, np.arange(c.padded_size(0)))
+        assert np.array_equal(c.perm, np.arange(c.graphs[0].shape[0]))
 
     def test_sizes_halve(self, weights):
         c = naive_coarsening(weights, 2)

@@ -80,34 +80,3 @@ class TestEnsureConnected:
                          [[50.0, 50.0]]])
         w = build_proximity(pts, ProximityConfig(sigma=1.0, alpha=1.0))
         assert (w.sum(axis=1) > 0).all()
-
-
-class TestNetworkxInterop:
-    def test_round_trip(self, centroids):
-        from repro.graph import (build_proximity, from_networkx,
-                                 to_networkx)
-        w = build_proximity(centroids)
-        graph = to_networkx(w)
-        assert graph.number_of_nodes() == len(w)
-        back = from_networkx(graph, n_nodes=len(w))
-        assert np.allclose(back, w)
-
-    def test_edge_weights_preserved(self, centroids):
-        from repro.graph import build_proximity, to_networkx
-        w = build_proximity(centroids)
-        graph = to_networkx(w)
-        for u, v, data in graph.edges(data=True):
-            assert data["weight"] == pytest.approx(w[u, v])
-
-    def test_connected_components_match(self, centroids):
-        import networkx as nx
-        from repro.graph import build_proximity, to_networkx
-        w = build_proximity(centroids)
-        graph = to_networkx(w)
-        # build_proximity guarantees no isolated nodes.
-        assert all(d > 0 for _, d in graph.degree())
-
-    def test_rejects_non_square(self):
-        from repro.graph import to_networkx
-        with pytest.raises(ValueError):
-            to_networkx(np.zeros((2, 3)))

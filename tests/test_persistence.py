@@ -1,13 +1,14 @@
 """Tests for model/sequence/result serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.baselines import FCBaseline
 from repro.core import BasicFramework
-from repro.persistence import (export_comparison, import_comparison_rows,
-                               load_model, load_sequence, save_model,
-                               save_sequence)
+from repro.persistence import (export_comparison, load_model, load_sequence,
+                               save_model, save_sequence)
 
 
 class TestModelRoundTrip:
@@ -79,7 +80,7 @@ class TestComparisonExport:
                                 max_test_windows=4)
         path = tmp_path / "result.json"
         export_comparison(result, path)
-        rows = import_comparison_rows(path)
+        rows = json.loads(path.read_text())["rows"]
         assert len(rows) == 2
         assert rows[0]["method"] == "nh"
         assert np.isfinite(rows[0]["emd"])

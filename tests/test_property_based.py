@@ -164,4 +164,4 @@ class TestGraphProperties:
         c = coarsen_graph(weights, levels)
         real = sorted(p for p in c.perm if p < len(weights))
         assert real == list(range(len(weights)))
-        assert c.padded_size(0) % (2 ** levels) == 0
+        assert c.graphs[0].shape[0] % (2 ** levels) == 0

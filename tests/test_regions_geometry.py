@@ -1,10 +1,8 @@
 """Tests for planar geometry helpers."""
 
-import numpy as np
 import pytest
 
-from repro.regions import (BoundingBox, euclidean, point_in_polygon,
-                           polygon_area, polygon_centroid)
+from repro.regions import BoundingBox
 
 
 class TestBoundingBox:
@@ -18,60 +16,10 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(2, 0, 1, 3)
 
-    def test_contains(self):
-        box = BoundingBox(0, 0, 2, 2)
-        pts = np.array([[1, 1], [3, 1], [0, 0], [2, 2], [-0.1, 1]])
-        assert list(box.contains(pts)) == [True, False, True, True, False]
-
     def test_sample_inside(self, rng):
         box = BoundingBox(1, 2, 3, 5)
         pts = box.sample(rng, 500)
         assert pts.shape == (500, 2)
-        assert box.contains(pts).all()
+        assert (pts >= [box.x_min, box.y_min]).all()
+        assert (pts <= [box.x_max, box.y_max]).all()
 
-
-class TestEuclidean:
-    def test_known(self):
-        assert euclidean([0, 0], [3, 4]) == pytest.approx(5.0)
-
-    def test_broadcast(self, rng):
-        a = rng.normal(size=(10, 2))
-        d = euclidean(a, a)
-        assert np.allclose(d, 0.0)
-
-
-class TestPolygon:
-    SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
-    TRIANGLE = [(0, 0), (4, 0), (0, 3)]
-
-    def test_area_ccw_positive(self):
-        assert polygon_area(self.SQUARE) == pytest.approx(4.0)
-        assert polygon_area(self.TRIANGLE) == pytest.approx(6.0)
-
-    def test_area_cw_negative(self):
-        assert polygon_area(self.SQUARE[::-1]) == pytest.approx(-4.0)
-
-    def test_area_needs_three_vertices(self):
-        with pytest.raises(ValueError):
-            polygon_area([(0, 0), (1, 1)])
-
-    def test_centroid_square(self):
-        assert np.allclose(polygon_centroid(self.SQUARE), [1.0, 1.0])
-
-    def test_centroid_triangle(self):
-        assert np.allclose(polygon_centroid(self.TRIANGLE), [4 / 3, 1.0])
-
-    def test_centroid_degenerate_falls_back_to_mean(self):
-        line = [(0, 0), (1, 0), (2, 0)]
-        assert np.allclose(polygon_centroid(line), [1.0, 0.0])
-
-    def test_point_in_polygon(self):
-        assert point_in_polygon([1, 1], self.SQUARE)
-        assert not point_in_polygon([3, 1], self.SQUARE)
-        assert point_in_polygon([0.5, 0.5], self.TRIANGLE)
-        assert not point_in_polygon([3, 2], self.TRIANGLE)
-
-    def test_point_in_concave_polygon(self):
-        concave = [(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)]
-        assert point_in_polygon([1, 0.5], concave)
-        assert not point_in_polygon([2, 3], concave)

@@ -9,6 +9,8 @@
 * Every function, class and method defined in ``src/repro`` is named
   somewhere else in ``src/``, or is on an allowlist: a definition only
   the tests call is a code path the program does not run.
+* Every runtime dependency in ``pyproject.toml`` is imported by
+  ``src/repro``: an unused one is an install cost for nothing.
 """
 
 import ast
@@ -155,35 +157,68 @@ def test_every_config_field_is_read(config):
 PUBLISHED = {
     "repro.autodiff.module.Module.num_parameters":
         "benchmarks/test_table1_configs.py",
+    "repro.autodiff.tensor.detect_anomaly": "benchmarks/chaos_smoke.py",
+    "repro.core.config.paper_af": "benchmarks/test_table1_configs.py",
+    "repro.core.config.paper_bf": "benchmarks/test_table1_configs.py",
+    "repro.core.shardexec.ShardedExecution": "benchmarks/shard_smoke.py",
+    "repro.experiments.figures.distance_analysis":
+        "benchmarks/test_fig11_13_distance.py",
+    "repro.experiments.figures.proximity_sweep":
+        "benchmarks/test_fig14_proximity.py",
+    "repro.experiments.figures.time_of_day_analysis":
+        "benchmarks/test_fig8_10_time_of_day.py",
+    "repro.faultinject.NaNGradInjector": "benchmarks/chaos_smoke.py",
+    "repro.faultinject.corrupt_file": "benchmarks/chaos_smoke.py",
+    "repro.faultinject.drift_histograms": "benchmarks/chaos_smoke.py",
+    "repro.faultinject.drop_cells": "benchmarks/chaos_smoke.py",
+    "repro.faultinject.kill_once": "benchmarks/chaos_smoke.py",
+    "repro.faultinject.poison_nan": "benchmarks/chaos_smoke.py",
+    "repro.graph.sharding.chebyshev_hops": "benchmarks/shard_smoke.py",
+    "repro.graph.sharding.plan_shards": "benchmarks/shard_smoke.py",
     "repro.histograms.blocksparse.BlockSparseODTensor.from_dense":
         "docs/SHARDING.md",
     "repro.histograms.blocksparse.BlockSparseODTensor.to_dense":
         "benchmarks/shard_smoke.py",
+    "repro.histograms.blocksparse.BlockSparseWindowDataset":
+        "benchmarks/shard_smoke.py",
+    "repro.histograms.blocksparse.build_block_sparse_od_tensors":
+        "benchmarks/shard_smoke.py",
     "repro.histograms.histogram.HistogramSpec.mean_speed":
         "examples/travel_time_reservation.py",
+    "repro.histograms.travel_time.TravelTimeDistribution.quantile":
+        "README.md",
+    "repro.histograms.travel_time.travel_time_distribution": "README.md",
+    "repro.metrics.calibration.expected_calibration_error":
+        "examples/forecast_calibration.py",
+    "repro.metrics.calibration.ranked_probability_score":
+        "examples/forecast_calibration.py",
+    "repro.metrics.calibration.sharpness":
+        "examples/forecast_calibration.py",
+    "repro.metrics.calibration.trip_outcomes":
+        "examples/forecast_calibration.py",
     "repro.serve.ForecastWorkerPool.segment_names":
         "benchmarks/serve_smoke.py",
+    "repro.serve_shm.leaked_segments": "benchmarks/serve_smoke.py",
+    "repro.serve_shm.slot_bytes_for": "benchmarks/serve_smoke.py",
+    "repro.trips.datasets.metro_dataset": "benchmarks/shard_smoke.py",
     "repro.trips.traffic.LatentTrafficField.context_series":
         "docs/PAPER_MAPPING.md",
+    "repro.trips.trip.Trip": "e2ebench/workloads.py",
     "repro.viz.histogram_bars": "examples/quickstart.py",
 }
 
-#: Definitions that only tests call.  Each is the next candidate for
-#: deletion with its tests; the list may only shrink (see ROADMAP,
-#: "Delete the paths the defaults do not reach").
-UNCALLED = {
-    "repro.autodiff.ops.sigmoid",
-    "repro.experiments.runner.ComparisonResult.compare_methods",
-    "repro.graph.coarsening.Coarsening.padded_size",
-    "repro.histograms.travel_time.TravelTimeDistribution.reservation_gap",
-    "repro.metrics.bootstrap.BootstrapResult.significant",
-    "repro.persistence.import_comparison_rows",
-    "repro.regions.geometry.BoundingBox.contains",
-    "repro.regions.partition.GridPartition.cell_area",
-    "repro.trips.trip.Trip.speed_kmh",
-    "repro.trips.trip.TripTable.speed_kmh",
-    "repro.viz.heatmap",
-    "repro.viz.learning_curve",
+#: Reference implementations and test harnesses: nothing in ``src/``
+#: names them, and the named test checks the program against each.  An
+#: entry stays while that test uses it; any other definition that only
+#: tests call is deleted with its tests, not listed.
+REFERENCES = {
+    "repro.autodiff.gradcheck.check_gradients": "tests/test_autodiff_ops.py",
+    "repro.autodiff.ops.sigmoid": "tests/oracles.py",
+    "repro.graph.energy.dirichlet_energy_numpy":
+        "tests/test_graph_energy.py",
+    "repro.graph.laplacian.chebyshev_basis": "tests/test_graph_chebconv.py",
+    "repro.metrics.divergence.emd_flow": "tests/test_metrics_divergence.py",
+    "repro.telemetry.read_events": "tests/test_telemetry.py",
 }
 
 
@@ -202,10 +237,28 @@ def _definitions(tree, prefix):
             yield from _definitions(node, prefix)
 
 
+def _exported(tree):
+    """Nodes inside ``__all__ = ...`` assignments: listing a name for
+    export is not a use of it."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                exported.update(map(id, ast.walk(node.value)))
+    return exported
+
+
 def _names(tree):
     """Every name a module uses: identifiers, attributes, imported
-    names and identifier-like strings (``__all__``, ``getattr``)."""
+    names and identifier-like strings (``getattr``), except the strings
+    of ``__all__``."""
+    exported = _exported(tree)
     for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -221,29 +274,63 @@ def _names(tree):
 
 
 def _unreferenced():
-    """Qualified names of the definitions nothing in ``src/`` names."""
+    """Qualified names of the definitions nothing in ``src/`` names.  A
+    package ``__init__.py`` only re-exports, so its names do not count."""
     defined, used = [], set()
     for path, tree in _trees():
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         defined.extend(_definitions(tree, module))
-        used.update(_names(tree))
+        if path.name != "__init__.py":
+            used.update(_names(tree))
     return {qualname for qualname, name in defined if name not in used}
 
 
 class TestReferenceScan:
     def test_every_definition_is_named_in_src_or_allowlisted(self):
-        unlisted = sorted(_unreferenced() - set(PUBLISHED) - UNCALLED)
+        unlisted = sorted(_unreferenced() - set(PUBLISHED) - set(REFERENCES))
         assert unlisted == [], (
             "defined in src/repro but named nowhere else in src/; call "
             "it, delete it, or allowlist it with its outside caller")
 
     def test_allowlists_are_current(self):
         """An entry whose definition is gone or now has a caller in
-        ``src/`` is stale; a published entry's file must name it."""
+        ``src/`` is stale; an entry's file must name it."""
         unreferenced = _unreferenced()
-        stale = sorted((set(PUBLISHED) | UNCALLED) - unreferenced)
+        allowlisted = {**PUBLISHED, **REFERENCES}
+        stale = sorted(set(allowlisted) - unreferenced)
         assert stale == [], "allowlist entries to remove"
-        for qualname, where in PUBLISHED.items():
+        for qualname, where in allowlisted.items():
             name = qualname.rsplit(".", 1)[-1]
             assert re.search(rf"\b{name}\b", (ROOT / where).read_text()), (
                 f"{where} does not name {qualname}")
+
+
+#: Distribution names whose import name differs.
+IMPORT_NAMES = {"scikit-learn": "sklearn"}
+
+
+def _imported_modules():
+    """Top-level module names that ``src/repro`` imports."""
+    modules = set()
+    for _, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_every_runtime_dependency_is_imported():
+    tomllib = pytest.importorskip("tomllib")     # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    requirements = project["project"]["dependencies"]
+    assert requirements, "pyproject.toml lists no runtime dependency"
+    imported = _imported_modules()
+    unused = []
+    for requirement in requirements:
+        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower()
+        module = IMPORT_NAMES.get(name, name.replace("-", "_"))
+        if module not in imported:
+            unused.append(requirement)
+    assert unused == [], "runtime dependencies nothing in src/ imports"

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.histograms import (HistogramSpec, build_od_tensors,
-                              ground_truth_tensors)
+from repro.histograms import HistogramSpec, build_od_tensors
 from repro.trips import TripTable
 
 
@@ -91,6 +90,13 @@ class TestBuildOdTensors:
         seq = build_od_tensors(dataset.trips, dataset.city, n_intervals=10)
         in_range = (dataset.trips.departure_min < 150).sum()
         assert seq.counts.sum() == in_range
+
+
+def ground_truth_tensors(field):
+    """``(T, N, N, K)`` exact bucket probabilities of the latent field."""
+    edges = np.asarray(HistogramSpec.paper_default().edges)
+    return np.stack([field.true_histogram(t, edges)
+                     for t in range(field.n_intervals)])
 
 
 class TestGroundTruth:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.histograms import HistogramSpec
-from repro.histograms.travel_time import (TravelTimeDistribution,
-                                          travel_time_distribution)
+from repro.histograms.travel_time import travel_time_distribution
 
 SPEC = HistogramSpec.paper_default()
 
@@ -27,7 +26,7 @@ class TestDerivation:
             np.array([1.0, 0, 0, 0, 0, 0, 0]), SPEC, 6.0)
         fast = travel_time_distribution(
             np.array([0, 0, 0, 0, 0, 0, 1.0]), SPEC, 6.0)
-        assert fast.mean_minutes() < slow.mean_minutes()
+        assert fast.quantile(1.0) < slow.quantile(1.0)
 
     def test_speed_time_inverse_relation(self):
         """A single bucket [9, 12) m/s for a 5.4 km trip maps to
@@ -73,18 +72,3 @@ class TestQuantiles:
             self._dist().quantile(0.0)
         with pytest.raises(ValueError):
             self._dist().quantile(1.5)
-
-    def test_reservation_gap_positive_for_skewed(self):
-        """Left-skewed speeds (slow tail) ⇒ planning at 95 % needs more
-        than the mean — the paper's airport example."""
-        dist = self._dist()
-        assert dist.reservation_gap(0.95) > 0
-
-    def test_certain_speed_zero_gap(self):
-        histogram = np.zeros(7)
-        histogram[3] = 1.0
-        dist = travel_time_distribution(histogram, SPEC, trip_km=5.0)
-        # With one piece, the conservative quantile is the slow edge;
-        # gap is bounded by the piece width.
-        width = dist.intervals_min[0, 1] - dist.intervals_min[0, 0]
-        assert 0 <= dist.reservation_gap(0.95) <= width

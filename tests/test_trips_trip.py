@@ -21,8 +21,7 @@ class TestTrip:
     def test_speed_conversions(self):
         trip = Trip(origin=(0, 0), destination=(1, 1), departure_min=0.0,
                     distance_km=6.0, duration_min=30.0)
-        assert trip.speed_kmh == pytest.approx(12.0)
-        assert trip.speed_ms == pytest.approx(12.0 / 3.6)
+        assert trip.speed_ms == pytest.approx(12.0 / 3.6)   # 12 km/h
 
 
 class TestTripTable:
@@ -31,7 +30,6 @@ class TestTripTable:
         assert len(table) == 7
         expected = table.distance_km * 1000 / (table.duration_min * 60)
         assert np.allclose(table.speed_ms, expected)
-        assert np.allclose(table.speed_kmh, table.speed_ms * 3.6)
 
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,30 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import (bar_chart, heatmap, histogram_bars, learning_curve,
-                       sparkline)
-
-
-class TestSparkline:
-    def test_length_matches_input(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_series_monotone_glyphs(self):
-        line = sparkline(np.linspace(0, 1, 8))
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_constant_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_nan_renders_space(self):
-        assert sparkline([1.0, np.nan, 2.0])[1] == " "
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_explicit_scale(self):
-        clipped = sparkline([10.0], lo=0.0, hi=1.0)
-        assert clipped == "█"
+from repro.viz import bar_chart, histogram_bars
 
 
 class TestBarChart:
@@ -55,34 +32,3 @@ class TestHistogramBars:
         assert lines[1].count("█") > lines[0].count("█")
         assert lines[2].count("█") == 0
 
-
-class TestHeatmap:
-    def test_shape_preserved_small(self):
-        out = heatmap(np.eye(4))
-        lines = out.splitlines()
-        assert len(lines) == 4 and all(len(l) == 4 for l in lines)
-
-    def test_diagonal_darker(self):
-        out = heatmap(np.eye(3)).splitlines()
-        assert out[0][0] == "█" and out[0][1] == " "
-
-    def test_downsampling(self):
-        out = heatmap(np.random.default_rng(0).random((200, 200)),
-                      max_size=20)
-        lines = out.splitlines()
-        assert len(lines) <= 21
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            heatmap(np.zeros(5))
-
-
-class TestLearningCurve:
-    def test_two_lines_shared_scale(self):
-        out = learning_curve([3, 2, 1], [3, 3, 2])
-        lines = out.splitlines()
-        assert lines[0].startswith("train")
-        assert lines[1].strip().startswith("val")
-
-    def test_empty(self):
-        assert learning_curve([], []) == ""
