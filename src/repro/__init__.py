@@ -15,7 +15,7 @@ Top-level convenience re-exports cover the typical user path::
 Subpackages
 -----------
 ``repro.autodiff``
-    Reverse-mode autodiff + neural-network substrate (Tensor, GRU, Adam).
+    Reverse-mode autodiff + neural-network substrate (Tensor, GRUCell, Adam).
 ``repro.graph``
     Proximity graphs, Cheby-Net convolutions, coarsening and pooling.
 ``repro.regions`` / ``repro.trips`` / ``repro.histograms``

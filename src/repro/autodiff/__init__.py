@@ -7,7 +7,7 @@ The deep-learning stack the paper builds on, reimplemented from scratch:
   softmax, concat/stack, dropout, graph-pooling primitives, ...).
 * :class:`Module` / :class:`Parameter` — network composition.
 * :class:`Linear`, :class:`Dropout`, :class:`MLP` — dense layers.
-* :class:`GRUCell` / :class:`GRU` / :class:`Seq2Seq` — recurrence.
+* :class:`GRUCell` / :class:`Seq2Seq` — recurrence.
 * :class:`Adam`, :class:`StepDecay` — optimization with the paper's
   published schedule (Adam, lr 0.001, x0.8 every 5 epochs).
 * :func:`check_gradients` — numerical verification used by the tests.
@@ -20,7 +20,7 @@ from .layers import (MLP, Activation, Dropout, Embedding, Linear,
 from .module import Module, Parameter
 from .optim import Adam, Optimizer, StepDecay, clip_grad_norm
 from .profiler import OpProfiler, profile
-from .rnn import GRU, GRUCell, Seq2Seq
+from .rnn import GRUCell, Seq2Seq
 from .tensor import (AnomalyError, Tensor, detect_anomaly, get_default_dtype,
                      ones, set_default_dtype, tensor, zeros)
 
@@ -31,7 +31,7 @@ __all__ = [
     "ops", "init",
     "Module", "Parameter",
     "Linear", "Dropout", "Sequential", "Activation", "MLP", "Embedding",
-    "GRUCell", "GRU", "Seq2Seq",
+    "GRUCell", "Seq2Seq",
     "Optimizer", "Adam", "StepDecay", "clip_grad_norm",
     "profile", "OpProfiler",
     "check_gradients", "numerical_gradient",

@@ -1,4 +1,4 @@
-"""Recurrent networks: GRU cells, GRU layers, and sequence-to-sequence.
+"""Recurrent networks: the GRU cell and sequence-to-sequence.
 
 The basic framework (paper §IV-C) forecasts the factor sequences with a
 sequence-to-sequence GRU; the FC/RNN baseline uses the same machinery on
@@ -59,28 +59,6 @@ class GRUCell(Module):
         return Tensor(np.zeros((batch, self.hidden_size)))
 
 
-class GRU(Module):
-    """One GRU layer over a full sequence.
-
-    Input is ``(batch, time, features)``; output is the sequence of
-    hidden states ``(batch, time, hidden)`` plus the final state.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng)
-
-    def forward(self, x: Tensor):
-        batch, steps = x.shape[0], x.shape[1]
-        state = self.cell.initial_state(batch)
-        outputs = []
-        for t in range(steps):
-            state = self.cell(x[:, t], state)
-            outputs.append(state)
-        return ops.stack(outputs, axis=1), state
-
-
 class Seq2Seq(Module):
     """Encoder–decoder GRU forecasting ``horizon`` future feature vectors.
 
@@ -94,8 +72,8 @@ class Seq2Seq(Module):
     def __init__(self, input_size: int, hidden_size: int, output_size: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.encoder = GRU(input_size, hidden_size, rng)
-        self.decoder = GRU(output_size, hidden_size, rng)
+        self.encoder_cell = GRUCell(input_size, hidden_size, rng)
+        self.decoder_cell = GRUCell(output_size, hidden_size, rng)
         self.proj_weight = Parameter(
             init.xavier_uniform((hidden_size, output_size), rng))
         self.proj_bias = Parameter(np.zeros(output_size))
@@ -110,8 +88,10 @@ class Seq2Seq(Module):
 
         Returns ``(batch, horizon, output)``.
         """
-        _, state = self.encoder(history)
-        batch = history.shape[0]
+        batch, steps = history.shape[0], history.shape[1]
+        state = self.encoder_cell.initial_state(batch)
+        for t in range(steps):
+            state = self.encoder_cell(history[:, t], state)
         # GO frame: the most recent observation, projected if sizes differ.
         if self.input_size == self.output_size:
             step_input = history[:, -1]
@@ -119,7 +99,7 @@ class Seq2Seq(Module):
             step_input = Tensor(np.zeros((batch, self.output_size)))
         predictions = []
         for _ in range(horizon):
-            state = self.decoder.cell(step_input, state)
+            state = self.decoder_cell(step_input, state)
             step_input = self._project(state)
             predictions.append(step_input)
         return ops.stack(predictions, axis=1)

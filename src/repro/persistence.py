@@ -41,7 +41,7 @@ from .metrics.evaluation import EvaluationResult
 PathLike = Union[str, Path]
 
 #: Bumped when the on-disk checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class CheckpointCorruptError(ValueError):

@@ -1,8 +1,8 @@
-"""Tests for GRU cells, GRU layers, and the seq2seq forecaster."""
+"""Tests for the GRU cell and the seq2seq forecaster."""
 
 import numpy as np
 
-from repro.autodiff import GRU, Adam, GRUCell, Seq2Seq, Tensor
+from repro.autodiff import Adam, GRUCell, Seq2Seq, Tensor
 
 
 class TestGRUCell:
@@ -35,19 +35,6 @@ class TestGRUCell:
             h = cell(x, h)
         (h ** 2).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
-
-
-class TestGRU:
-    def test_sequence_shapes(self, rng):
-        gru = GRU(3, 5, rng)
-        out, state = gru(Tensor(rng.normal(size=(2, 7, 3))))
-        assert out.shape == (2, 7, 5)
-        assert state.shape == (2, 5)
-
-    def test_final_state_matches_last_output(self, rng):
-        gru = GRU(3, 5, rng)
-        out, state = gru(Tensor(rng.normal(size=(2, 7, 3))))
-        assert np.allclose(out.data[:, -1], state.data)
 
 
 class TestSeq2Seq:

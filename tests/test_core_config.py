@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import GRU, Seq2Seq
+from repro.autodiff import Seq2Seq
 from repro.baselines import FCBaseline
 from repro.core import AdvancedFramework, BasicFramework, GraphSeq2Seq
 from repro.core.config import PaperHyperParameters, paper_af, paper_bf
@@ -65,7 +65,6 @@ REMOVED_KEYWORDS = [
     (lambda **kw: BasicFramework(4, 4, 3, _RNG, **kw), "num_layers", 2),
     (lambda **kw: AdvancedFramework(_W, _W, 3, _RNG, **kw), "rnn_layers", 2),
     (lambda **kw: FCBaseline(4, 4, 3, _RNG, **kw), "num_layers", 2),
-    (lambda **kw: GRU(3, 5, _RNG, **kw), "num_layers", 2),
     (lambda **kw: Seq2Seq(3, 5, 3, _RNG, **kw), "num_layers", 2),
     (lambda **kw: GraphSeq2Seq(_W, 3, 5, 3, 2, _RNG, **kw), "num_layers", 2),
 ]
@@ -75,7 +74,7 @@ REMOVED_KEYWORDS = [
     "build, keyword, value", REMOVED_KEYWORDS,
     ids=["BasicFramework-attention", "BasicFramework-num_layers",
          "AdvancedFramework-rnn_layers", "FCBaseline-num_layers",
-         "GRU-num_layers", "Seq2Seq-num_layers", "GraphSeq2Seq-num_layers"])
+         "Seq2Seq-num_layers", "GraphSeq2Seq-num_layers"])
 def test_removed_keywords_raise_type_error(build, keyword, value):
     """Each recurrence holds one cell (Table I) and none attends over
     time; the keywords that chose otherwise fail loudly."""
