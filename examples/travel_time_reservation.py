@@ -14,36 +14,7 @@ import numpy as np
 
 from repro import prepare, toy_dataset
 from repro.experiments import MethodBudget, make_af
-
-
-def travel_time_distribution(speed_histogram, edges_ms, trip_km):
-    """Map a speed histogram to (travel_minutes, probability) pairs.
-
-    Each speed bucket [lo, hi) maps to a travel-time interval
-    [trip/hi, trip/lo); we report the conservative (slow) end of each
-    bucket, which is what a risk-averse traveller plans with.
-    """
-    rows = []
-    for k, probability in enumerate(speed_histogram):
-        if probability <= 0:
-            continue
-        lo = max(edges_ms[k], 0.5)
-        minutes = trip_km * 1000.0 / lo / 60.0
-        rows.append((minutes, probability))
-    return sorted(rows)
-
-
-def minutes_for_confidence(distribution, confidence):
-    """Smallest reservation covering >= `confidence` probability mass."""
-    total = 0.0
-    for minutes, probability in distribution:
-        total += probability
-    accumulated = 0.0
-    for minutes, probability in sorted(distribution):
-        accumulated += probability
-        if accumulated / total >= confidence:
-            return minutes
-    return distribution[-1][0]
+from repro.histograms import travel_time_distribution
 
 
 def main() -> None:
@@ -67,7 +38,7 @@ def main() -> None:
         lo, hi = spec.edges[k], spec.edges[k + 1]
         print(f"  [{lo:4.0f},{hi:4.0f}) m/s : {histogram[k]:.3f}")
 
-    distribution = travel_time_distribution(histogram, spec.edges, trip_km)
+    distribution = travel_time_distribution(histogram, spec, trip_km)
     mean_speed = spec.mean_speed(histogram)
     naive_minutes = trip_km * 1000 / mean_speed / 60
 
@@ -75,10 +46,10 @@ def main() -> None:
     print(f"Naive plan from the average speed ({mean_speed:.1f} m/s): "
           f"{naive_minutes:.0f} minutes")
     for confidence in (0.5, 0.8, 0.95):
-        needed = minutes_for_confidence(distribution, confidence)
+        needed = distribution.quantile(confidence)
         print(f"Reserve {needed:6.0f} minutes to arrive on time with "
               f"{confidence:.0%} confidence")
-    p95 = minutes_for_confidence(distribution, 0.95)
+    p95 = distribution.quantile(0.95)
     print(f"\nPlanning with the mean alone under-reserves by "
           f"{p95 - naive_minutes:.0f} minutes at the 95% level — the "
           "paper's argument for stochastic OD matrices.")

@@ -365,8 +365,8 @@ def _pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
 # Fused kernels
 # ======================================================================
 # Composite ops covering the models' hot paths: each one evaluates a
-# whole sub-expression (Chebyshev recursion, GRU cell, recovery softmax,
-# masked loss) in raw numpy and records a SINGLE graph node whose
+# whole sub-expression (GRU cell, CNRNN cell, masked loss, and stage 1's
+# factorizer below) in raw numpy and records a SINGLE graph node whose
 # backward closure is the hand-written adjoint.  This removes the
 # per-primitive Python closure overhead and the numpy temporaries that
 # otherwise dominate training wall-clock (see docs/AUTODIFF.md, "Fused
@@ -375,21 +375,12 @@ def _pool_axis(x: Tensor, axis: int, stride: int) -> Tensor:
 # Each fused op is the only implementation of its sub-expression.  The
 # same math written with the primitive ops above lives in tests/oracles.py,
 # the ground truth for the parity tests in tests/test_autodiff_fused.py.
-
-
-def _constant_array(value: Union[Tensor, np.ndarray]) -> np.ndarray:
-    """View a graph constant (Tensor or array) as a raw array."""
-    if isinstance(value, Tensor):
-        if value.requires_grad:
-            raise ValueError(
-                "fused kernels treat this operand as a constant; it must "
-                "not require grad")
-        return value.data
-    return np.asarray(value)
+# A kernel stays only while it beats its oracle end to end: ChebConv,
+# recovery and the Dirichlet energy run as primitive ops.
 
 
 # ----------------------------------------------------------------------
-# Whole Cheby-Net convolution (paper Eq. 5)
+# Chebyshev recursion helpers (paper Eq. 5)
 # ----------------------------------------------------------------------
 # The Chebyshev recursion runs node-major: the signal is held as
 # (…, N, B·C) so each term is one (N, N) @ (N, B·C) GEMM for all slices,
@@ -511,86 +502,6 @@ def _cheb_adjoint(lap_t: np.ndarray, dmixed: np.ndarray,
     out = np.empty(shape, dtype=dfull.dtype)
     np.add(_slice_major(np.matmul(lap_t, adj[1]), b, c), adj[0], out=out)
     return out
-
-
-def cheb_conv(lap: Union[Tensor, np.ndarray], x: Tensor, weight: Tensor,
-              bias: Tensor, order: int,
-              basis: np.ndarray = None) -> Tensor:
-    """A whole Cheby-Net graph convolution (Eq. 5) as one node.
-
-    Layout juggling, Chebyshev recursion, channel mixing, and bias — the
-    ~8 primitive nodes of the unfused composition — collapse into a
-    single node: ``x (B, N, C)`` → ``(B, N, Q)`` with
-    ``weight (C·order, Q)`` and ``bias (Q,)``.
-
-    ``basis`` is an optional precomputed polynomial basis
-    ``(order·N, N)`` holding the stacked Chebyshev matrices
-    ``T_0(L) … T_{order-1}(L)`` (see
-    :meth:`repro.graph.ChebConv.polynomial_basis`).  When given, the
-    term recursion collapses into a single GEMM ``basis @ x`` forward
-    and ``basisᵀ @ dterms`` backward.  The polynomial values agree with
-    the recursion up to float round-off (the basis evaluates
-    ``T_s(L)·x`` as ``(T_s(L))·x`` instead of the nested recursion), so
-    a layer must use one path consistently within a run.
-    """
-    if order < 1:
-        raise ValueError(f"Chebyshev order must be >= 1, got {order}")
-    x = _ensure_tensor(x)
-    if x.ndim != 3:
-        raise ValueError(f"cheb_conv expects (batch, N, C) input, "
-                         f"got shape {x.shape}")
-    lap_data = _constant_array(lap)
-    batch, n, channels = x.shape
-    if lap_data.shape != (n, n):
-        raise ValueError(
-            f"Laplacian shape {lap_data.shape} does not match signal "
-            f"with {n} nodes")
-    if weight.shape != (channels * order, weight.shape[-1]):
-        raise ValueError(
-            f"weight shape {weight.shape} does not match "
-            f"{channels} channels x order {order}")
-    q = weight.shape[-1]
-    lap_t = lap_data.T
-    use_basis = basis is not None and order > 1
-    basis_t = basis.T if use_basis else None
-    feats = None
-
-    def run() -> np.ndarray:
-        nonlocal feats
-        if use_basis:
-            # (S·N, N) @ (B, N, C) -> (B, S·N, C); relayout into the
-            # interleaved (B·N, C·S) feature matrix _cheb_feats builds.
-            stacked = np.matmul(basis, x.data)
-            feats = np.ascontiguousarray(
-                stacked.reshape(batch, order, n, channels)
-                .transpose(0, 2, 3, 1)).reshape(batch * n,
-                                                channels * order)
-        else:
-            feats = _cheb_feats(_cheb_terms(lap_data, x.data, order),
-                                order)
-        out = (feats @ weight.data).reshape(batch, n, q)
-        out += bias.data
-        return out
-
-    def backward(grad: np.ndarray) -> None:
-        gm = grad.reshape(batch * n, q)
-        if weight.requires_grad:
-            weight._accumulate(feats.T @ gm)
-        if bias.requires_grad:
-            bias._accumulate(gm.sum(axis=0))
-        if x.requires_grad:
-            if use_basis:
-                dfull = (gm @ weight.data.T).reshape(batch, n, channels,
-                                                     order)
-                dstacked = np.ascontiguousarray(
-                    dfull.transpose(0, 3, 1, 2)).reshape(
-                        batch, order * n, channels)
-                x._accumulate(np.matmul(basis_t, dstacked))
-            else:
-                x._accumulate(_cheb_adjoint(
-                    lap_t, gm, weight.data, (batch, n, channels), order))
-
-    return Tensor._make(run, (x, weight, bias), backward)
 
 
 # ----------------------------------------------------------------------
@@ -947,7 +858,7 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
     """
     x, h = _ensure_tensor(x), _ensure_tensor(h)
     params = (w_reset, b_reset, w_update, b_update, w_cand, b_cand)
-    lap_data = _constant_array(lap)
+    lap_data = lap.data if isinstance(lap, Tensor) else np.asarray(lap)
     batch, n, cx = x.shape
     hidden = h.shape[-1]
     joint = hidden + cx
@@ -1012,53 +923,6 @@ def fused_cnrnn_cell(lap: Union[Tensor, np.ndarray], x: Tensor, h: Tensor,
             x._accumulate(drhx[..., hidden:] + dhx[..., hidden:])
 
     return Tensor._make(run, (x, h) + params, backward)
-
-
-# ----------------------------------------------------------------------
-# Recovery (paper §IV-D: per-bucket R @ C + bucket-axis softmax)
-# ----------------------------------------------------------------------
-def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
-    """Per-bucket factor product + bucket softmax as one node.
-
-    ``r_factors (..., N, β, K)`` and ``c_factors (..., β, N', K)`` →
-    ``(..., N, N', K)`` where cell ``(i, j)`` holds the softmax over the
-    ``K`` scores ``R[i, :, k] · C[:, j, k]``.  Backward applies the
-    closed-form softmax VJP ``s·(g - Σ g·s)`` followed by the two
-    batched matmul adjoints.
-    """
-    r, c = _ensure_tensor(r_factors), _ensure_tensor(c_factors)
-    if r.ndim < 3 or c.ndim < 3:
-        raise ValueError("factor tensors must have >= 3 dims")
-    rb = cb = out_data = None
-
-    def run() -> np.ndarray:
-        nonlocal rb, cb, out_data
-        # Buckets become the batch axis of one batched GEMM:
-        # (..., K, N, β) @ (..., K, β, N') -> (..., K, N, N').
-        rb = np.moveaxis(r.data, -1, -3)
-        cb = np.moveaxis(c.data, -1, -3)
-        raw = rb @ cb
-        scores = np.moveaxis(raw, -3, -1)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        out_data = np.ascontiguousarray(scores)
-        return out_data
-
-    def backward(grad: np.ndarray) -> None:
-        dot = (grad * out_data).sum(axis=-1, keepdims=True)
-        draw = out_data * (grad - dot)               # softmax VJP
-        draw_k = np.moveaxis(draw, -1, -3)           # (..., K, N, N')
-        if r.requires_grad:
-            dr = draw_k @ cb.swapaxes(-1, -2)        # (..., K, N, β)
-            r._accumulate(
-                _unbroadcast(np.moveaxis(dr, -3, -1), r.shape))
-        if c.requires_grad:
-            dc = rb.swapaxes(-1, -2) @ draw_k        # (..., K, β, N')
-            c._accumulate(
-                _unbroadcast(np.moveaxis(dc, -3, -1), c.shape))
-
-    return Tensor._make(run, (r, c), backward)
 
 
 # ----------------------------------------------------------------------

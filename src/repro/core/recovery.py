@@ -39,9 +39,13 @@ def recover(r_factors: Tensor, c_factors: Tensor) -> Tensor:
         raise ValueError(
             f"latent ranks differ: R has {r_factors.shape[-2]}, C has "
             f"{c_factors.shape[-3]}")
-    # One fused node: per-bucket batched matmul + bucket-axis softmax
-    # with the closed-form softmax VJP.
-    return ops.fused_softmax_recovery(r_factors, c_factors)
+    # Buckets become the batch axis of one batched GEMM:
+    # (..., K, N, β) @ (..., K, β, N') -> (..., K, N, N').
+    r_k = r_factors.transpose(list(range(r_factors.ndim - 3)) + [-1, -3, -2])
+    c_k = c_factors.transpose(list(range(c_factors.ndim - 3)) + [-1, -3, -2])
+    raw = r_k.matmul(c_k)
+    scores = raw.transpose(list(range(raw.ndim - 3)) + [-2, -1, -3])
+    return ops.softmax(scores, axis=-1)
 
 
 def publish(prediction: np.ndarray) -> np.ndarray:

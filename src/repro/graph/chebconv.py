@@ -62,34 +62,10 @@ class ChebConv(Module):
             (in_channels * order, out_channels), rng,
             gain=1.0 / np.sqrt(order)))
         self.bias = Parameter(np.zeros(out_channels))
-        self._basis = None      # lazy (order·N, N) polynomial basis
 
     @property
     def n_nodes(self) -> int:
         return self._scaled_lap.shape[0]
-
-    def polynomial_basis(self) -> Optional[np.ndarray]:
-        """The stacked Chebyshev matrices ``[T_0(L); …; T_{S-1}(L)]``.
-
-        Computed once per layer and cached: the scaled Laplacian is a
-        structural constant, so the ``(order·N, N)`` basis lets every
-        forward evaluate all Chebyshev terms with a single GEMM (and the
-        backward with one more) instead of re-running the ``S``-step
-        recursion — the dominant win at small signal widths.  Returns
-        ``None`` for ``order < 2``, where the recursion is already a
-        no-op.
-        """
-        if self.order < 2:
-            return None
-        lap = self._scaled_lap.data
-        if self._basis is None or self._basis.dtype != lap.dtype:
-            n = lap.shape[0]
-            terms = [np.eye(n, dtype=lap.dtype), lap]
-            for _ in range(2, self.order):
-                terms.append(2.0 * (lap @ terms[-1]) - terms[-2])
-            self._basis = np.ascontiguousarray(
-                np.concatenate(terms, axis=0))
-        return self._basis
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
@@ -102,12 +78,21 @@ class ChebConv(Module):
             raise ValueError(
                 f"signal has {x.shape[-1]} channels, expected "
                 f"{self.in_channels}")
-        # The whole convolution — node-first relayout, Chebyshev
-        # recursion, channel-mixing GEMM, bias — is one fused graph node
-        # (ops.cheb_conv).  The cached polynomial basis collapses the
-        # term recursion into a single GEMM each way.
-        return ops.cheb_conv(self._scaled_lap, x, self.weight, self.bias,
-                             self.order, basis=self.polynomial_basis())
+        # Node-major (N, B·C), so each Chebyshev term is one Laplacian
+        # GEMM for every slice; the terms stack into feature column
+        # c·S + s, the weight's row layout, so one GEMM mixes channels.
+        batch, n, channels = x.shape
+        lap = self._scaled_lap
+        terms = [x.transpose((1, 0, 2)).reshape(n, batch * channels)]
+        if self.order > 1:
+            terms.append(lap.matmul(terms[0]))
+        for _ in range(2, self.order):
+            terms.append(2.0 * lap.matmul(terms[-1]) - terms[-2])
+        features = ops.stack(terms, axis=-1).reshape(
+            n * batch, channels * self.order)
+        out = features.matmul(self.weight).reshape(
+            n, batch, self.out_channels)
+        return out.transpose((1, 0, 2)) + self.bias
 
 
 class GraphPool(Module):

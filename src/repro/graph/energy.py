@@ -30,38 +30,23 @@ def dirichlet_energy(x: Tensor, weights: np.ndarray,
 
     Returns
     -------
-    Scalar tensor ``sum(x^T L x)`` over all feature axes, evaluated as a
-    single fused graph node.
+    Scalar tensor ``sum(x^T L x)`` over all feature axes.  The Laplacian
+    is a constant tensor in the library dtype, so the gradient stays in
+    that dtype.  ``L·1 = 0``, so the signal is centred over its nodes
+    first: in float32 a constant signal would otherwise read round-off,
+    not zero.
     """
-    lap = laplacian(weights)
+    lap = Tensor(laplacian(weights))
     axis = node_axis % x.ndim
     if x.shape[axis] != lap.shape[0]:
         raise ValueError(
             f"signal has {x.shape[axis]} nodes on axis {axis}, graph has "
             f"{lap.shape[0]}")
-    moved_shape = None
-    flat = lx = None
-
-    def run() -> np.ndarray:
-        nonlocal moved_shape, flat, lx
-        moved = np.moveaxis(x.data, axis, 0)
-        moved_shape = moved.shape
-        flat = moved.reshape(moved.shape[0], -1)
-        lx = lap @ flat
-        return np.asarray((flat * lx).sum())
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # d(xᵀLx) = (L + Lᵀ)x; the graph Laplacian is symmetric but the
-        # general adjoint costs the same here.  The float64 Laplacian
-        # upcasts the product, so round back to x's dtype.
-        dflat = (float(grad) * (lx + lap.T @ flat)).astype(
-            x.data.dtype, copy=False)
-        x._accumulate(np.moveaxis(
-            dflat.reshape(moved_shape), 0, axis))
-
-    return Tensor._make(run, (x,), backward)
+    if axis != 0:
+        x = x.transpose([axis] + [i for i in range(x.ndim) if i != axis])
+    flat = x.reshape(x.shape[0], -1)
+    flat = flat - flat.mean(axis=0, keepdims=True)
+    return (flat * lap.matmul(flat)).sum()
 
 
 def dirichlet_energy_numpy(x: np.ndarray, weights: np.ndarray,

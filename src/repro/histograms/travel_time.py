@@ -17,6 +17,10 @@ import numpy as np
 
 from .histogram import HistogramSpec
 
+#: Floor (m/s) applied to bucket edges so the zero/open edges produce
+#: finite times.
+MIN_SPEED_MS = 0.5
+
 
 @dataclass(frozen=True)
 class TravelTimeDistribution:
@@ -27,7 +31,7 @@ class TravelTimeDistribution:
     intervals_min:
         ``(K, 2)`` array of ``(fastest, slowest)`` minutes per piece,
         sorted by increasing time; the slowest edge of an open speed
-        bucket is finite because speeds are floored at ``min_speed_ms``.
+        bucket is finite because speeds are floored at :data:`MIN_SPEED_MS`.
     probabilities:
         Probability mass per piece (sums to 1).
     """
@@ -54,9 +58,7 @@ class TravelTimeDistribution:
 
 def travel_time_distribution(speed_histogram: np.ndarray,
                              spec: HistogramSpec,
-                             trip_km: float,
-                             min_speed_ms: float = 0.5
-                             ) -> TravelTimeDistribution:
+                             trip_km: float) -> TravelTimeDistribution:
     """Map a speed histogram to the trip's travel-time distribution.
 
     Parameters
@@ -67,9 +69,6 @@ def travel_time_distribution(speed_histogram: np.ndarray,
         Bucket layout (m/s).
     trip_km:
         Trip length in km.
-    min_speed_ms:
-        Floor applied to bucket edges so the zero/open edges produce
-        finite times.
     """
     histogram = np.asarray(speed_histogram, dtype=np.float64)
     if histogram.ndim != 1 or len(histogram) != spec.n_buckets:
@@ -89,7 +88,7 @@ def travel_time_distribution(speed_histogram: np.ndarray,
     for k in range(spec.n_buckets):
         if histogram[k] <= 0:
             continue
-        v_lo = max(edges[k], min_speed_ms)
+        v_lo = max(edges[k], MIN_SPEED_MS)
         v_hi = max(edges[k + 1], v_lo + 1e-9)
         fastest = metres / v_hi / 60.0
         slowest = metres / v_lo / 60.0

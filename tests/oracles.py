@@ -1,11 +1,12 @@
 """Primitive-op oracles for the fused kernels.
 
-Every fused op in :mod:`repro.autodiff.ops` (and the fused Dirichlet
-energy) evaluates a whole sub-expression as one graph node with a
-hand-written adjoint.  The functions here write the same math with the
-primitive ops, whose adjoints autodiff derives one op at a time; they are
-the ground truth of the parity tests.  Each takes the same arguments as
-the kernel it checks.
+Every fused op in :mod:`repro.autodiff.ops` evaluates a whole
+sub-expression as one graph node with a hand-written adjoint.  The
+functions here write the same math with the primitive ops, whose
+adjoints autodiff derives one op at a time; they are the ground truth of
+the parity tests.  Each takes the same arguments as the kernel it
+checks; :func:`cheb_conv`, the Cheby-Net convolution, is the block the
+graph oracles share.
 
 :func:`install` routes a model through these compositions: it patches
 each public fused entry point under the name its caller looks it up by,
@@ -19,10 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 import repro.core.af as _af
-import repro.core.losses as _losses
 from repro.autodiff import ops
 from repro.autodiff.tensor import Tensor, _ensure_tensor
-from repro.graph.laplacian import laplacian
 
 
 def _cheb_terms(lap, x: Tensor, order: int) -> Tensor:
@@ -40,10 +39,9 @@ def _cheb_terms(lap, x: Tensor, order: int) -> Tensor:
     return ops.stack(terms, axis=-1)
 
 
-def cheb_conv(lap, x: Tensor, weight: Tensor, bias: Tensor, order: int,
-              basis: np.ndarray = None) -> Tensor:
-    """Cheby-Net convolution (Eq. 5).  ``basis`` is accepted for call
-    compatibility and ignored: the oracle always runs the recursion."""
+def cheb_conv(lap, x: Tensor, weight: Tensor, bias: Tensor,
+              order: int) -> Tensor:
+    """Cheby-Net convolution (Eq. 5), as ``ChebConv.forward`` runs it."""
     x = _ensure_tensor(x)
     batch, n, channels = x.shape
     flat = x.transpose((1, 0, 2)).reshape(n, batch * channels)
@@ -106,22 +104,6 @@ def fused_cnrnn_cell(lap, x: Tensor, h: Tensor,
     return update * h + (1.0 - update) * candidate
 
 
-def fused_softmax_recovery(r_factors: Tensor, c_factors: Tensor) -> Tensor:
-    """Per-bucket ``R @ C`` and a softmax over the bucket axis."""
-    r, c = _ensure_tensor(r_factors), _ensure_tensor(c_factors)
-    ndim_r = r.ndim
-    r_bucket_first = r.transpose(
-        list(range(ndim_r - 3)) + [ndim_r - 1, ndim_r - 3, ndim_r - 2])
-    ndim_c = c.ndim
-    c_bucket_first = c.transpose(
-        list(range(ndim_c - 3)) + [ndim_c - 1, ndim_c - 3, ndim_c - 2])
-    raw = r_bucket_first.matmul(c_bucket_first)
-    ndim = raw.ndim
-    scores = raw.transpose(
-        list(range(ndim - 3)) + [ndim - 2, ndim - 1, ndim - 3])
-    return ops.softmax(scores, axis=-1)
-
-
 def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
                            mask: np.ndarray) -> Tensor:
     """``Σ ((pred - truth)·Ω)² / |Ω|``."""
@@ -133,22 +115,6 @@ def fused_masked_frobenius(prediction: Tensor, truth: np.ndarray,
     return (diff * diff).sum() * (1.0 / observed)
 
 
-def dirichlet_energy(x: Tensor, weights: np.ndarray,
-                     node_axis: int = 0) -> Tensor:
-    """``sum(xᵀ L x)`` over every axis but ``node_axis``."""
-    lap = Tensor(laplacian(weights))
-    axis = node_axis % x.ndim
-    if x.shape[axis] != lap.shape[0]:
-        raise ValueError(
-            f"signal has {x.shape[axis]} nodes on axis {axis}, graph has "
-            f"{lap.shape[0]}")
-    if axis != 0:
-        order = [axis] + [i for i in range(x.ndim) if i != axis]
-        x = x.transpose(order)
-    flat = x.reshape(x.shape[0], -1)
-    return (flat * lap.matmul(flat)).sum()
-
-
 def spatial_factorizer(factorizer, slices: Tensor) -> Tensor:
     """A :class:`repro.core.spatial.SpatialFactorizer` forward written
     with layers: each stage's ChebConv, ReLU and :class:`GraphPool`,
@@ -156,8 +122,7 @@ def spatial_factorizer(factorizer, slices: Tensor) -> Tensor:
     ``(B*, rank, K)``."""
     x = slices
     for conv, pool in zip(factorizer.convs, factorizer.pools):
-        x = ops.relu(cheb_conv(conv._scaled_lap, x, conv.weight, conv.bias,
-                               conv.order))
+        x = ops.relu(conv(x))
         if pool is not None:
             x = pool(x)
     x = factorizer.to_buckets(x)                # (B*, beta', K)
@@ -188,8 +153,8 @@ def factorize_tensor_batch(factorizer_r, factorizer_c, tensors: Tensor,
 #: oracle here under the same name.  ``fused_gcnn_stage`` and
 #: ``fused_latent_head`` are references for the stage-1 kernels
 #: (``ops._gcnn_stage_*``/``_latent_head_*``), which have no public op.
-OPS_KERNELS = ("cheb_conv", "fused_gru_gates", "fused_cnrnn_cell",
-               "fused_softmax_recovery", "fused_masked_frobenius")
+OPS_KERNELS = ("fused_gru_gates", "fused_cnrnn_cell",
+               "fused_masked_frobenius")
 
 
 def install(monkeypatch) -> None:
@@ -197,6 +162,5 @@ def install(monkeypatch) -> None:
     oracles for the rest of a test (``monkeypatch`` undoes it)."""
     for name in OPS_KERNELS:
         monkeypatch.setattr(ops, name, globals()[name])
-    monkeypatch.setattr(_losses, "dirichlet_energy", dirichlet_energy)
     monkeypatch.setattr(_af, "factorize_tensor_batch",
                         factorize_tensor_batch)

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.histograms import HistogramSpec
+
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
 
 
@@ -44,7 +46,7 @@ class TestExampleHygiene:
 
 
 class TestReservationHelpers:
-    """Unit-level checks of travel_time_reservation's pure helpers."""
+    """The library calls travel_time_reservation plans with."""
 
     @pytest.fixture(scope="class")
     def module(self):
@@ -53,17 +55,20 @@ class TestReservationHelpers:
         return _load(path)
 
     def test_distribution_from_histogram(self, module):
-        edges = (0.0, 5.0, 10.0, np.inf)
-        rows = module.travel_time_distribution(
-            np.array([0.5, 0.3, 0.2]), edges, trip_km=6.0)
-        total = sum(p for _, p in rows)
-        assert total == pytest.approx(1.0)
-        minutes = [m for m, _ in rows]
-        assert minutes == sorted(minutes)
+        from repro.histograms import travel_time
+        assert module.travel_time_distribution \
+            is travel_time.travel_time_distribution
+        spec = HistogramSpec(edges=(0.0, 5.0, 10.0, np.inf))
+        dist = module.travel_time_distribution(
+            np.array([0.5, 0.3, 0.2]), spec, trip_km=6.0)
+        assert dist.probabilities.sum() == pytest.approx(1.0)
+        assert (np.diff(dist.intervals_min[:, 0]) > 0).all()
 
     def test_confidence_monotone(self, module):
-        distribution = [(10.0, 0.5), (20.0, 0.3), (60.0, 0.2)]
-        t50 = module.minutes_for_confidence(distribution, 0.5)
-        t95 = module.minutes_for_confidence(distribution, 0.95)
+        spec = HistogramSpec(edges=(0.0, 5.0, 10.0, np.inf))
+        dist = module.travel_time_distribution(
+            np.array([0.2, 0.3, 0.5]), spec, trip_km=6.0)
+        t50, t95 = dist.quantile(0.5), dist.quantile(0.95)
         assert t95 >= t50
-        assert t95 == pytest.approx(60.0)
+        # The slowest piece: 6 km at the 0.5 m/s floor.
+        assert t95 == pytest.approx(6000.0 / 0.5 / 60.0)

@@ -11,6 +11,9 @@
   the tests call is a code path the program does not run.
 * Every runtime dependency in ``pyproject.toml`` is imported by
   ``src/repro``: an unused one is an install cost for nothing.
+* Every public fused kernel in :mod:`repro.autodiff.ops` has a
+  primitive-op oracle in ``tests/oracles.py``, the simplest path a
+  kernel must keep beating end to end to stay.
 """
 
 import ast
@@ -186,8 +189,9 @@ PUBLISHED = {
     "repro.histograms.histogram.HistogramSpec.mean_speed":
         "examples/travel_time_reservation.py",
     "repro.histograms.travel_time.TravelTimeDistribution.quantile":
-        "README.md",
-    "repro.histograms.travel_time.travel_time_distribution": "README.md",
+        "examples/travel_time_reservation.py",
+    "repro.histograms.travel_time.travel_time_distribution":
+        "examples/travel_time_reservation.py",
     "repro.metrics.calibration.expected_calibration_error":
         "examples/forecast_calibration.py",
     "repro.metrics.calibration.ranked_probability_score":
@@ -334,3 +338,15 @@ def test_every_runtime_dependency_is_imported():
         if module not in imported:
             unused.append(requirement)
     assert unused == [], "runtime dependencies nothing in src/ imports"
+
+
+def test_every_fused_kernel_has_an_oracle():
+    """``OPS_KERNELS`` names exactly the public ``fused_*`` ops, and each
+    has its oracle under the same name."""
+    from repro.autodiff import ops
+    from tests import oracles
+    kernels = {name for name, value in vars(ops).items()
+               if name.startswith("fused_") and callable(value)}
+    assert kernels == set(oracles.OPS_KERNELS)
+    for name in oracles.OPS_KERNELS:
+        assert callable(getattr(oracles, name, None)), name
