@@ -56,6 +56,9 @@ class TestDirichletEnergy:
     def test_gradcheck(self, weights, rng):
         x = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
         check_gradients(lambda x: dirichlet_energy(x, weights), [x])
+        x = Tensor(rng.normal(size=(3, 9, 2)), requires_grad=True)
+        check_gradients(
+            lambda x: dirichlet_energy(x, weights, node_axis=1), [x])
 
     def test_wrong_node_count(self, weights):
         with pytest.raises(ValueError):
